@@ -6,7 +6,7 @@ write counting, age-ordered coarse page remapping, and fine-grained
 circular relocation of the stack through a shadow region.
 """
 
-from .coarse import AgeTree, CoarseWearLeveler, RedBlackTree, RemapRequest
+from .coarse import AgeTree, CoarseWearLeveler
 from .engine import (RunResult, SimConfig, paired_run, replay, report_dict)
 from .errors import (ConfigError, GeneratorError, LayoutError, MetricsError,
                      SimulationError, StackOverflowError, TraceFormatError,
@@ -18,8 +18,7 @@ from .metrics import (MetricsReport, achieved_endurance,
                       parse_histogram_csv, write_overhead)
 from .sampler import WriteSampler
 from .stack import (SmartPointer, StackState, adjust_inmemory_pointers,
-                    relocate_step, smart_deref, translate_stack,
-                    wraparound_reset)
+                    relocate_step, translate_stack, wraparound_reset)
 from .trace import (MemoryLayout, Segment, SpUpdateEvent, Trace, WriteEvent,
                     aggregate_linecounts, emit_trace, gen_workload,
                     load_trace, make_layout, parse_trace, save_trace)
@@ -27,7 +26,7 @@ from .trace import (MemoryLayout, Segment, SpUpdateEvent, Trace, WriteEvent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeTree", "CoarseWearLeveler", "RedBlackTree", "RemapRequest",
+    "AgeTree", "CoarseWearLeveler",
     "RunResult", "SimConfig", "paired_run", "replay", "report_dict",
     "ConfigError", "GeneratorError", "LayoutError", "MetricsError",
     "SimulationError", "StackOverflowError", "TraceFormatError",
@@ -35,7 +34,7 @@ __all__ = [
     "achieved_endurance", "endurance_improvement", "export_histogram",
     "lifetime_improvement", "log2_bins", "normalized_endurance",
     "parse_histogram_csv", "write_overhead", "WriteSampler", "SmartPointer",
-    "StackState", "adjust_inmemory_pointers", "relocate_step", "smart_deref",
+    "StackState", "adjust_inmemory_pointers", "relocate_step",
     "translate_stack", "wraparound_reset", "MemoryLayout", "Segment",
     "SpUpdateEvent", "Trace", "WriteEvent", "aggregate_linecounts",
     "emit_trace", "gen_workload", "load_trace", "make_layout", "parse_trace",

@@ -1,4 +1,4 @@
-"""Coarse-grained wear leveling: age-ordered frames and page remapping.
+"""Coarse-grained wear leveling: per-frame ages and page remapping.
 
 Every sampled write adds to a per-frame pending tally.  When a frame's
 pending count reaches the threshold it is folded into that frame's
@@ -10,336 +10,52 @@ track application writes as seen by the sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .memspace import MemorySpace
 
-
-class _Node:
-    __slots__ = ("key", "left", "right", "parent", "red")
-
-    def __init__(self, key=None):
-        self.key = key
-        self.left = self.right = self.parent = None
-        self.red = False
-
-
-class RedBlackTree:
-    """Classic red-black tree over orderable keys with a NIL sentinel."""
-
-    def __init__(self):
-        self.nil = _Node()
-        self.nil.left = self.nil.right = self.nil.parent = self.nil
-        self.root = self.nil
-        self.size = 0
-
-    # ----- rotations -----
-
-    def _left_rotate(self, x):
-        y = x.right
-        x.right = y.left
-        if y.left is not self.nil:
-            y.left.parent = x
-        y.parent = x.parent
-        if x.parent is self.nil:
-            self.root = y
-        elif x is x.parent.left:
-            x.parent.left = y
-        else:
-            x.parent.right = y
-        y.left = x
-        x.parent = y
-
-    def _right_rotate(self, x):
-        y = x.left
-        x.left = y.right
-        if y.right is not self.nil:
-            y.right.parent = x
-        y.parent = x.parent
-        if x.parent is self.nil:
-            self.root = y
-        elif x is x.parent.right:
-            x.parent.right = y
-        else:
-            x.parent.left = y
-        y.right = x
-        x.parent = y
-
-    # ----- insert -----
-
-    def insert(self, key):
-        z = _Node(key)
-        z.left = z.right = z.parent = self.nil
-        z.red = True
-        y = self.nil
-        x = self.root
-        while x is not self.nil:
-            y = x
-            if key < x.key:
-                x = x.left
-            elif key > x.key:
-                x = x.right
-            else:
-                raise KeyError("duplicate key %r" % (key,))
-        z.parent = y
-        if y is self.nil:
-            self.root = z
-        elif key < y.key:
-            y.left = z
-        else:
-            y.right = z
-        self._insert_fixup(z)
-        self.size += 1
-
-    def _insert_fixup(self, z):
-        while z.parent.red:
-            if z.parent is z.parent.parent.left:
-                y = z.parent.parent.right
-                if y.red:
-                    z.parent.red = False
-                    y.red = False
-                    z.parent.parent.red = True
-                    z = z.parent.parent
-                else:
-                    if z is z.parent.right:
-                        z = z.parent
-                        self._left_rotate(z)
-                    z.parent.red = False
-                    z.parent.parent.red = True
-                    self._right_rotate(z.parent.parent)
-            else:
-                y = z.parent.parent.left
-                if y.red:
-                    z.parent.red = False
-                    y.red = False
-                    z.parent.parent.red = True
-                    z = z.parent.parent
-                else:
-                    if z is z.parent.left:
-                        z = z.parent
-                        self._right_rotate(z)
-                    z.parent.red = False
-                    z.parent.parent.red = True
-                    self._left_rotate(z.parent.parent)
-        self.root.red = False
-
-    # ----- delete -----
-
-    def _find(self, key):
-        x = self.root
-        while x is not self.nil:
-            if key < x.key:
-                x = x.left
-            elif key > x.key:
-                x = x.right
-            else:
-                return x
-        return self.nil
-
-    def _minimum(self, x):
-        while x.left is not self.nil:
-            x = x.left
-        return x
-
-    def _maximum(self, x):
-        while x.right is not self.nil:
-            x = x.right
-        return x
-
-    def _transplant(self, u, v):
-        if u.parent is self.nil:
-            self.root = v
-        elif u is u.parent.left:
-            u.parent.left = v
-        else:
-            u.parent.right = v
-        v.parent = u.parent
-
-    def remove(self, key):
-        z = self._find(key)
-        if z is self.nil:
-            raise KeyError("key %r not in tree" % (key,))
-        y = z
-        y_was_red = y.red
-        if z.left is self.nil:
-            x = z.right
-            self._transplant(z, z.right)
-        elif z.right is self.nil:
-            x = z.left
-            self._transplant(z, z.left)
-        else:
-            y = self._minimum(z.right)
-            y_was_red = y.red
-            x = y.right
-            if y.parent is z:
-                x.parent = y
-            else:
-                self._transplant(y, y.right)
-                y.right = z.right
-                y.right.parent = y
-            self._transplant(z, y)
-            y.left = z.left
-            y.left.parent = y
-            y.red = z.red
-        if not y_was_red:
-            self._delete_fixup(x)
-        self.size -= 1
-
-    def _delete_fixup(self, x):
-        while x is not self.root and not x.red:
-            if x is x.parent.left:
-                w = x.parent.right
-                if w.red:
-                    w.red = False
-                    x.parent.red = True
-                    self._left_rotate(x.parent)
-                    w = x.parent.right
-                if not w.left.red and not w.right.red:
-                    w.red = True
-                    x = x.parent
-                else:
-                    if not w.right.red:
-                        w.left.red = False
-                        w.red = True
-                        self._right_rotate(w)
-                        w = x.parent.right
-                    w.red = x.parent.red
-                    x.parent.red = False
-                    w.right.red = False
-                    self._left_rotate(x.parent)
-                    x = self.root
-            else:
-                w = x.parent.left
-                if w.red:
-                    w.red = False
-                    x.parent.red = True
-                    self._right_rotate(x.parent)
-                    w = x.parent.left
-                if not w.right.red and not w.left.red:
-                    w.red = True
-                    x = x.parent
-                else:
-                    if not w.left.red:
-                        w.right.red = False
-                        w.red = True
-                        self._left_rotate(w)
-                        w = x.parent.left
-                    w.red = x.parent.red
-                    x.parent.red = False
-                    w.left.red = False
-                    self._right_rotate(x.parent)
-                    x = self.root
-        x.red = False
-
-    # ----- queries -----
-
-    def __len__(self):
-        return self.size
-
-    def __contains__(self, key):
-        return self._find(key) is not self.nil
-
-    def min_key(self):
-        if self.root is self.nil:
-            return None
-        return self._minimum(self.root).key
-
-    def max_key(self):
-        if self.root is self.nil:
-            return None
-        return self._maximum(self.root).key
-
-    def succ_key(self, key):
-        """Smallest key strictly greater than `key` (which must exist)."""
-        z = self._find(key)
-        if z is self.nil:
-            raise KeyError("key %r not in tree" % (key,))
-        if z.right is not self.nil:
-            return self._minimum(z.right).key
-        y = z.parent
-        while y is not self.nil and z is y.right:
-            z = y
-            y = y.parent
-        return None if y is self.nil else y.key
-
-    def keys_inorder(self):
-        out = []
-
-        def walk(node):
-            if node is self.nil:
-                return
-            walk(node.left)
-            out.append(node.key)
-            walk(node.right)
-
-        walk(self.root)
-        return out
-
-    def check_invariants(self):
-        """Verify red-black structure; raises AssertionError on violation."""
-        assert not self.root.red, "root must be black"
-
-        def walk(node):
-            if node is self.nil:
-                return 1
-            if node.red:
-                assert not node.left.red and not node.right.red, \
-                    "red node with red child"
-            lh = walk(node.left)
-            rh = walk(node.right)
-            assert lh == rh, "unequal black heights"
-            return lh + (0 if node.red else 1)
-
-        walk(self.root)
-        keys = self.keys_inorder()
-        assert keys == sorted(keys), "in-order traversal not sorted"
-        assert len(keys) == self.size
+_AGE_MAX = np.iinfo(np.int64).max
 
 
 class AgeTree:
-    """Frames ordered by (estimated age, frame number), lowest first."""
+    """Pool frames and their estimated ages, as two parallel numpy arrays.
+
+    `frames` is sorted ascending and `ages[i]` is the age of `frames[i]`.
+    A pool holds a few thousand frames at most and the least-aged frame
+    is looked up once per remap, so a linear scan is cheap.  `np.argmin`
+    returns the first minimum, which breaks age ties toward the lowest
+    frame.
+    """
 
     def __init__(self, frames):
-        self.tree = RedBlackTree()
-        self.ages = {}
-        for f in frames:
-            f = int(f)
-            self.ages[f] = 0
-            self.tree.insert((0, f))
+        self.frames = np.sort(np.asarray(frames, dtype=np.int64))
+        self.ages = np.zeros(len(self.frames), dtype=np.int64)
 
     def __len__(self):
-        return len(self.ages)
+        return len(self.frames)
+
+    def _index(self, frame: int) -> int:
+        i = int(np.searchsorted(self.frames, frame))
+        if i == len(self.frames) or self.frames[i] != frame:
+            raise KeyError("frame %r not in pool" % (frame,))
+        return i
 
     def age_of(self, frame: int) -> int:
-        return self.ages[frame]
+        return int(self.ages[self._index(frame)])
 
     def fold(self, frame: int, amount: int):
-        age = self.ages[frame]
-        self.tree.remove((age, frame))
-        age += amount
-        self.ages[frame] = age
-        self.tree.insert((age, frame))
+        self.ages[self._index(frame)] += amount
 
     def min_frame(self, exclude: Optional[int] = None) -> Optional[int]:
-        key = self.tree.min_key()
-        if key is None:
-            return None
-        if exclude is not None and key[1] == exclude:
-            key = self.tree.succ_key(key)
-            if key is None:
-                return None
-        return key[1]
+        """Least-aged frame other than `exclude`; None if there is none."""
+        ages = np.where(self.frames == exclude, _AGE_MAX, self.ages)
+        frame = int(self.frames[np.argmin(ages)])
+        return None if frame == exclude else frame
 
     def age_bounds(self) -> Tuple[int, int]:
-        return self.tree.min_key()[0], self.tree.max_key()[0]
-
-
-@dataclass(frozen=True)
-class RemapRequest:
-    frame: int
+        return int(self.ages.min()), int(self.ages.max())
 
 
 class CoarseWearLeveler:
@@ -354,16 +70,16 @@ class CoarseWearLeveler:
         self.skipped = 0
         self.copy_lines = 0
 
-    def on_sample(self, frame: int) -> Optional[RemapRequest]:
-        """Register one sampled write; returns a request when the frame folds."""
+    def on_sample(self, frame: int) -> Optional[int]:
+        """Register one sampled write; returns the frame when it folds."""
         self.pending[frame] += 1
         if self.pending[frame] >= self.threshold:
             self.tree.fold(frame, int(self.pending[frame]))
             self.pending[frame] = 0
-            return RemapRequest(frame)
+            return frame
         return None
 
-    def perform_remap(self, request: RemapRequest) -> Optional[Tuple[int, int, int, int]]:
+    def perform_remap(self, hot_frame: int) -> Optional[Tuple[int, int, int, int]]:
         """Exchange the hot frame's page with the coldest frame's page.
 
         Returns (hot_page_addr, cold_page_addr, hot_frame, cold_frame), or
@@ -373,11 +89,7 @@ class CoarseWearLeveler:
         if len(space.pool_frames) < 2:
             self.skipped += 1
             return None
-        hot_frame = request.frame
         cold_frame = self.tree.min_frame(exclude=hot_frame)
-        if cold_frame is None:
-            self.skipped += 1
-            return None
         hot_page = space.page_addr_of_frame(hot_frame)
         cold_page = space.page_addr_of_frame(cold_frame)
         buf = space.buffer_frame
@@ -389,7 +101,7 @@ class CoarseWearLeveler:
         # it is about to absorb the hot page's writes, and bumping it now
         # moves it off the minimum so successive remaps rotate through the
         # whole pool instead of ping-ponging between two frames whose
-        # below-threshold sample counts the tree cannot see yet.
+        # below-threshold sample counts the ages cannot see yet.
         self.tree.fold(cold_frame, self.threshold)
         self.remaps += 1
         return hot_page, cold_page, hot_frame, cold_frame

@@ -109,10 +109,6 @@ class MemorySpace:
     def phys_line(self, paddr: int) -> int:
         return (paddr - self.base) >> self.line_shift
 
-    def abs_line(self, dense_line: int) -> int:
-        """Dense line index -> absolute line number (address // line_size)."""
-        return (self.base >> self.line_shift) + dense_line
-
     def is_shadow_page(self, vaddr: int) -> bool:
         return (self.shadow_lo is not None
                 and self.shadow_lo <= vaddr < self.shadow_hi)
@@ -222,12 +218,6 @@ class MemorySpace:
 
     def total_wear(self) -> int:
         return int(self.wear.sum())
-
-    def wear_counts(self) -> Dict[int, int]:
-        """Absolute line index -> count, for lines with count > 0."""
-        nz = np.flatnonzero(self.wear)
-        base_line = self.base >> self.line_shift
-        return {int(base_line + i): int(self.wear[i]) for i in nz}
 
     def wear_csv_bytes(self) -> bytes:
         """CSV rows line_index,physical_address_hex,count with a sum trailer."""

@@ -132,17 +132,6 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
     return copied
 
 
-def smart_deref(ptr: int, st: StackState) -> int:
-    """Resolve a logical stack pointer at dereference time.
-
-    The pointer records logical coordinates captured at creation; the
-    translation shift applied here cancels the movement the relocation
-    copies applied to the pointee, so the dereference always lands on
-    the line currently holding the pointed-to content.
-    """
-    return translate_stack(ptr, st)
-
-
 class SmartPointer:
     """Holds a logical stack address; resolves through the live shift."""
 
@@ -152,4 +141,5 @@ class SmartPointer:
         self.logical = logical
 
     def deref(self, st: StackState) -> int:
-        return smart_deref(self.logical, st)
+        """Current address of the pointee: the live shift cancels the moves."""
+        return translate_stack(self.logical, st)

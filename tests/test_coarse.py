@@ -5,52 +5,7 @@ import random
 import pytest
 
 from nvmwear import MemorySpace, make_layout
-from nvmwear.coarse import AgeTree, CoarseWearLeveler, RedBlackTree
-
-
-# ----------------------------------------------------------------------
-# the ordered map itself
-
-def test_rbtree_against_sorted_list():
-    rng = random.Random(13)
-    tree = RedBlackTree()
-    model = []
-    for round_no in range(40):
-        for _ in range(25):
-            key = (rng.randrange(100), rng.randrange(1000))
-            if key not in tree:
-                tree.insert(key)
-                model.append(key)
-        rng.shuffle(model)
-        for key in model[:10]:
-            tree.remove(key)
-        del model[:10]
-        model.sort()
-        tree.check_invariants()
-        assert tree.keys_inorder() == model
-        assert len(tree) == len(model)
-        if model:
-            assert tree.min_key() == model[0]
-            assert tree.max_key() == model[-1]
-            probe = model[rng.randrange(len(model))]
-            idx = model.index(probe)
-            expected = model[idx + 1] if idx + 1 < len(model) else None
-            assert tree.succ_key(probe) == expected
-
-
-def test_rbtree_empty_queries():
-    tree = RedBlackTree()
-    assert tree.min_key() is None
-    assert tree.max_key() is None
-    assert len(tree) == 0
-    tree.check_invariants()
-
-
-def test_rbtree_succ_of_missing_key():
-    tree = RedBlackTree()
-    tree.insert((1, 1))
-    with pytest.raises(KeyError):
-        tree.succ_key((2, 2))
+from nvmwear.coarse import AgeTree, CoarseWearLeveler
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +14,7 @@ def test_rbtree_succ_of_missing_key():
 def test_agetree_one_entry_per_frame():
     at = AgeTree([4, 7, 9])
     assert len(at) == 3
-    assert sorted(at.ages) == [4, 7, 9]
+    assert at.frames.tolist() == [4, 7, 9]
     assert at.age_bounds() == (0, 0)
 
 
@@ -80,6 +35,27 @@ def test_agetree_fold_reorders():
     assert at.min_frame() == 1  # ties at 5 break to the lower frame
 
 
+def test_agetree_against_sorted_list():
+    rng = random.Random(13)
+    frames = rng.sample(range(1000), 60)
+    at = AgeTree(frames)
+    ages = dict.fromkeys(frames, 0)
+    assert AgeTree([5]).min_frame(exclude=5) is None
+    for _ in range(2000):
+        frame = rng.choice(frames)
+        amount = rng.choice([1, 1, 2, 4])  # small steps keep ages tied
+        at.fold(frame, amount)
+        ages[frame] += amount
+        model = sorted((age, f) for f, age in ages.items())
+        assert at.age_of(frame) == ages[frame]
+        assert at.min_frame() == model[0][1]
+        assert at.min_frame(exclude=model[0][1]) == model[1][1]
+        probe = rng.choice(frames)
+        expected = next(f for _, f in model if f != probe)
+        assert at.min_frame(exclude=probe) == expected
+        assert at.age_bounds() == (model[0][0], model[-1][0])
+
+
 # ----------------------------------------------------------------------
 # trigger rule
 
@@ -94,7 +70,7 @@ def test_on_sample_threshold_four():
     assert lev.on_sample(f) is None
     assert lev.on_sample(f) is None
     req = lev.on_sample(f)
-    assert req is not None and req.frame == f
+    assert req == f
     assert lev.tree.age_of(f) == 4
     assert lev.pending[f] == 0
 
@@ -110,8 +86,8 @@ def test_on_sample_counts_frames_independently():
     fired = []
     for f in [2, 3, 2, 3, 2, 3, 2, 3]:
         req = lev.on_sample(f)
-        if req:
-            fired.append(req.frame)
+        if req is not None:
+            fired.append(req)
     assert fired == [2, 3]
 
 
@@ -130,7 +106,9 @@ def test_remap_forced_minimum_two_frame_pool():
     f0, f1 = space.pool_frames.tolist()
     req = None
     for _ in range(5):
-        req = lev.on_sample(f0) or req
+        fired = lev.on_sample(f0)
+        if fired is not None:
+            req = fired
     assert lev.tree.age_of(f0) == 5 and lev.tree.age_of(f1) == 0
     result = lev.perform_remap(req)
     hot_page, cold_page, hot_frame, cold_frame = result
@@ -173,7 +151,9 @@ def test_remap_bumps_cold_age():
     f0 = space.pool_frames[0]
     req = None
     for _ in range(3):
-        req = lev.on_sample(int(f0)) or req
+        fired = lev.on_sample(int(f0))
+        if fired is not None:
+            req = fired
     result = lev.perform_remap(req)
     cold = result[3]
     assert lev.tree.age_of(cold) == 3
@@ -226,7 +206,7 @@ def test_tree_pool_bijection_after_remaps():
     lev = CoarseWearLeveler(space, 1)
     for f in space.pool_frames.tolist()[:10] * 3:
         req = lev.on_sample(f)
-        if req:
+        if req is not None:
             lev.perform_remap(req)
-    assert sorted(lev.tree.ages) == sorted(space.pool_frames.tolist())
-    lev.tree.tree.check_invariants()
+    assert lev.tree.frames.tolist() == sorted(space.pool_frames.tolist())
+    assert lev.tree.ages.sum() == 30 + lev.threshold * lev.remaps

@@ -14,7 +14,6 @@ from nvmwear import (
     adjust_inmemory_pointers,
     make_layout,
     relocate_step,
-    smart_deref,
     translate_stack,
     wraparound_reset,
 )
@@ -225,7 +224,7 @@ def test_smart_pointer_identity_and_full_cycle():
     assert space.word(space.line_index(ptr.deref(st))) == 0xBEEF
 
 
-def test_smart_deref_follows_content_between_wraps():
+def test_smart_pointer_follows_content_between_wraps():
     space = stack_space()
     sp = BASE + S - 512
     st = st_at(sp=sp)
@@ -233,7 +232,7 @@ def test_smart_deref_follows_content_between_wraps():
     space.record_write(space.translate(ptr.deref(st)), 0xCAFE)
     for k in range(25):
         relocate_step(st, space)
-        line = space.line_index(smart_deref(ptr.logical, st))
+        line = space.line_index(ptr.deref(st))
         assert space.word(line) == 0xCAFE
 
 
