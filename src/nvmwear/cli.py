@@ -128,9 +128,11 @@ def _report_csv_bytes(doc: Dict) -> bytes:
     return "\n".join(rows).encode("utf-8")
 
 
-def _run_one(trace: Trace, config: engine.SimConfig, out_dir: Path,
-             fmt: str, trace_desc: Dict) -> Dict:
-    baseline, leveled, paired = engine.paired_run(trace, config)
+def _run_one(trace: Trace, config: engine.SimConfig,
+             baseline: engine.RunResult, out_dir: Path, fmt: str,
+             trace_desc: Dict) -> Dict:
+    leveled = engine.replay(trace, config)
+    paired = engine.compare_runs(baseline, leveled)
     doc = engine.report_dict(trace, config, baseline, leveled, paired,
                              trace_desc=trace_desc)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,19 +184,21 @@ def cmd_run(args) -> int:
             [engine.SimConfig().sample_interval_n]
         t_values = _parse_int_list(args.t) if args.t else \
             [engine.SimConfig().remap_threshold_t]
-        saved_n, saved_t = args.n, args.t
-        for n_val, t_val in itertools.product(n_values, t_values):
-            args.n, args.t = n_val, t_val
-            config = _build_config(args)
-            sub = out_dir / ("n%d_t%d" % (n_val, t_val))
-            print("config n=%d t=%d:" % (n_val, t_val), end=" ")
-            _run_one(trace, config, sub, args.format, trace_desc)
-        args.n, args.t = saved_n, saved_t
+        grid = [(n_val, t_val, out_dir / ("n%d_t%d" % (n_val, t_val)))
+                for n_val, t_val in itertools.product(n_values, t_values)]
     else:
-        args.n = int(args.n) if args.n is not None else None
-        args.t = int(args.t) if args.t is not None else None
+        grid = [(None if args.n is None else int(args.n),
+                 None if args.t is None else int(args.t), out_dir)]
+    baseline = None
+    for n_val, t_val, run_dir in grid:
+        args.n, args.t = n_val, t_val
         config = _build_config(args)
-        _run_one(trace, config, out_dir, args.format, trace_desc)
+        if args.sweep:
+            print("config n=%d t=%d:" % (n_val, t_val), end=" ")
+        if baseline is None:
+            # the levelers-off replay reads neither n nor t
+            baseline = engine.replay(trace, config.leveling_off())
+        _run_one(trace, config, baseline, run_dir, args.format, trace_desc)
     return 0
 
 

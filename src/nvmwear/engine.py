@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .coarse import CoarseWearLeveler
-from .errors import ConfigError, UnmappedPageError
+from .errors import ConfigError
 from .memspace import MemorySpace
 from .metrics import (MetricsReport, achieved_endurance, endurance_improvement,
                       lifetime_improvement, normalized_endurance,
@@ -56,6 +56,10 @@ class SimConfig:
 
     def to_dict(self) -> Dict:
         return asdict(self)
+
+    def leveling_off(self) -> "SimConfig":
+        """This config with both levelers disabled: the baseline pipeline."""
+        return replace(self, enable_coarse=False, enable_fine=False)
 
     @classmethod
     def from_dict(cls, d: Dict) -> "SimConfig":
@@ -121,18 +125,11 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             sp0 = stack_seg.end - u0
         st = StackState(region_base=stack_seg.start,
                         region_size=stack_seg.size, sp=sp0,
-                        step=config.stack_step,
-                        reloc_interval=config.sample_interval_n + 1)
+                        step=config.stack_step)
 
-    frames = space.frames
     wear = space.wear
-    image = space.image
+    words = space.words
     has_word = space.has_word
-    base = space.base
-    lpp = space.lines_per_page
-    pshift = space.page_shift
-    lshift = space.line_shift
-    lmask = lpp - 1
     n_lines = space.n_lines
     s_lo = stack_seg.start if stack_seg is not None else 0
     s_hi = stack_seg.end if stack_seg is not None else 0
@@ -154,38 +151,24 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             v = a - st.shift * in_stack
         else:
             v = a
-        vp = (v - base) >> pshift
-        f = frames[vp]
-        if f.min() < 0:
-            bad = int(v[f < 0][0])
-            raise UnmappedPageError("address 0x%x hits an unmapped page" % bad)
-        lines = f * lpp + ((v >> lshift) & lmask)
+        lines = space.line_index(v)
         wear += np.bincount(lines, minlength=n_lines)
 
+        # the last write to a line in the period decides its word
         hv = has_value_w[start:end]
-        any_values = bool(hv.any())
-        touched = has_word[lines]
-        if any_values or touched.any():
-            need = hv | touched
-            if any_values:
-                need |= np.isin(lines, lines[hv])
-            idx = np.flatnonzero(need)
-            for ln, val, carries in zip(lines[idx].tolist(),
-                                        values_w[start:end][idx].tolist(),
-                                        hv[idx].tolist()):
-                if carries:
-                    image[ln] = val
-                    has_word[ln] = True
-                elif has_word[ln]:
-                    del image[ln]
-                    has_word[ln] = False
+        if hv.any() or has_word[lines].any():
+            uniq, first = np.unique(lines[::-1], return_index=True)
+            last = len(lines) - 1 - first
+            carries = hv[last]
+            has_word[uniq] = carries
+            words[uniq[carries]] = values_w[start:end][last[carries]]
 
         if sampling and end - start == chunk:
             tick_pos = w_pos[end - 1]
             while si < n_sp and s_pos[si] < tick_pos:
                 cur_sp = int(sp_vals[si])
                 si += 1
-            frame = int(f[-1])
+            frame = int(lines[-1]) // space.lines_per_page
             sampler.record_tick(frame)
             sample_log.append((end, frame))
             if coarse:
@@ -236,9 +219,13 @@ def paired_run(trace: Trace, config: SimConfig
     The baseline run uses the identity pipeline (no sampling, no copies),
     so its wear map is exactly the trace's per-line aggregation.
     """
-    baseline_cfg = replace(config, enable_coarse=False, enable_fine=False)
-    baseline = replay(trace, baseline_cfg)
+    baseline = replay(trace, config.leveling_off())
     leveled = replay(trace, config)
+    return baseline, leveled, compare_runs(baseline, leveled)
+
+
+def compare_runs(baseline: RunResult, leveled: RunResult) -> MetricsReport:
+    """Metrics of a leveled replay against the baseline of the same trace."""
     region = leveled.space.region_lines()
     ae_base = achieved_endurance(baseline.wear[region])
     ae_lev = achieved_endurance(leveled.wear[region])
@@ -250,7 +237,7 @@ def paired_run(trace: Trace, config: SimConfig
                            ei=ei, li=lifetime_improvement(ei, wo),
                            totals={"baseline": baseline.totals["total_writes"],
                                    "leveled": leveled.totals["total_writes"]})
-    return baseline, leveled, report
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -8,11 +8,12 @@ class SimulationError(Exception):
 class TraceFormatError(SimulationError):
     """A trace file violates the record grammar or its validity rules."""
 
-    def __init__(self, message, line_no=None):
+    def __init__(self, message, line_no=None, event_index=None):
         if line_no is not None:
             message = "line %d: %s" % (line_no, message)
         super().__init__(message)
         self.line_no = line_no
+        self.event_index = event_index
 
 
 class LayoutError(SimulationError):

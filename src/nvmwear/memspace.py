@@ -14,11 +14,11 @@ exactly one per-line counter here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import LayoutError, SimulationError, UnmappedPageError
+from .errors import SimulationError, UnmappedPageError
 from .trace import MemoryLayout
 
 
@@ -37,8 +37,6 @@ class MemorySpace:
         lo = layout.segments[0].start
         hi = layout.segments[-1].end
         if stack is not None:
-            if stack.start - stack.size < 1 << 32:
-                raise LayoutError("no room for a shadow region below the stack")
             lo = min(lo, stack.start - stack.size)
         self.base = lo
         self.buffer_page_addr = hi
@@ -70,7 +68,9 @@ class MemorySpace:
                     self.frames[self._stack_page0 + k]
 
         self.wear = np.zeros(self.n_lines, dtype=np.int64)
-        self.image: Dict[int, int] = {}
+        # words[i] is line i's payload word; it counts only where
+        # has_word[i] is set
+        self.words = np.zeros(self.n_lines, dtype=np.uint64)
         self.has_word = np.zeros(self.n_lines, dtype=bool)
 
     # ------------------------------------------------------------------
@@ -92,19 +92,27 @@ class MemorySpace:
         return self.base + (int(f) << self.page_shift) \
             + ((vaddr - self.base) & (self.page_size - 1))
 
-    def line_index(self, vaddr: int) -> int:
-        """Virtual address -> dense physical line index."""
-        p = (vaddr - self.base) >> self.page_shift
-        if p < 0 or p >= self.n_pages:
+    def line_index(self, vaddr):
+        """Virtual address -> dense physical line index.
+
+        Takes an int or an int64 array and returns the same shape; an
+        array is checked as a whole and the error names its first bad
+        address.
+        """
+        off = np.asarray(vaddr, dtype=np.int64) - self.base
+        p = off >> self.page_shift
+        outside = (p < 0) | (p >= self.n_pages)
+        if outside.any():
             raise UnmappedPageError("address 0x%x outside the mapped span"
-                                    % vaddr)
-        f = int(self.frames[p])
-        if f < 0:
+                                    % (int(off[outside][0]) + self.base))
+        f = self.frames[p]
+        unmapped = f < 0
+        if unmapped.any():
             raise UnmappedPageError("address 0x%x hits an unmapped page"
-                                    % vaddr)
-        return f * self.lines_per_page \
-            + (((vaddr - self.base) >> self.line_shift)
-               & (self.lines_per_page - 1))
+                                    % (int(off[unmapped][0]) + self.base))
+        lines = f * self.lines_per_page \
+            + ((off >> self.line_shift) & (self.lines_per_page - 1))
+        return int(lines) if lines.ndim == 0 else lines
 
     def phys_line(self, paddr: int) -> int:
         return (paddr - self.base) >> self.line_shift
@@ -117,16 +125,9 @@ class MemorySpace:
     # materialized words; at most one 8-byte word per line, at the base
 
     def word(self, dense_line: int) -> Optional[int]:
-        return self.image.get(dense_line)
-
-    def set_word(self, dense_line: int, value: int):
-        self.image[dense_line] = value
-        self.has_word[dense_line] = True
-
-    def clear_word(self, dense_line: int):
         if self.has_word[dense_line]:
-            del self.image[dense_line]
-            self.has_word[dense_line] = False
+            return int(self.words[dense_line])
+        return None
 
     # ------------------------------------------------------------------
     # write accounting
@@ -140,9 +141,8 @@ class MemorySpace:
         line = (phys_addr - self.base) >> self.line_shift
         self.wear[line] += 1
         if value is not None:
-            self.set_word(line, value)
-        else:
-            self.clear_word(line)
+            self.words[line] = value
+        self.has_word[line] = value is not None
 
     def copy_frame(self, src_frame: int, dst_frame: int) -> int:
         """Copy one frame's content onto another, charging the destination.
@@ -150,22 +150,12 @@ class MemorySpace:
         Returns the number of line writes charged (lines per page).
         """
         lpp = self.lines_per_page
-        s0 = src_frame * lpp
-        d0 = dst_frame * lpp
-        self.wear[d0:d0 + lpp] += 1
-        for i in range(lpp):
-            w = self.image.get(s0 + i)
-            if w is None:
-                self.clear_word(d0 + i)
-            else:
-                self.set_word(d0 + i, w)
+        src = slice(src_frame * lpp, (src_frame + 1) * lpp)
+        dst = slice(dst_frame * lpp, (dst_frame + 1) * lpp)
+        self.wear[dst] += 1
+        self.words[dst] = self.words[src]
+        self.has_word[dst] = self.has_word[src]
         return lpp
-
-    def charge_page_copy(self, src_page_addr: int, dst_page_addr: int) -> int:
-        """Copy between two mapped virtual pages; returns lines charged."""
-        src = self._mapped_frame(src_page_addr)
-        dst = self._mapped_frame(dst_page_addr)
-        return self.copy_frame(src, dst)
 
     # ------------------------------------------------------------------
     # remapping

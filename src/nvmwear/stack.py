@@ -19,7 +19,9 @@ so the classification cannot confuse the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
+
+import numpy as np
 
 from .errors import ConfigError, SimulationError, StackOverflowError
 from .memspace import MemorySpace
@@ -32,7 +34,6 @@ class StackState:
     sp: int
     step: int = 64
     shift: int = 0
-    reloc_interval: Optional[int] = None
     relocations: int = 0
     wraps: int = 0
 
@@ -78,10 +79,14 @@ def wraparound_reset(st: StackState) -> bool:
     return False
 
 
-def _adjust_word(word: int, win_lo: int, win_hi: int, step: int) -> int:
-    if win_lo <= word < win_hi:
-        return word - step
-    return word
+def _adjust_pointers(words: np.ndarray, st: StackState) -> np.ndarray:
+    """Move the uint64 words inside the current virtual stack window by -step.
+
+    The window is [translate(sp), translate(top)); every other word,
+    including all 32-bit data, is returned unchanged.
+    """
+    in_window = (words >= st.sp - st.shift) & (words < st.top - st.shift)
+    return np.where(in_window, words - np.uint64(st.step), words)
 
 
 def adjust_inmemory_pointers(words: Dict[int, int], st: StackState
@@ -91,10 +96,8 @@ def adjust_inmemory_pointers(words: Dict[int, int], st: StackState
     `words` maps slots to 8-byte values; exactly the values inside the
     current virtual stack window [translate(sp), translate(top)) change.
     """
-    win_lo = st.sp - st.shift
-    win_hi = st.top - st.shift
-    return {slot: _adjust_word(w, win_lo, win_hi, st.step)
-            for slot, w in words.items()}
+    values = np.fromiter(words.values(), dtype=np.uint64, count=len(words))
+    return dict(zip(words, _adjust_pointers(values, st).tolist()))
 
 
 def relocate_step(st: StackState, space: MemorySpace) -> int:
@@ -103,8 +106,10 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
     Copies ceil(u / line) lines for a u-byte valid window, charging each
     destination line one write, adjusts in-window pointer words during
     the copy, advances the shift, and applies the wraparound reset when
-    it falls due.  u <= S - step keeps the destination clear of any
-    source line that is still unread, including across the alias fold.
+    it falls due.  u <= S - step keeps each destination line clear of
+    every source line a low-to-high copy has yet to read, including
+    across the alias fold, so gathering all source words before
+    scattering them equals the line-by-line copy.
     """
     ls = space.line_size
     u = st.valid_bytes
@@ -114,22 +119,16 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
             % (u, st.step))
     win_lo = st.sp - st.shift
     win_hi = st.top - st.shift
-    src_lo = win_lo - (win_lo % ls)
-    copied = (win_hi - src_lo) // ls
-    step = st.step
-    wear = space.wear
-    for src in range(src_lo, win_hi, ls):
-        dst_line = space.line_index(src - step)
-        wear[dst_line] += 1
-        w = space.word(space.line_index(src))
-        if w is None:
-            space.clear_word(dst_line)
-        else:
-            space.set_word(dst_line, _adjust_word(w, win_lo, win_hi, step))
-    st.shift += step
+    src = np.arange(win_lo - (win_lo % ls), win_hi, ls, dtype=np.int64)
+    src_lines = space.line_index(src)
+    dst_lines = space.line_index(src - st.step)
+    space.wear[dst_lines] += 1
+    space.words[dst_lines] = _adjust_pointers(space.words[src_lines], st)
+    space.has_word[dst_lines] = space.has_word[src_lines]
+    st.shift += st.step
     st.relocations += 1
     wraparound_reset(st)
-    return copied
+    return len(src)
 
 
 class SmartPointer:

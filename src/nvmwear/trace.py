@@ -50,9 +50,6 @@ class Segment:
     def size(self) -> int:
         return self.end - self.start
 
-    def contains(self, addr: int) -> bool:
-        return self.start <= addr < self.end
-
 
 @dataclass(frozen=True)
 class MemoryLayout:
@@ -87,16 +84,20 @@ class MemoryLayout:
                 raise LayoutError(
                     "segments overlap or are out of order at %s" % seg.name)
             prev_end = seg.end
+        # the stack's shadow alias takes the stack-sized range below it
+        stack = self.segment("stack")
+        if stack is not None:
+            shadow_lo = stack.start - stack.size
+            if shadow_lo < MIN_ADDRESS:
+                raise LayoutError("no room for a shadow region below the stack")
+            for seg in self.segments:
+                if shadow_lo < seg.end <= stack.start:
+                    raise LayoutError("segment %s overlaps the stack's shadow "
+                                      "region" % seg.name)
 
     def segment(self, name: str) -> Optional[Segment]:
         for seg in self.segments:
             if seg.name == name:
-                return seg
-        return None
-
-    def segment_of(self, addr: int) -> Optional[Segment]:
-        for seg in self.segments:
-            if seg.contains(addr):
                 return seg
         return None
 
@@ -190,40 +191,47 @@ class Trace:
                                    np.where(other.has_value, other.values, 0)))
 
     def validate(self):
-        """Check every event against the layout; raises TraceFormatError."""
-        w = self.kinds == _KIND_WRITE
-        wa = self.addrs[w]
-        if wa.size:
-            if np.any(wa % self.layout.line_size):
-                bad = int(wa[wa % self.layout.line_size != 0][0])
-                raise TraceFormatError("unaligned write address 0x%x" % bad)
-            inside = np.zeros(len(wa), dtype=bool)
-            for seg in self.layout.segments:
-                inside |= (wa >= seg.start) & (wa < seg.end)
-            if not inside.all():
-                bad = int(wa[~inside][0])
-                raise TraceFormatError(
-                    "write address 0x%x outside all segments" % bad)
-        s = self.kinds == _KIND_SP
-        sa = self.addrs[s]
-        if sa.size:
-            stack = self.layout.segment("stack")
-            if stack is None:
-                raise TraceFormatError("sp update without a stack segment")
-            if np.any(sa % 8):
-                bad = int(sa[sa % 8 != 0][0])
-                raise TraceFormatError("unaligned stack pointer 0x%x" % bad)
-            if np.any((sa < stack.start) | (sa > stack.end)):
-                bad = int(sa[(sa < stack.start) | (sa > stack.end)][0])
-                raise TraceFormatError(
-                    "stack pointer 0x%x outside the stack segment" % bad)
+        """Check every event against the layout; raises TraceFormatError.
+
+        The error names the first invalid event in stream order and
+        carries its 0-based index as `event_index`.
+        """
+        a = self.addrs
+        is_w = self.kinds == _KIND_WRITE
+        is_sp = self.kinds == _KIND_SP
+        inside = np.zeros(len(a), dtype=bool)
+        for seg in self.layout.segments:
+            inside |= (a >= seg.start) & (a < seg.end)
+        stack = self.layout.segment("stack")
+        in_stack = np.zeros(len(a), dtype=bool) if stack is None \
+            else (a >= stack.start) & (a <= stack.end)
+        rules = (  # a failing event is named by the first rule it breaks
+            (is_w & (a % self.layout.line_size != 0),
+             "unaligned write address 0x%%x, not %d-byte aligned"
+             % self.layout.line_size),
+            (is_w & ~inside, "write address 0x%x outside all segments"),
+            (is_sp & (stack is None),
+             "stack pointer 0x%x without a stack segment"),
+            (is_sp & (a % 8 != 0),
+             "unaligned stack pointer 0x%x, not 8-byte aligned"),
+            (is_sp & ~in_stack, "stack pointer 0x%x outside the stack segment"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in rules])
+        if bad.any():
+            i = int(np.argmax(bad))
+            msg = next(msg for mask, msg in rules if mask[i])
+            raise TraceFormatError(msg % int(a[i]), event_index=i)
 
 
 # ----------------------------------------------------------------------
 # file format
 
 def parse_trace(data: Union[bytes, str, Iterable[str]]) -> Trace:
-    """Parse trace text into a Trace; errors carry the 1-based line number."""
+    """Parse trace text into a Trace; errors carry the 1-based line number.
+
+    Only the record grammar is checked per line; the event rules are
+    `Trace.validate`'s, and a failing event's line is looked up after.
+    """
     if isinstance(data, bytes):
         lines = data.decode("utf-8").splitlines()
     elif isinstance(data, str):
@@ -237,9 +245,8 @@ def parse_trace(data: Union[bytes, str, Iterable[str]]) -> Trace:
     addrs: List[int] = []
     values: List[int] = []
     has_value: List[bool] = []
-    in_events = False
 
-    def parse_hex(tok: str, line_no: int, what: str) -> int:
+    def parse_hex(tok: str, line_no: int, what: str, bits: int = 64) -> int:
         if not tok.lower().startswith("0x"):
             raise TraceFormatError("%s %r is not 0x-prefixed hex" % (what, tok),
                                    line_no)
@@ -247,8 +254,9 @@ def parse_trace(data: Union[bytes, str, Iterable[str]]) -> Trace:
             val = int(tok, 16)
         except ValueError:
             raise TraceFormatError("bad hex %s %r" % (what, tok), line_no)
-        if val >= 1 << 64:
-            raise TraceFormatError("%s %r exceeds 64 bits" % (what, tok), line_no)
+        if val >= 1 << bits:
+            raise TraceFormatError("%s %r exceeds %d bits" % (what, tok, bits),
+                                   line_no)
         return val
 
     def finish_header(line_no: int) -> MemoryLayout:
@@ -257,69 +265,71 @@ def parse_trace(data: Union[bytes, str, Iterable[str]]) -> Trace:
         except LayoutError as exc:
             raise TraceFormatError(str(exc), line_no)
 
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        tag = toks[0]
-        if tag == "@segment":
-            if in_events:
-                raise TraceFormatError(
-                    "@segment after the first event line", line_no)
-            if len(toks) != 4:
-                raise TraceFormatError("malformed @segment record", line_no)
-            start = parse_hex(toks[2], line_no, "segment start")
-            end = parse_hex(toks[3], line_no, "segment end")
-            segments.append(Segment(toks[1], start, end))
-            continue
-        if not in_events:
-            layout = finish_header(line_no)
-            in_events = True
-        if tag == "W":
-            if len(toks) not in (2, 3):
-                raise TraceFormatError("malformed W record", line_no)
-            addr = parse_hex(toks[1], line_no, "address")
-            if addr % layout.line_size:
-                raise TraceFormatError(
-                    "write address 0x%x not %d-byte aligned"
-                    % (addr, layout.line_size), line_no)
-            if layout.segment_of(addr) is None:
-                raise TraceFormatError(
-                    "write address 0x%x outside all segments" % addr, line_no)
-            kinds.append(_KIND_WRITE)
-            addrs.append(addr)
-            if len(toks) == 3:
-                values.append(parse_hex(toks[2], line_no, "value"))
-                has_value.append(True)
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            toks = line.split()
+            tag = toks[0]
+            if tag == "@segment":
+                if layout is not None:
+                    raise TraceFormatError(
+                        "@segment after the first event line", line_no)
+                if len(toks) != 4:
+                    raise TraceFormatError("malformed @segment record",
+                                           line_no)
+                start = parse_hex(toks[2], line_no, "segment start")
+                end = parse_hex(toks[3], line_no, "segment end")
+                segments.append(Segment(toks[1], start, end))
+                continue
+            if layout is None:
+                layout = finish_header(line_no)
+            # addresses fit 63 bits because a Trace holds them as int64
+            if tag == "W" and len(toks) in (2, 3):
+                kind = _KIND_WRITE
+                addr = parse_hex(toks[1], line_no, "address", 63)
+                value = parse_hex(toks[2], line_no, "value") \
+                    if len(toks) == 3 else None
+            elif tag == "S" and len(toks) == 2:
+                kind = _KIND_SP
+                addr = parse_hex(toks[1], line_no, "stack pointer", 63)
+                value = None
+            elif tag in ("W", "S"):
+                raise TraceFormatError("malformed %s record" % tag, line_no)
             else:
-                values.append(0)
-                has_value.append(False)
-        elif tag == "S":
-            if len(toks) != 2:
-                raise TraceFormatError("malformed S record", line_no)
-            sp = parse_hex(toks[1], line_no, "stack pointer")
-            stack = layout.segment("stack")
-            if stack is None:
-                raise TraceFormatError("S record without a stack segment",
-                                       line_no)
-            if sp % 8:
-                raise TraceFormatError(
-                    "stack pointer 0x%x not 8-byte aligned" % sp, line_no)
-            if not stack.start <= sp <= stack.end:
-                raise TraceFormatError(
-                    "stack pointer 0x%x outside the stack segment" % sp,
-                    line_no)
-            kinds.append(_KIND_SP)
-            addrs.append(sp)
-            values.append(0)
-            has_value.append(False)
-        else:
-            raise TraceFormatError("unrecognized record %r" % tag, line_no)
+                raise TraceFormatError("unrecognized record %r" % tag, line_no)
+            kinds.append(kind)
+            addrs.append(addr)
+            values.append(0 if value is None else value)
+            has_value.append(value is not None)
+    except TraceFormatError:
+        if layout is not None:
+            # an invalid event on an earlier line is reported first
+            _validated(Trace(layout, kinds, addrs, values, has_value), lines)
+        raise
 
     if layout is None:
         layout = finish_header(len(lines) + 1)
-    return Trace(layout, kinds, addrs, values, has_value)
+    trace = Trace(layout, kinds, addrs, values, has_value)
+    del kinds, addrs, values, has_value  # release the lists before validating
+    return _validated(trace, lines)
+
+
+def _validated(trace: Trace, lines: List[str]) -> Trace:
+    """Validate a parsed trace, naming an invalid event by its text line."""
+    try:
+        trace.validate()
+    except TraceFormatError as exc:
+        events = -1
+        for line_no, raw in enumerate(lines, start=1):
+            toks = raw.split()
+            if toks and not toks[0].startswith("#") and toks[0] != "@segment":
+                events += 1
+                if events == exc.event_index:
+                    raise TraceFormatError(str(exc), line_no) from None
+        raise
+    return trace
 
 
 def emit_trace(trace: Trace) -> bytes:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nvmwear import load_trace
+from nvmwear import engine, load_trace
 from nvmwear.cli import main, parse_config_file
 
 
@@ -148,11 +148,22 @@ def test_run_rejects_malformed_config_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_sweep_runs_each_combination(tmp_path, capsys):
+def test_sweep_runs_each_combination(tmp_path, capsys, monkeypatch):
+    replayed = []
+
+    def counting_replay(trace, config):
+        replayed.append(config)
+        return real_replay(trace, config)
+
+    real_replay = engine.replay
+    monkeypatch.setattr(engine, "replay", counting_replay)
     out = tmp_path / "sweep"
     assert run_cli("run", "--kind", "hotspot", "--writes", 3000,
                    "--sweep", "--n", "20,50", "--t", "4",
                    "--out", out) == 0
+    # one levelers-off baseline shared by both leveled replays
+    assert len(replayed) == 3
+    assert sum(c == c.leveling_off() for c in replayed) == 1
     printed = capsys.readouterr().out
     assert "config n=20 t=4:" in printed and "config n=50 t=4:" in printed
     for sub in ("n20_t4", "n50_t4"):

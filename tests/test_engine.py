@@ -52,8 +52,7 @@ def reference_replay(trace, config):
                                       stack_seg.size - config.stack_step)
         st = StackState(region_base=stack_seg.start,
                         region_size=stack_seg.size, sp=sp0,
-                        step=config.stack_step,
-                        reloc_interval=config.sample_interval_n + 1)
+                        step=config.stack_step)
     cur_sp = st.sp if fine else 0
     sample_log, remap_log, reloc_log = [], [], []
     stack_copy = 0
@@ -112,7 +111,9 @@ def assert_matches_reference(trace, config):
         reference_replay(trace, config)
     assert np.array_equal(got.wear, space.wear)
     assert np.array_equal(got.space.frames, space.frames)
-    assert got.space.image == space.image
+    assert np.array_equal(got.space.has_word, space.has_word)
+    assert np.array_equal(got.space.words[space.has_word],
+                          space.words[space.has_word])
     assert got.sample_log == samples
     assert got.remap_log == remaps
     assert got.reloc_log == relocs
@@ -154,6 +155,49 @@ def test_engine_matches_reference_interval_one(layout):
     trace = gen_workload("deepstack", 2000, layout, seed=1)
     cfg = SimConfig(sample_interval_n=1, remap_threshold_t=2)
     assert_matches_reference(trace, cfg)
+
+
+@pytest.mark.parametrize("step", [128, 4096])
+def test_engine_matches_reference_wide_steps(layout, step):
+    trace = gen_workload("deepstack", 6000, layout, seed=11)
+    cfg = SimConfig(sample_interval_n=10, remap_threshold_t=4,
+                    stack_step=step)
+    got = assert_matches_reference(trace, cfg)
+    assert got.totals["wraps"] >= 1
+
+
+@pytest.mark.parametrize("payloads", [(0x11, None, 0x12),
+                                      (None, 0x13, None)])
+def test_last_write_in_a_period_decides_the_word(layout, payloads):
+    data = layout.segment("data")
+    stack = layout.segment("stack")
+    hot, top = data.start, stack.end - 64
+    period = []  # one sampling period of 8 writes
+    for val in payloads:
+        period += [WriteEvent(hot, val), WriteEvent(top, val)]
+    period += [WriteEvent(data.start + 64), WriteEvent(data.start + 128)]
+    trace = Trace.from_events(layout, period * 3)
+    cfg = SimConfig(sample_interval_n=7, remap_threshold_t=1)
+    got = assert_matches_reference(trace, cfg)
+    assert got.totals["remaps"] > 0 and got.totals["relocations"] == 3
+    assert got.space.word(got.space.line_index(hot)) == payloads[-1]
+
+
+def test_masked_values_never_reach_words(layout):
+    # hotspot stack writes carry payloads; its data and bss writes do
+    # not, and here their masked value slots hold junk
+    trace = gen_workload("hotspot", 5000, layout, seed=4)
+    junk = np.where(trace.has_value, trace.values, np.uint64(0xDEAD0000))
+    masked = Trace(layout, trace.kinds, trace.addrs, junk, trace.has_value)
+    got = assert_matches_reference(masked, SimConfig(sample_interval_n=10,
+                                                     remap_threshold_t=2))
+    assert got.totals["remaps"] > 0
+    space = got.space
+    for name in ("data", "bss"):
+        seg = layout.segment(name)
+        lines = space.line_index(np.arange(seg.start, seg.end, 64))
+        assert not space.has_word[lines].any()
+        assert not space.words[lines].any()
 
 
 def test_levelers_off_wear_equals_trace_aggregation(layout):

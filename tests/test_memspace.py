@@ -108,11 +108,13 @@ def test_swap_rejects_shadow_and_buffer(space, layout):
 
 def test_copy_arithmetic(space, layout):
     data = layout.segment("data")
-    assert space.charge_page_copy(data.start, data.start + 4096) == 64
+    src = space._mapped_frame(data.start)
     f = space._mapped_frame(data.start + 4096)
+    assert space.copy_frame(src, f) == 64
     assert space.wear[f * 64:(f + 1) * 64].sum() == 64
-    space.charge_page_copy(data.start, data.start + 4096)
+    space.copy_frame(src, f)
     assert (space.wear[f * 64:(f + 1) * 64] == 2).all()
+    assert space.total_wear() == 128
 
 
 def test_three_way_swap_charges_192(space, layout):

@@ -45,6 +45,17 @@ def test_parse_reports_line_number():
         parse_trace(text)
 
 
+def test_parse_reports_the_first_invalid_line():
+    # an invalid event before a grammar error is the one reported
+    with pytest.raises(TraceFormatError, match="line 4: .*8-byte"):
+        parse_trace(HEADER + "# c\n\nS 0x100011004\nW zz\n")
+    with pytest.raises(TraceFormatError, match="line 2: .*0x-prefixed"):
+        parse_trace(HEADER + "W zz\nS 0x100011004\n")
+    # a Trace holds addresses as int64
+    with pytest.raises(TraceFormatError, match="line 2: .*63 bits"):
+        parse_trace(HEADER + "W 0x8000000000000000\n")
+
+
 def test_parse_address_outside_segments():
     with pytest.raises(TraceFormatError, match="outside"):
         parse_trace(HEADER + "W 0x200000000\n")
@@ -212,6 +223,23 @@ def test_layout_validation():
     with pytest.raises(LayoutError, match="overlap"):
         MemoryLayout((Segment("data", 0x100001000, 0x100003000),
                       Segment("bss", 0x100002000, 0x100004000),))
+
+
+def test_layout_rejects_stack_shadow_over_a_segment():
+    # bss directly below the stack: the stack's shadow alias would cover
+    # bss, folding every bss write onto a stack line
+    base = 1 << 32
+    segs = (Segment("data", base, base + 0x1000),
+            Segment("bss", base + 0x1000, base + 0x5000),
+            Segment("stack", base + 0x5000, base + 0x9000))
+    with pytest.raises(LayoutError, match="bss overlaps the stack's shadow"):
+        MemoryLayout(segs)
+    text = "".join("@segment %s 0x%x 0x%x\n" % (s.name, s.start, s.end)
+                   for s in segs) + "W 0x%x\n" % (base + 0x1000)
+    with pytest.raises(TraceFormatError, match="line 4: .*shadow"):
+        parse_trace(text)
+    with pytest.raises(LayoutError, match="no room for a shadow"):
+        MemoryLayout((Segment("stack", base, base + 0x4000),))
 
 
 def test_make_layout_leaves_shadow_gap():
