@@ -6,7 +6,7 @@ write counting, age-ordered coarse page remapping, and fine-grained
 circular relocation of the stack through a shadow region.
 """
 
-from .coarse import AgeTree, CoarseWearLeveler
+from .coarse import CoarseWearLeveler
 from .engine import (RunResult, SimConfig, paired_run, replay, report_dict)
 from .errors import (ConfigError, GeneratorError, LayoutError, MetricsError,
                      SimulationError, StackOverflowError, TraceFormatError,
@@ -26,7 +26,7 @@ from .trace import (MemoryLayout, Segment, SpUpdateEvent, Trace, WriteEvent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeTree", "CoarseWearLeveler",
+    "CoarseWearLeveler",
     "RunResult", "SimConfig", "paired_run", "replay", "report_dict",
     "ConfigError", "GeneratorError", "LayoutError", "MetricsError",
     "SimulationError", "StackOverflowError", "TraceFormatError",

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from . import engine, metrics
 from .errors import ConfigError, SimulationError
@@ -92,13 +92,14 @@ def _resolve_trace(args) -> tuple[Trace, Dict]:
     return trace, desc
 
 
-def _build_config(args) -> engine.SimConfig:
+def _build_config(args, n: Optional[int], t: Optional[int]
+                  ) -> engine.SimConfig:
     values = engine.SimConfig().to_dict()
     if args.config is not None:
         values.update(parse_config_file(args.config))
     overrides = {
-        "sample_interval_n": args.n,
-        "remap_threshold_t": args.t,
+        "sample_interval_n": n,
+        "remap_threshold_t": t,
         "stack_step": args.step,
         "enable_coarse": args.coarse,
         "enable_fine": args.fine,
@@ -172,27 +173,34 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok]
+def _int_list(text: str) -> List[int]:
+    """argparse type for --n/--t: a comma list of integers."""
+    try:
+        values = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            "expected a comma list of integers, got %r" % text)
+    return values
 
 
 def cmd_run(args) -> int:
     trace, trace_desc = _resolve_trace(args)
     out_dir = Path(args.out)
     if args.sweep:
-        n_values = _parse_int_list(args.n) if args.n else \
-            [engine.SimConfig().sample_interval_n]
-        t_values = _parse_int_list(args.t) if args.t else \
-            [engine.SimConfig().remap_threshold_t]
+        defaults = engine.SimConfig()
+        n_values = args.n or [defaults.sample_interval_n]
+        t_values = args.t or [defaults.remap_threshold_t]
         grid = [(n_val, t_val, out_dir / ("n%d_t%d" % (n_val, t_val)))
                 for n_val, t_val in itertools.product(n_values, t_values)]
     else:
-        grid = [(None if args.n is None else int(args.n),
-                 None if args.t is None else int(args.t), out_dir)]
+        # an omitted flag leaves the config file's value in force
+        grid = [(None if args.n is None else args.n[0],
+                 None if args.t is None else args.t[0], out_dir)]
     baseline = None
     for n_val, t_val, run_dir in grid:
-        args.n, args.t = n_val, t_val
-        config = _build_config(args)
+        config = _build_config(args, n_val, t_val)
         if args.sweep:
             print("config n=%d t=%d:" % (n_val, t_val), end=" ")
         if baseline is None:
@@ -272,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generator seed (also the config seed)")
     p_run.add_argument("--sim-seed", type=int, default=None)
     p_run.add_argument("--config", help="flat key = value config file")
-    p_run.add_argument("--n", default=None,
+    p_run.add_argument("--n", type=_int_list, default=None,
                        help="sampling interval (comma list with --sweep)")
-    p_run.add_argument("--t", default=None,
+    p_run.add_argument("--t", type=_int_list, default=None,
                        help="remap threshold (comma list with --sweep)")
     p_run.add_argument("--step", type=int, default=None,
                        help="stack relocation step in bytes")
@@ -303,6 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and not args.sweep:
+        for flag in ("n", "t"):
+            if len(getattr(args, flag) or ()) > 1:
+                parser.error("--%s takes one value without --sweep" % flag)
     try:
         return args.func(args)
     except SimulationError as exc:

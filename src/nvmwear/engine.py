@@ -81,7 +81,6 @@ class RunResult:
     sampler: Optional[WriteSampler] = None
     stack_state: Optional[StackState] = None
     coarse_leveler: Optional[CoarseWearLeveler] = None
-    report: Optional[MetricsReport] = None
 
     @property
     def wear(self) -> np.ndarray:
@@ -197,19 +196,10 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
         "relocations": st.relocations if fine else 0,
         "wraps": st.wraps if fine else 0,
     }
-
-    report = None
-    if n_writes:
-        region = space.region_lines()
-        ae = achieved_endurance(wear[region])
-        wo = (totals["total_writes"] - n_writes) / n_writes
-        report = MetricsReport(ae=ae, wo=wo,
-                               ne=normalized_endurance(ae, wo),
-                               totals=dict(totals))
     return RunResult(space=space, config=config, totals=totals,
                      sample_log=sample_log, remap_log=remap_log,
                      reloc_log=reloc_log, sampler=sampler, stack_state=st,
-                     coarse_leveler=leveler, report=report)
+                     coarse_leveler=leveler)
 
 
 def paired_run(trace: Trace, config: SimConfig

@@ -2,10 +2,12 @@
 
 The physical space mirrors the layout's virtual span one-to-one at start
 (identity mapping), plus one dedicated buffer frame past the highest
-segment.  When the layout has a stack segment, the virtual range one
-stack-size below it is installed as a shadow alias: shadow page k maps to
-the frame of real stack page k, so circular stack addressing needs no
-extra page-table state.
+segment.  Physical memory is named only by dense indices: frame f holds
+lines f * lines_per_page up to the next frame, and `line_index` is the
+one virtual-to-physical translation.  When the layout has a stack
+segment, the virtual range one stack-size below it is installed as a
+shadow alias: shadow page k maps to the frame of real stack page k, so
+circular stack addressing needs no extra page-table state.
 
 Wear counts are the simulation's ground truth.  Every line write from any
 source (application replay, remap copies, relocation copies) increments
@@ -39,7 +41,6 @@ class MemorySpace:
         if stack is not None:
             lo = min(lo, stack.start - stack.size)
         self.base = lo
-        self.buffer_page_addr = hi
         self.n_pages = (hi + ps - lo) // ps
         self.n_lines = self.n_pages * self.lines_per_page
 
@@ -56,11 +57,10 @@ class MemorySpace:
         self.pool_frames = np.array(pool, dtype=np.int64)
         self.buffer_frame = (hi - lo) // ps
 
-        self.shadow_lo = self.shadow_hi = None
+        # without a stack the alias range is empty
+        self._shadow_page0 = self._stack_page0 = self._stack_pages = 0
         if stack is not None:
-            self.shadow_lo = stack.start - stack.size
-            self.shadow_hi = stack.start
-            self._shadow_page0 = (self.shadow_lo - lo) // ps
+            self._shadow_page0 = (stack.start - stack.size - lo) // ps
             self._stack_page0 = (stack.start - lo) // ps
             self._stack_pages = stack.size // ps
             for k in range(self._stack_pages):
@@ -75,22 +75,6 @@ class MemorySpace:
 
     # ------------------------------------------------------------------
     # translation
-
-    def vpage(self, vaddr: int) -> int:
-        return (vaddr - self.base) >> self.page_shift
-
-    def translate(self, vaddr: int) -> int:
-        """Virtual address -> physical byte address."""
-        p = (vaddr - self.base) >> self.page_shift
-        if p < 0 or p >= self.n_pages:
-            raise UnmappedPageError("address 0x%x outside the mapped span"
-                                    % vaddr)
-        f = self.frames[p]
-        if f < 0:
-            raise UnmappedPageError("address 0x%x hits an unmapped page"
-                                    % vaddr)
-        return self.base + (int(f) << self.page_shift) \
-            + ((vaddr - self.base) & (self.page_size - 1))
 
     def line_index(self, vaddr):
         """Virtual address -> dense physical line index.
@@ -114,13 +98,6 @@ class MemorySpace:
             + ((off >> self.line_shift) & (self.lines_per_page - 1))
         return int(lines) if lines.ndim == 0 else lines
 
-    def phys_line(self, paddr: int) -> int:
-        return (paddr - self.base) >> self.line_shift
-
-    def is_shadow_page(self, vaddr: int) -> bool:
-        return (self.shadow_lo is not None
-                and self.shadow_lo <= vaddr < self.shadow_hi)
-
     # ------------------------------------------------------------------
     # materialized words; at most one 8-byte word per line, at the base
 
@@ -132,13 +109,12 @@ class MemorySpace:
     # ------------------------------------------------------------------
     # write accounting
 
-    def record_write(self, phys_addr: int, value: Optional[int] = None):
-        """Charge one line write at a physical address, storing the payload.
+    def record_write(self, line: int, value: Optional[int] = None):
+        """Charge one write to a dense line, storing the payload.
 
         A write with no payload leaves the whole line as zero bytes, so
         any previously materialized word on that line is dropped.
         """
-        line = (phys_addr - self.base) >> self.line_shift
         self.wear[line] += 1
         if value is not None:
             self.words[line] = value
@@ -160,42 +136,27 @@ class MemorySpace:
     # ------------------------------------------------------------------
     # remapping
 
-    def _mapped_frame(self, page_addr: int) -> int:
-        p = (page_addr - self.base) >> self.page_shift
-        if p < 0 or p >= self.n_pages or self.frames[p] < 0:
-            raise UnmappedPageError("page 0x%x is not mapped" % page_addr)
-        return int(self.frames[p])
-
-    def swap_frames(self, page_a_addr: int, page_b_addr: int):
-        """Exchange the frames of two non-shadow pages.
+    def swap_frames(self, frame_a: int, frame_b: int):
+        """Exchange the pages backed by two pool frames.
 
         Shadow aliases of real stack pages follow the swap, so a shadow
         address keeps resolving to the same physical content as its real
-        counterpart.
+        counterpart.  The buffer frame and frames outside the pool have
+        no canonical page and are rejected.
         """
-        for page_addr in (page_a_addr, page_b_addr):
-            if self.is_shadow_page(page_addr):
-                raise SimulationError(
-                    "cannot swap shadow page 0x%x directly" % page_addr)
-        pa = (page_a_addr - self.base) >> self.page_shift
-        pb = (page_b_addr - self.base) >> self.page_shift
-        fa = self._mapped_frame(page_a_addr)
-        fb = self._mapped_frame(page_b_addr)
-        if self.buffer_frame in (fa, fb):
-            raise SimulationError("the buffer frame cannot be remapped")
-        self.frames[pa] = fb
-        self.frames[pb] = fa
-        self.page_of_frame[fb] = pa
-        self.page_of_frame[fa] = pb
-        self._fix_shadow(pa)
-        self._fix_shadow(pb)
-
-    def _fix_shadow(self, page: int):
-        if self.shadow_lo is None:
-            return
-        k = page - self._stack_page0
-        if 0 <= k < self._stack_pages:
-            self.frames[self._shadow_page0 + k] = self.frames[page]
+        for f in (frame_a, frame_b):
+            if not (0 <= f < self.n_pages and self.page_of_frame[f] >= 0):
+                raise SimulationError("frame %d is not a pool frame" % f)
+        pa = int(self.page_of_frame[frame_a])
+        pb = int(self.page_of_frame[frame_b])
+        self.frames[pa] = frame_b
+        self.frames[pb] = frame_a
+        self.page_of_frame[frame_b] = pa
+        self.page_of_frame[frame_a] = pb
+        for page in (pa, pb):
+            k = page - self._stack_page0
+            if 0 <= k < self._stack_pages:
+                self.frames[self._shadow_page0 + k] = self.frames[page]
 
     def page_addr_of_frame(self, frame: int) -> int:
         p = int(self.page_of_frame[frame])

@@ -80,6 +80,10 @@ class MemoryLayout:
                 raise LayoutError("segment %s is empty" % seg.name)
             if seg.start < MIN_ADDRESS:
                 raise LayoutError("segment %s starts below 2^32" % seg.name)
+            # a Trace holds addresses as int64, and sp may equal the end
+            if seg.end >= 1 << 63:
+                raise LayoutError("segment %s ends at or above 2^63"
+                                  % seg.name)
             if seg.start < prev_end:
                 raise LayoutError(
                     "segments overlap or are out of order at %s" % seg.name)
@@ -131,9 +135,13 @@ class Trace:
 
     def __init__(self, layout: MemoryLayout, kinds, addrs, values, has_value):
         self.layout = layout
-        self.kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
-        self.addrs = np.ascontiguousarray(addrs, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.uint64)
+        try:
+            self.kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+            self.addrs = np.ascontiguousarray(addrs, dtype=np.int64)
+            self.values = np.ascontiguousarray(values, dtype=np.uint64)
+        except OverflowError as exc:
+            raise TraceFormatError("event field out of range: %s" % exc) \
+                from None
         self.has_value = np.ascontiguousarray(has_value, dtype=np.bool_)
         n = len(self.kinds)
         if not (len(self.addrs) == len(self.values) == len(self.has_value) == n):

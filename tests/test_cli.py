@@ -148,6 +148,19 @@ def test_run_rejects_malformed_config_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--n", "20,50"), ("--t", "4,8"),
+                                   ("--sweep", "--n", "20,x"),
+                                   ("--sweep", "--t", "")])
+def test_run_rejects_bad_n_and_t_lists(tmp_path, capsys, flags):
+    # a list without --sweep, or a token that is not an integer
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--kind", "stream", "--writes", 100, *flags,
+                "--out", tmp_path / "x")
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_sweep_runs_each_combination(tmp_path, capsys, monkeypatch):
     replayed = []
 

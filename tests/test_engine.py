@@ -69,11 +69,11 @@ def reference_replay(trace, config):
             v = translate_stack(addr, st)
         else:
             v = addr
-        p = space.translate(v)
-        space.record_write(p, value if hasv else None)
+        line = space.line_index(v)
+        space.record_write(line, value if hasv else None)
         if not sampling:
             continue
-        frame = int(space.frames[space.vpage(v)])
+        frame = line // space.lines_per_page
         got = sampler.observe_write(frame)
         if got is None:
             continue
@@ -207,7 +207,7 @@ def test_levelers_off_wear_equals_trace_aggregation(layout):
     agg = aggregate_linecounts(trace)  # keyed by absolute line index
     expected = np.zeros_like(result.wear)
     for line, c in agg.items():
-        expected[result.space.phys_line(line * 64)] = c
+        expected[line - result.space.base // result.space.line_size] = c
     assert np.array_equal(result.wear, expected)
     assert result.totals["total_writes"] == trace.n_writes
     assert result.sample_log == [] and result.remap_log == []

@@ -12,32 +12,42 @@ def space(layout):
     return MemorySpace(layout)
 
 
+def dense_line(space, addr):
+    """Dense line index of an address under the identity placement."""
+    return (addr - space.base) // space.line_size
+
+
+def frame_of(space, addr):
+    """Frame backing the page that holds a virtual address."""
+    return space.line_index(addr) // space.lines_per_page
+
+
 def test_identity_translation():
     lay = MemoryLayout((Segment("stack", 0x100010000, 0x100020000),))
     sp = MemorySpace(lay)
-    assert sp.translate(0x100011040) == 0x100011040
+    assert sp.line_index(0x100011040) == dense_line(sp, 0x100011040)
 
 
 def test_identity_translation_default_layout(space, layout):
     addr = layout.segment("data").start + 0x1040
-    assert space.translate(addr) == addr
+    assert space.line_index(addr) == dense_line(space, addr)
 
 
 def test_translation_after_swap(space, layout):
     data = layout.segment("data")
     p0, p1 = data.start, data.start + 4096
-    f1 = space._mapped_frame(p1)
-    space.swap_frames(p0, p1)
+    f0, f1 = frame_of(space, p0), frame_of(space, p1)
+    space.swap_frames(f0, f1)
     # an address in P0 now resolves into P1's old frame
-    got = space.translate(p0 + 0x123)
-    assert (got - space.base) >> 12 == f1
-    assert got & 0xFFF == 0x123
+    got = space.line_index(p0 + 0x1C0)
+    assert got // 64 == f1
+    assert got % 64 == 0x1C0 // 64
 
 
 def test_unmapped_page_rejected(space, layout):
     stack = layout.segment("stack")
     with pytest.raises(UnmappedPageError):
-        space.translate(stack.end + 4096 + 64)  # past the buffer frame
+        space.line_index(stack.end + 4096 + 64)  # past the buffer frame
     with pytest.raises(UnmappedPageError):
         space.line_index(0x80000000)
 
@@ -53,10 +63,10 @@ def test_shadow_alias_full_page(space, layout):
 def test_record_write_counts_and_payload(space, layout):
     data = layout.segment("data")
     line = space.line_index(data.start)
-    space.record_write(data.start, 0xAB)
+    space.record_write(line, 0xAB)
     assert space.wear[line] == 1
     assert space.word(line) == 0xAB
-    space.record_write(data.start)  # payload-less write zeroes the line
+    space.record_write(line)  # payload-less write zeroes the line
     assert space.wear[line] == 2
     assert space.word(line) is None
 
@@ -64,8 +74,8 @@ def test_record_write_counts_and_payload(space, layout):
 def test_shadow_and_real_hit_one_line(space, layout):
     stack = layout.segment("stack")
     off = 0x1040
-    space.record_write(space.translate(stack.start + off))
-    space.record_write(space.translate(stack.start - stack.size + off))
+    space.record_write(space.line_index(stack.start + off))
+    space.record_write(space.line_index(stack.start - stack.size + off))
     line = space.line_index(stack.start + off)
     assert space.wear[line] == 2
     assert space.total_wear() == 2
@@ -74,42 +84,50 @@ def test_shadow_and_real_hit_one_line(space, layout):
 def test_swap_self_is_identity(space, layout):
     data = layout.segment("data")
     before = space.frames.copy()
-    space.swap_frames(data.start, data.start)
+    f = frame_of(space, data.start)
+    space.swap_frames(f, f)
     assert np.array_equal(space.frames, before)
 
 
 def test_swap_twice_restores(space, layout):
     data = layout.segment("data")
     before = space.frames.copy()
-    space.swap_frames(data.start, data.start + 4096)
-    space.swap_frames(data.start, data.start + 4096)
+    fa, fb = frame_of(space, data.start), frame_of(space, data.start + 4096)
+    space.swap_frames(fa, fb)
+    space.swap_frames(fa, fb)
     assert np.array_equal(space.frames, before)
 
 
 def test_swap_stack_page_updates_alias(space, layout):
     stack = layout.segment("stack")
     data = layout.segment("data")
-    cold_frame = space._mapped_frame(data.start)
-    space.swap_frames(stack.start, data.start)
+    cold_frame = frame_of(space, data.start)
+    space.swap_frames(frame_of(space, stack.start), cold_frame)
     shadow = stack.start - stack.size
-    assert space._mapped_frame(shadow) == cold_frame
-    assert space._mapped_frame(stack.start) == cold_frame
+    assert frame_of(space, shadow) == cold_frame
+    assert frame_of(space, stack.start) == cold_frame
 
 
 def test_swap_rejects_shadow_and_buffer(space, layout):
     stack = layout.segment("stack")
     data = layout.segment("data")
-    with pytest.raises(SimulationError, match="shadow"):
-        space.swap_frames(stack.start - stack.size, data.start)
+    before = space.frames.copy()
+    f = frame_of(space, data.start)
+    # the frame at the shadow range's physical position backs no page
+    shadow_frame = dense_line(space, stack.start - stack.size) // 64
     # the buffer frame has no canonical page, so it can never be swapped
-    with pytest.raises(SimulationError):
-        space.swap_frames(space.buffer_page_addr, data.start)
+    for bad in (shadow_frame, space.buffer_frame, -1, space.n_pages):
+        with pytest.raises(SimulationError, match="not a pool frame"):
+            space.swap_frames(bad, f)
+        with pytest.raises(SimulationError, match="not a pool frame"):
+            space.swap_frames(f, bad)
+    assert np.array_equal(space.frames, before)
 
 
 def test_copy_arithmetic(space, layout):
     data = layout.segment("data")
-    src = space._mapped_frame(data.start)
-    f = space._mapped_frame(data.start + 4096)
+    src = frame_of(space, data.start)
+    f = frame_of(space, data.start + 4096)
     assert space.copy_frame(src, f) == 64
     assert space.wear[f * 64:(f + 1) * 64].sum() == 64
     space.copy_frame(src, f)
@@ -119,8 +137,8 @@ def test_copy_arithmetic(space, layout):
 
 def test_three_way_swap_charges_192(space, layout):
     data = layout.segment("data")
-    fa = space._mapped_frame(data.start)
-    fb = space._mapped_frame(data.start + 4096)
+    fa = frame_of(space, data.start)
+    fb = frame_of(space, data.start + 4096)
     buf = space.buffer_frame
     n = 0
     n += space.copy_frame(fa, buf)
@@ -133,22 +151,42 @@ def test_three_way_swap_charges_192(space, layout):
 
 def test_copy_moves_materialized_words(space, layout):
     data = layout.segment("data")
-    space.record_write(data.start + 128, 0x77)
-    fa = space._mapped_frame(data.start)
-    fb = space._mapped_frame(data.start + 4096)
+    space.record_write(space.line_index(data.start + 128), 0x77)
+    fa = frame_of(space, data.start)
+    fb = frame_of(space, data.start + 4096)
     space.copy_frame(fa, fb)
     assert space.word(fb * 64 + 2) == 0x77
 
 
-def test_swap_permutation_property(space, layout):
+def test_swap_permutation_property():
+    """The page table stays a bijection, with shadows on stack frames."""
     rng = np.random.default_rng(0)
-    pages = [s.start + 4096 * k for s in layout.segments
-             for k in range(s.size // 4096)]
-    canonical = sorted(space._mapped_frame(p) for p in pages)
-    for _ in range(200):
-        a, b = rng.choice(len(pages), 2)
-        space.swap_frames(pages[a], pages[b])
-    assert sorted(space._mapped_frame(p) for p in pages) == canonical
+    for pages in ((2, 8, 4, 4), (4, 40, 8, 12), (2, 8, 4, 0), (0, 0, 0, 4)):
+        layout = make_layout(*pages)
+        space = MemorySpace(layout)
+        pool = space.pool_frames
+        canonical = np.concatenate([
+            np.arange((s.start - space.base) // 4096,
+                      (s.end - space.base) // 4096)
+            for s in layout.segments])
+        for _ in range(200):
+            a, b = rng.choice(pool, 2)
+            space.swap_frames(int(a), int(b))
+        # frames restricted to canonical pages is a bijection onto the pool
+        assert sorted(space.frames[canonical].tolist()) == pool.tolist()
+        assert np.array_equal(space.page_of_frame[space.frames[canonical]],
+                              canonical)
+        # every other frame backs no canonical page
+        others = np.setdiff1d(np.arange(space.n_pages), pool)
+        assert (space.page_of_frame[others] == -1).all()
+        # every shadow page maps to its stack page's frame
+        stack = layout.segment("stack")
+        if stack is not None:
+            n = stack.size // 4096
+            shadow0 = (stack.start - stack.size - space.base) // 4096
+            stack0 = (stack.start - space.base) // 4096
+            assert np.array_equal(space.frames[shadow0:shadow0 + n],
+                                  space.frames[stack0:stack0 + n])
 
 
 def test_alias_equivalence_random_offsets(layout):
@@ -158,17 +196,18 @@ def test_alias_equivalence_random_offsets(layout):
     via_real = MemorySpace(layout)
     via_shadow = MemorySpace(layout)
     for off in offs:
-        via_real.record_write(via_real.translate(stack.start + off))
+        via_real.record_write(via_real.line_index(stack.start + off))
         via_shadow.record_write(
-            via_shadow.translate(stack.start - stack.size + off))
+            via_shadow.line_index(stack.start - stack.size + off))
     assert np.array_equal(via_real.wear, via_shadow.wear)
 
 
 def test_wear_csv_format(space, layout):
     data = layout.segment("data")
-    space.record_write(data.start)
-    space.record_write(data.start)
-    space.record_write(data.start + 64)
+    line = space.line_index(data.start)
+    space.record_write(line)
+    space.record_write(line)
+    space.record_write(line + 1)
     lines = space.wear_csv_bytes().decode().splitlines()
     assert lines[0] == "line_index,physical_address_hex,count"
     idx = data.start // 64
@@ -201,5 +240,6 @@ def test_region_lines_named_segment(space, layout):
 def test_layout_without_stack_has_no_shadow():
     lay = make_layout(stack_pages=0)
     sp = MemorySpace(lay)
-    assert sp.shadow_lo is None
+    # every mapped page is a canonical one: no alias entries
+    assert sp.frames.tolist() == sp.page_of_frame.tolist()
     assert sp.base == lay.segments[0].start

@@ -181,7 +181,7 @@ def test_content_preserved_across_relocations_and_wraps():
     stored = {}
     for addr in range(sp, BASE + S, 64):
         val = int(rng.integers(1, 1 << 32))
-        space.record_write(space.translate(translate_stack(addr, st)), val)
+        space.record_write(space.line_index(translate_stack(addr, st)), val)
         stored[addr] = val
     relocs = 2 * (S // 64) + 17  # two wraps and a bit more
     for _ in range(relocs):
@@ -199,8 +199,8 @@ def test_pointer_words_stay_consistent_through_relocation():
     st = st_at(sp=sp)
     target = sp + 256
     holder = sp + 512
-    space.record_write(space.translate(target), 0xFEED)
-    space.record_write(space.translate(holder), target)
+    space.record_write(space.line_index(target), 0xFEED)
+    space.record_write(space.line_index(holder), target)
     for _ in range(5):
         relocate_step(st, space)
     holder_line = space.line_index(translate_stack(holder, st))
@@ -215,7 +215,7 @@ def test_smart_pointer_identity_and_full_cycle():
     sp = BASE + S - 4096
     st = st_at(sp=sp)
     ptr = SmartPointer(sp + 128)
-    space.record_write(space.translate(ptr.deref(st)), 0xBEEF)
+    space.record_write(space.line_index(ptr.deref(st)), 0xBEEF)
     line0 = space.line_index(ptr.deref(st))
     for _ in range(S // 64):  # one full cycle, ends with a wrap
         relocate_step(st, space)
@@ -229,7 +229,7 @@ def test_smart_pointer_follows_content_between_wraps():
     sp = BASE + S - 512
     st = st_at(sp=sp)
     ptr = SmartPointer(sp + 64)
-    space.record_write(space.translate(ptr.deref(st)), 0xCAFE)
+    space.record_write(space.line_index(ptr.deref(st)), 0xCAFE)
     for k in range(25):
         relocate_step(st, space)
         line = space.line_index(ptr.deref(st))

@@ -242,6 +242,28 @@ def test_layout_rejects_stack_shadow_over_a_segment():
         MemoryLayout((Segment("stack", base, base + 0x4000),))
 
 
+def test_layout_and_trace_reject_addresses_past_int64():
+    top = 1 << 63
+    with pytest.raises(LayoutError, match="2\\^63"):
+        MemoryLayout((Segment("data", top - 0x1000, top),))
+    # sp may equal the stack's end, so the end itself must fit int64
+    with pytest.raises(LayoutError, match="2\\^63"):
+        MemoryLayout((Segment("stack", top - 0x1000, top),))
+    with pytest.raises(TraceFormatError, match="line 2: .*2\\^63"):
+        parse_trace("@segment data 0x%x 0x%x\nW 0x%x\n"
+                    % (top - 0x1000, top, top - 0x1000))
+    highest = MemoryLayout((Segment("data", top - 0x2000, top - 0x1000),))
+    assert highest.segments[0].end == top - 0x1000
+    layout = make_layout()
+    data = layout.segment("data")
+    with pytest.raises(TraceFormatError, match="out of range"):
+        Trace.from_events(layout, [WriteEvent(top)])
+    with pytest.raises(TraceFormatError, match="out of range"):
+        Trace.from_events(layout, [WriteEvent(data.start, 1 << 64)])
+    with pytest.raises(TraceFormatError, match="out of range"):
+        Trace(layout, [0], [data.start], [-1], [True])
+
+
 def test_make_layout_leaves_shadow_gap():
     lay = make_layout()
     stack = lay.segment("stack")
