@@ -15,7 +15,7 @@ from .memspace import MemorySpace
 from .metrics import (MetricsReport, achieved_endurance,
                       endurance_improvement, export_histogram,
                       lifetime_improvement, log2_bins, normalized_endurance,
-                      parse_histogram_csv, write_overhead)
+                      write_overhead)
 from .sampler import WriteSampler
 from .stack import (SmartPointer, StackState, adjust_inmemory_pointers,
                     relocate_step, translate_stack, wraparound_reset)
@@ -33,7 +33,7 @@ __all__ = [
     "UnmappedPageError", "MemorySpace", "MetricsReport",
     "achieved_endurance", "endurance_improvement", "export_histogram",
     "lifetime_improvement", "log2_bins", "normalized_endurance",
-    "parse_histogram_csv", "write_overhead", "WriteSampler", "SmartPointer",
+    "write_overhead", "WriteSampler", "SmartPointer",
     "StackState", "adjust_inmemory_pointers", "relocate_step",
     "translate_stack", "wraparound_reset", "MemoryLayout", "Segment",
     "SpUpdateEvent", "Trace", "WriteEvent", "aggregate_linecounts",

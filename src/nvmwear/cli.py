@@ -188,21 +188,15 @@ def _int_list(text: str) -> List[int]:
 def cmd_run(args) -> int:
     trace, trace_desc = _resolve_trace(args)
     out_dir = Path(args.out)
-    if args.sweep:
-        defaults = engine.SimConfig()
-        n_values = args.n or [defaults.sample_interval_n]
-        t_values = args.t or [defaults.remap_threshold_t]
-        grid = [(n_val, t_val, out_dir / ("n%d_t%d" % (n_val, t_val)))
-                for n_val, t_val in itertools.product(n_values, t_values)]
-    else:
-        # an omitted flag leaves the config file's value in force
-        grid = [(None if args.n is None else args.n[0],
-                 None if args.t is None else args.t[0], out_dir)]
     baseline = None
-    for n_val, t_val, run_dir in grid:
+    # an omitted flag leaves the config file's value in force
+    for n_val, t_val in itertools.product(args.n or [None], args.t or [None]):
         config = _build_config(args, n_val, t_val)
+        run_dir = out_dir
         if args.sweep:
-            print("config n=%d t=%d:" % (n_val, t_val), end=" ")
+            n, t = config.sample_interval_n, config.remap_threshold_t
+            print("config n=%d t=%d:" % (n, t), end=" ")
+            run_dir = out_dir / ("n%d_t%d" % (n, t))
         if baseline is None:
             # the levelers-off replay reads neither n nor t
             baseline = engine.replay(trace, config.leveling_off())
@@ -246,7 +240,7 @@ def cmd_report(args) -> int:
             payload = "\n".join(rows).encode("utf-8")
             path = out_dir / ("%s_log2.csv" % name)
         else:
-            payload = metrics.export_histogram(counts, "csv")
+            payload = metrics.export_histogram(counts)
             path = out_dir / ("%s.csv" % name)
         write_atomic(path, payload)
         print("wrote %s" % path)

@@ -37,7 +37,6 @@ class CoarseWearLeveler:
         self.pending = np.zeros(space.n_pages, dtype=np.int64)
         self.ages = np.zeros(space.n_pages, dtype=np.int64)
         self.remaps = 0
-        self.skipped = 0
         self.copy_lines = 0
 
     def on_sample(self, frame: int) -> Optional[int]:
@@ -58,7 +57,6 @@ class CoarseWearLeveler:
         space = self.space
         pool = space.pool_frames
         if len(pool) < 2:
-            self.skipped += 1
             return None
         cold_frame = int(pool[np.argmin(
             np.where(pool == hot_frame, _AGE_MAX, self.ages[pool]))])

@@ -35,6 +35,8 @@ _BASELINE_CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Replay settings, checked when built; raises ConfigError."""
+
     sample_interval_n: int = 1000
     remap_threshold_t: int = 64
     stack_step: int = 64
@@ -44,7 +46,7 @@ class SimConfig:
     fixed_valid_stack: int = 4096
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.sample_interval_n < 1:
             raise ConfigError("sample_interval_n must be >= 1")
         if self.remap_threshold_t < 1:
@@ -88,8 +90,6 @@ class RunResult:
 
 
 def replay(trace: Trace, config: SimConfig) -> RunResult:
-    config.validate()
-    trace.validate()
     layout = trace.layout
     if config.pool_pages is not None and layout.total_pages > config.pool_pages:
         raise ConfigError("layout needs %d pages but the pool allows %d"
@@ -222,12 +222,8 @@ def compare_runs(baseline: RunResult, leveled: RunResult) -> MetricsReport:
     wo = write_overhead(baseline.totals["total_writes"],
                         leveled.totals["total_writes"])
     ei = endurance_improvement(ae_lev, ae_base)
-    report = MetricsReport(ae=ae_lev, wo=wo,
-                           ne=normalized_endurance(ae_lev, wo),
-                           ei=ei, li=lifetime_improvement(ei, wo),
-                           totals={"baseline": baseline.totals["total_writes"],
-                                   "leveled": leveled.totals["total_writes"]})
-    return report
+    return MetricsReport(ae=ae_lev, wo=wo, ne=normalized_endurance(ae_lev, wo),
+                         ei=ei, li=lifetime_improvement(ei, wo))
 
 
 # ----------------------------------------------------------------------

@@ -182,8 +182,7 @@ class MemorySpace:
         out.append("")
         return "\n".join(out).encode("utf-8")
 
-    def region_lines(self, segment: Optional[str] = None,
-                     include_buffer: bool = True) -> np.ndarray:
+    def region_lines(self, segment: Optional[str] = None) -> np.ndarray:
         """Dense line indices of a reporting region.
 
         Default region: every segment plus the buffer frame.  With a
@@ -197,9 +196,8 @@ class MemorySpace:
                 p0 = (seg.start - self.base) >> self.page_shift
                 n = seg.size >> self.page_shift
                 parts.append(np.arange(p0 * lpp, (p0 + n) * lpp))
-            if include_buffer:
-                b0 = self.buffer_frame * lpp
-                parts.append(np.arange(b0, b0 + lpp))
+            b0 = self.buffer_frame * lpp
+            parts.append(np.arange(b0, b0 + lpp))
         else:
             seg = self.layout.segment(segment)
             if seg is None:

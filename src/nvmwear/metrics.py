@@ -14,9 +14,8 @@ leveler spends back into its endurance gain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -61,44 +60,25 @@ class MetricsReport:
     ae: float
     wo: float
     ne: float
-    ei: Optional[float] = None
-    li: Optional[float] = None
-    totals: Optional[Dict[str, int]] = None
+    ei: float
+    li: float
 
 
 # ----------------------------------------------------------------------
 # histogram export
 
-def export_histogram(counts: Dict[int, int], fmt: str = "csv") -> bytes:
-    """Serialize a line-index -> count map.
+def export_histogram(counts: Dict[int, int]) -> bytes:
+    """Serialize a line-index -> count map as CSV.
 
-    csv: header, rows sorted by line index, '#total' trailer.
-    json: object with a `lines` array of [index, count] pairs and totals.
+    Header, rows sorted by line index, '#total' trailer.
     """
     items = sorted(counts.items())
     total = sum(c for _, c in items)
-    if fmt == "csv":
-        out = ["line_index,count"]
-        out.extend("%d,%d" % (idx, c) for idx, c in items)
-        out.append("#total,%d" % total)
-        out.append("")
-        return "\n".join(out).encode("utf-8")
-    if fmt == "json":
-        doc = {"lines": [[idx, c] for idx, c in items],
-               "totals": {"lines": len(items), "writes": total}}
-        return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
-    raise MetricsError("unknown histogram format %r" % fmt)
-
-
-def parse_histogram_csv(data: bytes) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    lines = data.decode("utf-8").splitlines()
-    for ln in lines[1:]:
-        if not ln or ln.startswith("#"):
-            continue
-        idx, c = ln.split(",")
-        counts[int(idx)] = int(c)
-    return counts
+    out = ["line_index,count"]
+    out.extend("%d,%d" % (idx, c) for idx, c in items)
+    out.append("#total,%d" % total)
+    out.append("")
+    return "\n".join(out).encode("utf-8")
 
 
 def log2_bins(counts) -> Dict[int, int]:

@@ -19,7 +19,6 @@ so the classification cannot confuse the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -79,25 +78,15 @@ def wraparound_reset(st: StackState) -> bool:
     return False
 
 
-def _adjust_pointers(words: np.ndarray, st: StackState) -> np.ndarray:
+def adjust_inmemory_pointers(words: np.ndarray, st: StackState
+                             ) -> np.ndarray:
     """Move the uint64 words inside the current virtual stack window by -step.
 
-    The window is [translate(sp), translate(top)); every other word,
-    including all 32-bit data, is returned unchanged.
+    Returns a new array.  The window is [translate(sp), translate(top));
+    every other word, including all 32-bit data, is returned unchanged.
     """
     in_window = (words >= st.sp - st.shift) & (words < st.top - st.shift)
     return np.where(in_window, words - np.uint64(st.step), words)
-
-
-def adjust_inmemory_pointers(words: Dict[int, int], st: StackState
-                             ) -> Dict[int, int]:
-    """Rewrite stack-window pointers in a copied image by -step.
-
-    `words` maps slots to 8-byte values; exactly the values inside the
-    current virtual stack window [translate(sp), translate(top)) change.
-    """
-    values = np.fromiter(words.values(), dtype=np.uint64, count=len(words))
-    return dict(zip(words, _adjust_pointers(values, st).tolist()))
 
 
 def relocate_step(st: StackState, space: MemorySpace) -> int:
@@ -123,7 +112,8 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
     src_lines = space.line_index(src)
     dst_lines = space.line_index(src - st.step)
     space.wear[dst_lines] += 1
-    space.words[dst_lines] = _adjust_pointers(space.words[src_lines], st)
+    space.words[dst_lines] = adjust_inmemory_pointers(space.words[src_lines],
+                                                      st)
     space.has_word[dst_lines] = space.has_word[src_lines]
     st.shift += st.step
     st.relocations += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -130,7 +130,9 @@ class Trace:
     """A layout plus an ordered event stream, stored as parallel arrays.
 
     The array representation keeps multi-million-event traces cheap to
-    hold and replay; `events()` yields the dataclass view on demand.
+    hold and replay.  The constructor validates every event and then
+    makes the arrays read-only, so a Trace stays valid for its lifetime
+    and consumers need not check it again.
     """
 
     def __init__(self, layout: MemoryLayout, kinds, addrs, values, has_value):
@@ -146,6 +148,9 @@ class Trace:
         n = len(self.kinds)
         if not (len(self.addrs) == len(self.values) == len(self.has_value) == n):
             raise TraceFormatError("event arrays disagree in length")
+        self.validate()
+        for arr in (self.kinds, self.addrs, self.values, self.has_value):
+            arr.flags.writeable = False
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -181,13 +186,6 @@ class Trace:
     def n_writes(self) -> int:
         return int(np.count_nonzero(self.kinds == _KIND_WRITE))
 
-    def events(self) -> Iterator[Event]:
-        for k, a, v, h in zip(self.kinds, self.addrs, self.values, self.has_value):
-            if k == _KIND_WRITE:
-                yield WriteEvent(int(a), int(v) if h else None)
-            else:
-                yield SpUpdateEvent(int(a))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
@@ -201,8 +199,9 @@ class Trace:
     def validate(self):
         """Check every event against the layout; raises TraceFormatError.
 
-        The error names the first invalid event in stream order and
-        carries its 0-based index as `event_index`.
+        The constructor runs this.  The error names the first invalid
+        event in stream order and carries its 0-based index as
+        `event_index`.
         """
         a = self.addrs
         is_w = self.kinds == _KIND_WRITE
@@ -237,8 +236,8 @@ class Trace:
 def parse_trace(data: Union[bytes, str, Iterable[str]]) -> Trace:
     """Parse trace text into a Trace; errors carry the 1-based line number.
 
-    Only the record grammar is checked per line; the event rules are
-    `Trace.validate`'s, and a failing event's line is looked up after.
+    Only the record grammar is checked per line; the event rules are the
+    `Trace` constructor's, and a failing event's line is looked up after.
     """
     if isinstance(data, bytes):
         lines = data.decode("utf-8").splitlines()
@@ -272,6 +271,21 @@ def parse_trace(data: Union[bytes, str, Iterable[str]]) -> Trace:
             return MemoryLayout(tuple(segments))
         except LayoutError as exc:
             raise TraceFormatError(str(exc), line_no)
+
+    def build() -> Trace:
+        """A Trace of the events so far, naming a bad event by its line."""
+        try:
+            return Trace(layout, kinds, addrs, values, has_value)
+        except TraceFormatError as exc:
+            events = -1
+            for line_no, raw in enumerate(lines, start=1):
+                toks = raw.split()
+                if toks and not toks[0].startswith("#") \
+                        and toks[0] != "@segment":
+                    events += 1
+                    if events == exc.event_index:
+                        raise TraceFormatError(str(exc), line_no) from None
+            raise
 
     try:
         for line_no, raw in enumerate(lines, start=1):
@@ -313,31 +327,17 @@ def parse_trace(data: Union[bytes, str, Iterable[str]]) -> Trace:
             has_value.append(value is not None)
     except TraceFormatError:
         if layout is not None:
-            # an invalid event on an earlier line is reported first
-            _validated(Trace(layout, kinds, addrs, values, has_value), lines)
+            build()  # an invalid event on an earlier line is reported first
         raise
 
     if layout is None:
         layout = finish_header(len(lines) + 1)
-    trace = Trace(layout, kinds, addrs, values, has_value)
-    del kinds, addrs, values, has_value  # release the lists before validating
-    return _validated(trace, lines)
-
-
-def _validated(trace: Trace, lines: List[str]) -> Trace:
-    """Validate a parsed trace, naming an invalid event by its text line."""
-    try:
-        trace.validate()
-    except TraceFormatError as exc:
-        events = -1
-        for line_no, raw in enumerate(lines, start=1):
-            toks = raw.split()
-            if toks and not toks[0].startswith("#") and toks[0] != "@segment":
-                events += 1
-                if events == exc.event_index:
-                    raise TraceFormatError(str(exc), line_no) from None
-        raise
-    return trace
+    # free each list as it becomes an array, before the Trace validates
+    kinds = np.array(kinds, dtype=np.uint8)
+    addrs = np.array(addrs, dtype=np.int64)
+    values = np.array(values, dtype=np.uint64)
+    has_value = np.array(has_value, dtype=np.bool_)
+    return build()
 
 
 def emit_trace(trace: Trace) -> bytes:
@@ -575,4 +575,9 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
             off = LINE_SIZE * rng.randrange(size // LINE_SIZE)
             emit_write(sp + off)
 
+    # free each list as it becomes an array, before the Trace validates
+    kinds = np.array(kinds, dtype=np.uint8)
+    addrs = np.array(addrs, dtype=np.int64)
+    values = np.array(values, dtype=np.uint64)
+    has_value = np.array(has_value, dtype=np.bool_)
     return Trace(layout, kinds, addrs, values, has_value)

@@ -309,9 +309,9 @@ def test_criterion_08_pointer_adjustment_safety():
         sp = stack.end - 64 * int(rng.integers(4, 60))
         st = StackState(region_base=stack.start, region_size=stack.size,
                         sp=sp)
-        words = {}
+        words = np.zeros(400, dtype=np.uint64)
         in_window = set()
-        for slot in range(400):
+        for slot in range(len(words)):
             c = rng.integers(0, 4)
             if c == 0:
                 words[slot] = int(sp + 8 * rng.integers(
@@ -326,7 +326,7 @@ def test_criterion_08_pointer_adjustment_safety():
             else:
                 words[slot] = int(rng.integers(1 << 33, 1 << 40))
         out = adjust_inmemory_pointers(words, st)
-        changed = {slot for slot in words if out[slot] != words[slot]}
+        changed = set(np.flatnonzero(out != words).tolist())
         assert changed == in_window, seed
         assert all(out[s] == words[s] - st.step for s in in_window), seed
         checked += len(words)

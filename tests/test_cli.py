@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nvmwear import engine, load_trace
+from nvmwear import Trace, engine, load_trace
 from nvmwear.cli import main, parse_config_file
 
 
@@ -185,6 +185,42 @@ def test_sweep_runs_each_combination(tmp_path, capsys, monkeypatch):
     b = json.loads((out / "n50_t4" / "report.json").read_text())
     assert a["config"]["sim"]["sample_interval_n"] == 20
     assert b["config"]["sim"]["sample_interval_n"] == 50
+
+
+def test_sweep_keeps_config_file_values(tmp_path, capsys):
+    # an omitted --n takes the config file's value, as it does without
+    # --sweep, and names the subdirectory
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("sample_interval_n = 37\n")
+    out = tmp_path / "sweep"
+    assert run_cli("run", "--kind", "stream", "--writes", 2000,
+                   "--config", cfg, "--sweep", "--t", "4", "--out", out) == 0
+    assert "config n=37 t=4:" in capsys.readouterr().out
+    assert [p.name for p in out.iterdir()] == ["n37_t4"]
+    sim = json.loads((out / "n37_t4" / "report.json").read_text())[
+        "config"]["sim"]
+    assert sim["sample_interval_n"] == 37 and sim["remap_threshold_t"] == 4
+
+
+def test_run_validates_the_trace_once(tmp_path, monkeypatch):
+    trace_path = tmp_path / "t.trace"
+    run_cli("gen", "--kind", "hotspot", "--writes", 2000, "--out",
+            trace_path)
+    validated = []
+
+    def counting_validate(self):
+        validated.append(self)
+        return real_validate(self)
+
+    real_validate = Trace.validate
+    monkeypatch.setattr(Trace, "validate", counting_validate)
+    assert run_cli("run", "--trace", trace_path, "--out",
+                   tmp_path / "a") == 0
+    assert len(validated) == 1
+    validated.clear()
+    assert run_cli("run", "--kind", "hotspot", "--writes", 2000, "--sweep",
+                   "--n", "20,50", "--out", tmp_path / "b") == 0
+    assert len(validated) == 1
 
 
 def test_report_emits_per_segment_histograms(tmp_path, capsys):

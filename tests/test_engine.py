@@ -5,6 +5,8 @@ reference below feeds the same primitives one event at a time.  Both
 must produce identical wear maps, logs, totals, and sampler state.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,6 @@ from nvmwear.stack import translate_stack
 
 def reference_replay(trace, config):
     """Feed events one by one through the same primitives the engine uses."""
-    config.validate()
-    trace.validate()
     layout = trace.layout
     space = MemorySpace(layout)
     stack_seg = layout.segment("stack")
@@ -303,7 +303,7 @@ def test_paired_run_improves_hotspot_lifetime(layout):
     assert rep.ei > 1.0
     assert rep.li > 1.0
     assert rep.wo > 0.0
-    assert rep.totals["leveled"] > rep.totals["baseline"]
+    assert leveled.totals["total_writes"] > baseline.totals["total_writes"]
 
 
 def test_pool_cap_rejects_small_pool(layout):
@@ -322,14 +322,15 @@ def test_config_round_trip_and_unknown_key():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(sample_interval_n=0).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(remap_threshold_t=0).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(stack_step=65).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(fixed_valid_stack=-1).validate()
+    # every way of building a SimConfig runs the same checks
+    for bad in ({"sample_interval_n": 0}, {"remap_threshold_t": 0},
+                {"stack_step": 65}, {"fixed_valid_stack": -1}):
+        with pytest.raises(ConfigError):
+            SimConfig(**bad)
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(dict(SimConfig().to_dict(), **bad))
+        with pytest.raises(ConfigError):
+            replace(SimConfig(), **bad)
 
 
 def test_report_document_shape(layout):

@@ -1,20 +1,16 @@
 """Endurance metrics, histogram export, and wear binning."""
 
-import json
-
 import numpy as np
 import pytest
 
 from nvmwear import (
     MetricsError,
-    MetricsReport,
     achieved_endurance,
     endurance_improvement,
     export_histogram,
     lifetime_improvement,
     log2_bins,
     normalized_endurance,
-    parse_histogram_csv,
     write_overhead,
 )
 
@@ -80,31 +76,11 @@ def test_lifetime_improvement_discounts_overhead():
     assert lifetime_improvement(5.0, 0.0) == pytest.approx(5.0)
 
 
-def test_report_holds_optional_fields():
-    rep = MetricsReport(ae=0.5, wo=0.1, ne=0.4545)
-    assert rep.ei is None and rep.li is None and rep.totals is None
-
-
 def test_histogram_csv_round_trip():
     counts = {0: 3, 3: 7, 4: 1}
-    blob = export_histogram(counts, fmt="csv")
-    lines = blob.decode().splitlines()
-    assert lines[0] == "line_index,count"
-    assert lines[1] == "0,3"
-    assert lines[-1] == "#total,11"
-    assert parse_histogram_csv(blob) == counts
-
-
-def test_histogram_json_shape():
-    blob = export_histogram({0: 2, 1: 5}, fmt="json")
-    doc = json.loads(blob)
-    assert doc["lines"] == [[0, 2], [1, 5]]
-    assert doc["totals"] == {"lines": 2, "writes": 7}
-
-
-def test_histogram_unknown_format_rejected():
-    with pytest.raises(MetricsError):
-        export_histogram({0: 1}, fmt="xml")
+    blob = export_histogram(counts)
+    assert blob.decode().splitlines() == [
+        "line_index,count", "0,3", "3,7", "4,1", "#total,11"]
 
 
 def test_log2_bins_places_counts():

@@ -126,13 +126,13 @@ def test_relocation_sequence_wraps_without_copying_at_reset():
 
 def test_adjust_word_examples():
     st = st_at(sp=0x100011000)
-    words = {
-        0: 0x100011F80,        # in window: adjusted
-        1: 0x0000000000000042,  # 32-bit data: untouched
-        2: 0x200000000,        # outside the window: untouched
-        3: BASE + S - 8,       # top word of the window: adjusted
-        4: 0x100010FF8,        # below sp: untouched
-    }
+    words = np.array([
+        0x100011F80,         # in window: adjusted
+        0x0000000000000042,  # 32-bit data: untouched
+        0x200000000,         # outside the window: untouched
+        BASE + S - 8,        # top word of the window: adjusted
+        0x100010FF8,         # below sp: untouched
+    ], dtype=np.uint64)
     out = adjust_inmemory_pointers(words, st)
     assert out[0] == 0x100011F40
     assert out[1] == 0x42
@@ -145,7 +145,7 @@ def test_adjust_uses_translated_window():
     st = st_at(sp=BASE + S - 1024, shift=0x2000)
     lo = st.sp - st.shift
     hi = BASE + S - st.shift
-    words = {0: lo, 1: hi - 8, 2: hi, 3: lo - 8}
+    words = np.array([lo, hi - 8, hi, lo - 8], dtype=np.uint64)
     out = adjust_inmemory_pointers(words, st)
     assert out[0] == lo - 64 and out[1] == hi - 8 - 64
     assert out[2] == hi and out[3] == lo - 8
@@ -155,10 +155,9 @@ def test_adjust_exactly_in_window_words(seed=5):
     rng = np.random.default_rng(seed)
     st = st_at(sp=BASE + S - 4096)
     lo, hi = st.sp, BASE + S
-    slots = list(range(200))
-    kinds = rng.integers(0, 3, len(slots))
-    words = {}
-    for slot, k in zip(slots, kinds):
+    kinds = rng.integers(0, 3, 200)
+    words = np.zeros(len(kinds), dtype=np.uint64)
+    for slot, k in enumerate(kinds):
         if k == 0:
             words[slot] = int(lo + 8 * rng.integers(0, (hi - lo) // 8))
         elif k == 1:
@@ -166,7 +165,7 @@ def test_adjust_exactly_in_window_words(seed=5):
         else:
             words[slot] = int(rng.integers(1 << 33, 1 << 40)) & ~0x7
     out = adjust_inmemory_pointers(words, st)
-    for slot, k in zip(slots, kinds):
+    for slot, k in enumerate(kinds):
         if k == 0 and lo <= words[slot] < hi:
             assert out[slot] == words[slot] - 64
         else:

@@ -24,14 +24,14 @@ HEADER = "@segment stack 0x100010000 0x100020000\n"
 
 def test_parse_single_write():
     tr = parse_trace(HEADER + "W 0x100011000\n")
-    evs = list(tr.events())
-    assert evs == [WriteEvent(0x100011000, None)]
+    assert tr == Trace.from_events(tr.layout, [WriteEvent(0x100011000)])
     assert tr.layout.segments == (Segment("stack", 0x100010000, 0x100020000),)
 
 
 def test_parse_write_with_value():
     tr = parse_trace(HEADER + "W 0x100011040 0xDEADBEEF\n")
-    assert list(tr.events()) == [WriteEvent(0x100011040, 0xDEADBEEF)]
+    assert tr == Trace.from_events(tr.layout,
+                                   [WriteEvent(0x100011040, 0xDEADBEEF)])
 
 
 def test_parse_unaligned_address_rejected():
@@ -81,8 +81,8 @@ def test_parse_comments_and_blanks_anywhere():
     text = ("# a trace\n\n" + HEADER + "# events follow\n"
             "W 0x100011000\n\n# done\nS 0x100011008\n")
     tr = parse_trace(text)
-    assert tr.n_events == 2
-    assert isinstance(list(tr.events())[1], SpUpdateEvent)
+    assert tr == Trace.from_events(tr.layout, [WriteEvent(0x100011000),
+                                               SpUpdateEvent(0x100011008)])
 
 
 def test_parse_sp_alignment_and_range():
@@ -92,7 +92,7 @@ def test_parse_sp_alignment_and_range():
         parse_trace(HEADER + "S 0x100020008\n")
     # the segment end itself is a legal sp (empty stack)
     tr = parse_trace(HEADER + "S 0x100020000\n")
-    assert list(tr.events()) == [SpUpdateEvent(0x100020000)]
+    assert tr == Trace.from_events(tr.layout, [SpUpdateEvent(0x100020000)])
 
 
 def test_parse_unknown_record():
@@ -272,13 +272,29 @@ def test_make_layout_leaves_shadow_gap():
 
 
 def test_validate_catches_bad_events(layout):
+    # a Trace is checked when it is built, by either constructor
     stack = layout.segment("stack")
-    tr = Trace.from_events(layout, [WriteEvent(stack.start + 1)])
-    with pytest.raises(TraceFormatError, match="unaligned"):
-        tr.validate()
-    tr2 = Trace.from_events(layout, [SpUpdateEvent(stack.start - 8)])
-    with pytest.raises(TraceFormatError, match="outside the stack"):
-        tr2.validate()
+    good = WriteEvent(stack.start)
+    with pytest.raises(TraceFormatError, match="unaligned") as exc:
+        Trace.from_events(layout, [good, WriteEvent(stack.start + 1)])
+    assert exc.value.event_index == 1 and exc.value.line_no is None
+    with pytest.raises(TraceFormatError, match="outside the stack") as exc:
+        Trace.from_events(layout, [SpUpdateEvent(stack.start - 8), good])
+    assert exc.value.event_index == 0
+    with pytest.raises(TraceFormatError, match="8-byte") as exc:
+        Trace(layout, [0, 0, 1], [stack.start, stack.start, stack.start + 4],
+              [0] * 3, [False] * 3)
+    assert exc.value.event_index == 2
+
+
+def test_trace_arrays_are_read_only(layout):
+    data = layout.segment("data")
+    addrs = np.array([data.start, data.start + 64], dtype=np.int64)
+    tr = Trace(layout, [0, 0], addrs, [0, 0], [False, False])
+    assert tr.addrs is addrs  # frozen in place, not copied
+    for arr in (tr.kinds, tr.addrs, tr.values, tr.has_value):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_trace_equality_ignores_masked_values(layout):
