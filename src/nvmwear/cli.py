@@ -12,14 +12,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, get_type_hints
 
 from . import engine, metrics
 from .errors import ConfigError, SimulationError
-from .trace import Trace, gen_workload, load_trace, make_layout, save_trace
-
-_BOOL_FIELDS = {"enable_coarse", "enable_fine"}
-_OPTIONAL_INT_FIELDS = {"pool_pages"}
+from .memspace import MemorySpace
+from .trace import (WORKLOADS, Trace, gen_workload, load_trace, make_layout,
+                    save_trace)
 
 
 def write_atomic(path: Path, data: bytes):
@@ -32,7 +31,8 @@ def write_atomic(path: Path, data: bytes):
 
 
 def parse_config_file(path) -> Dict:
-    """Flat `key = value` file with SimConfig field names."""
+    """Flat `key = value` file with SimConfig field names and types."""
+    types = get_type_hints(engine.SimConfig)
     out: Dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -42,13 +42,11 @@ def parse_config_file(path) -> Dict:
             if "=" not in line:
                 raise ConfigError("%s line %d: expected key = value"
                                   % (path, line_no))
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in engine.SimConfig.__dataclass_fields__:
+            key, _, value = map(str.strip, line.partition("="))
+            if key not in types:
                 raise ConfigError("%s line %d: unknown key %r"
                                   % (path, line_no, key))
-            if key in _BOOL_FIELDS:
+            if types[key] is bool:
                 if value.lower() in ("true", "1", "yes", "on"):
                     out[key] = True
                 elif value.lower() in ("false", "0", "no", "off"):
@@ -56,14 +54,14 @@ def parse_config_file(path) -> Dict:
                 else:
                     raise ConfigError("%s line %d: bad boolean %r"
                                       % (path, line_no, value))
-            elif key in _OPTIONAL_INT_FIELDS and value.lower() == "none":
+            elif types[key] == Optional[int] and value.lower() == "none":
                 out[key] = None
             else:
                 try:
                     out[key] = int(value)
                 except ValueError:
                     raise ConfigError("%s line %d: bad integer %r"
-                                      % (path, line_no, value))
+                                      % (path, line_no, value)) from None
     return out
 
 
@@ -81,8 +79,6 @@ def _add_layout_flags(p):
 
 def _resolve_trace(args) -> tuple[Trace, Dict]:
     if args.trace is not None:
-        if not os.path.exists(args.trace):
-            raise SimulationError("trace file not found: %s" % args.trace)
         return load_trace(args.trace), {"path": str(args.trace)}
     layout = _layout_from_args(args)
     trace = gen_workload(args.kind, args.writes, layout, args.seed)
@@ -125,8 +121,7 @@ def _report_csv_bytes(doc: Dict) -> bytes:
 
     for section in ("config", "totals", "metrics", "per_segment"):
         flatten(section, doc[section])
-    rows.append("")
-    return "\n".join(rows).encode("utf-8")
+    return "\n".join([*rows, ""]).encode("utf-8")
 
 
 def _run_one(trace: Trace, config: engine.SimConfig,
@@ -137,12 +132,10 @@ def _run_one(trace: Trace, config: engine.SimConfig,
     doc = engine.report_dict(trace, config, baseline, leveled, paired,
                              trace_desc=trace_desc)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_bytes = (json.dumps(doc, indent=1) + "\n").encode("utf-8")
-    if fmt == "json":
-        write_atomic(out_dir / "report.json", report_bytes)
-    else:
+    if fmt == "csv":
         write_atomic(out_dir / "report.csv", _report_csv_bytes(doc))
-        write_atomic(out_dir / "report.json", report_bytes)
+    write_atomic(out_dir / "report.json",
+                 (json.dumps(doc, indent=1) + "\n").encode("utf-8"))
     write_atomic(out_dir / "baseline_wear.csv",
                  baseline.space.wear_csv_bytes())
     write_atomic(out_dir / "leveled_wear.csv", leveled.space.wear_csv_bytes())
@@ -151,10 +144,7 @@ def _run_one(trace: Trace, config: engine.SimConfig,
     write_atomic(out_dir / "relocation_log.csv",
                  engine.relocation_log_csv(leveled))
     if leveled.sampler is not None:
-        space = leveled.space
-        fbase = space.base >> space.page_shift
-        write_atomic(out_dir / "estimates.csv",
-                     leveled.sampler.to_csv_bytes(lambda f: fbase + f))
+        write_atomic(out_dir / "estimates.csv", engine.estimates_csv(leveled))
     m = doc["metrics"]
     print("AE=%.4f WO=%.4f EI=%.4f NE=%.4f LI=%.4f"
           % (m["AE"], m["WO"], m["EI"], m["NE"], m["LI"]))
@@ -165,8 +155,7 @@ def cmd_gen(args) -> int:
     layout = _layout_from_args(args)
     trace = gen_workload(args.kind, args.writes, layout, args.seed)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_trace(trace, out)
     print("wrote %s: %d events (%d writes), %d segments"
           % (out, trace.n_events, trace.n_writes, len(layout.segments)))
@@ -206,41 +195,23 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    report_path = run_dir / "report.json"
-    if not report_path.exists():
-        raise SimulationError("no report.json under %s" % run_dir)
-    with open(report_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    with open(run_dir / "leveled_wear.csv", "rb") as fh:
-        wear_rows = {}
-        for line in fh.read().decode("utf-8").splitlines()[1:]:
-            if not line or line.startswith("#"):
-                continue
-            idx, _, count = line.split(",")
-            wear_rows[int(idx)] = int(count)
-
-    line_size = doc["config"]["layout"]["line_size"]
-    segments = [(name, int(start, 16), int(end, 16))
-                for name, start, end in doc["config"]["layout"]["segments"]]
-    if args.segment is not None:
-        segments = [s for s in segments if s[0] == args.segment]
-        if not segments:
-            raise SimulationError("no segment named %r in the report"
-                                  % args.segment)
+    space = MemorySpace(engine.report_layout(run_dir / "report.json"))
+    space.load_wear_csv(run_dir / "leveled_wear.csv")
+    names = [args.segment] if args.segment is not None \
+        else [seg.name for seg in space.layout.segments]
+    regions = [(name, space.region_lines(name)) for name in names]
     out_dir = Path(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, start, end in segments:
-        counts = {idx: wear_rows.get(idx, 0)
-                  for idx in range(start // line_size, end // line_size)}
+    for name, lines in regions:
+        counts = space.wear[lines]
         if args.bins == "log2":
-            bins = metrics.log2_bins(counts.values())
-            rows = ["bin,lines"]
-            rows.extend("%d,%d" % (b, c) for b, c in bins.items())
-            rows.append("")
-            payload = "\n".join(rows).encode("utf-8")
+            rows = ["bin,lines"] + ["%d,%d" % bin_lines for bin_lines
+                                    in metrics.log2_bins(counts).items()]
+            payload = "\n".join([*rows, ""]).encode("utf-8")
             path = out_dir / ("%s_log2.csv" % name)
         else:
-            payload = metrics.export_histogram(counts)
+            payload = metrics.export_histogram(dict(zip(
+                (space.base_line + lines).tolist(), counts.tolist())))
             path = out_dir / ("%s.csv" % name)
         write_atomic(path, payload)
         print("wrote %s" % path)
@@ -255,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic write trace")
-    p_gen.add_argument("--kind", required=True,
-                       choices=("hotspot", "stream", "deepstack", "queue"))
+    p_gen.add_argument("--kind", required=True, choices=WORKLOADS)
     p_gen.add_argument("--writes", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
@@ -266,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="replay a trace and report metrics")
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--trace", help="trace file to replay")
-    src.add_argument("--kind",
-                     choices=("hotspot", "stream", "deepstack", "queue"),
+    src.add_argument("--kind", choices=WORKLOADS,
                      help="generate this workload instead of reading a file")
     p_run.add_argument("--writes", type=int, default=100000)
     p_run.add_argument("--seed", type=int, default=0,
@@ -311,10 +280,7 @@ def main(argv=None) -> int:
                 parser.error("--%s takes one value without --sweep" % flag)
     try:
         return args.func(args)
-    except SimulationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SimulationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

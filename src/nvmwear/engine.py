@@ -15,20 +15,21 @@ identical wear maps, logs, and reports.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+import json
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
 from .coarse import CoarseWearLeveler
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .memspace import MemorySpace
 from .metrics import (MetricsReport, achieved_endurance, endurance_improvement,
                       lifetime_improvement, normalized_endurance,
                       write_overhead)
 from .sampler import WriteSampler
 from .stack import StackState, relocate_step
-from .trace import Trace
+from .trace import MemoryLayout, Segment, Trace
 
 _BASELINE_CHUNK = 1 << 20
 
@@ -47,6 +48,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, value = _FIELD_TYPES[f.name], getattr(self, f.name)
+            if isinstance(value, bool) != (kind is bool) or not (
+                    isinstance(value, int) or value is None and kind != int):
+                raise ConfigError("%s must be %s, not %r"
+                                  % (f.name, f.type, value))
         if self.sample_interval_n < 1:
             raise ConfigError("sample_interval_n must be >= 1")
         if self.remap_threshold_t < 1:
@@ -65,11 +72,13 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        extra = set(d) - set(_FIELD_TYPES)
         if extra:
             raise ConfigError("unknown config keys: %s" % ", ".join(sorted(extra)))
         return cls(**d)
+
+
+_FIELD_TYPES = get_type_hints(SimConfig)
 
 
 @dataclass
@@ -271,27 +280,44 @@ def report_dict(trace: Trace, config: SimConfig, baseline: RunResult,
     }
 
 
+def report_layout(path) -> MemoryLayout:
+    """The checked memory layout of a report.json that `report_dict` built."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lay = json.load(fh)["config"]["layout"]
+        return MemoryLayout([Segment(name, int(start, 16), int(end, 16))
+                             for name, start, end in lay["segments"]],
+                            lay["page_size"], lay["line_size"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SimulationError("%s: bad layout: %r" % (path, exc)) from None
+
+
+def _csv(header: str, rows) -> bytes:
+    """A header line and one line per row, each ending in a newline."""
+    return "\n".join([header, *rows, ""]).encode("utf-8")
+
+
 def sample_log_csv(result: RunResult) -> bytes:
-    space = result.space
-    fbase = space.base >> space.page_shift
-    out = ["event_index,frame"]
-    out.extend("%d,%d" % (idx, fbase + f) for idx, f in result.sample_log)
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+    fbase = result.space.base_frame
+    return _csv("event_index,frame",
+                ("%d,%d" % (idx, fbase + f) for idx, f in result.sample_log))
 
 
 def remap_log_csv(result: RunResult) -> bytes:
-    space = result.space
-    fbase = space.base >> space.page_shift
-    out = ["event_index,hot_page_hex,cold_page_hex,hot_frame,cold_frame"]
-    out.extend("%d,0x%x,0x%x,%d,%d" % (idx, hp, cp, fbase + hf, fbase + cf)
-               for idx, hp, cp, hf, cf in result.remap_log)
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+    fbase = result.space.base_frame
+    return _csv("event_index,hot_page_hex,cold_page_hex,hot_frame,cold_frame",
+                ("%d,0x%x,0x%x,%d,%d" % (idx, hp, cp, fbase + hf, fbase + cf)
+                 for idx, hp, cp, hf, cf in result.remap_log))
 
 
 def relocation_log_csv(result: RunResult) -> bytes:
-    out = ["event_index,shift_delta,valid_bytes,copied_lines,wrapped"]
-    out.extend("%d,%d,%d,%d,%d" % row for row in result.reloc_log)
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+    return _csv("event_index,shift_delta,valid_bytes,copied_lines,wrapped",
+                ("%d,%d,%d,%d,%d" % row for row in result.reloc_log))
+
+
+def estimates_csv(result: RunResult) -> bytes:
+    """Sampled per-frame estimates of a leveled run, with a sample trailer."""
+    est, fbase = result.sampler.estimates, result.space.base_frame
+    rows = ["%d,%d" % (fbase + f, est[f]) for f in np.flatnonzero(est)]
+    rows.append("#samples,%d" % result.sampler.samples_taken)
+    return _csv("frame,estimate", rows)

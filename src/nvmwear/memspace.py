@@ -16,21 +16,24 @@ exactly one per-line counter here.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import Optional
 
 import numpy as np
 
 from .errors import SimulationError, UnmappedPageError
 from .trace import MemoryLayout
 
+_WEAR_HEADER = "line_index,physical_address_hex,count"
+# counts stay below 2^63 so they fit the int64 wear map
+_WEAR_ROW = re.compile(r"(\d{1,18}),0x([0-9a-f]{1,16}),(\d{1,18})")
+
 
 class MemorySpace:
     def __init__(self, layout: MemoryLayout):
         self.layout = layout
-        ps = layout.page_size
-        ls = layout.line_size
-        self.page_size = ps
-        self.line_size = ls
+        self.page_size = ps = layout.page_size
+        self.line_size = ls = layout.line_size
         self.lines_per_page = ps // ls
         self.page_shift = ps.bit_length() - 1
         self.line_shift = ls.bit_length() - 1
@@ -41,37 +44,38 @@ class MemorySpace:
         if stack is not None:
             lo = min(lo, stack.start - stack.size)
         self.base = lo
+        # absolute numbers of dense frame 0 and line 0, as files print them
+        self.base_frame = lo // ps
+        self.base_line = lo // ls
         self.n_pages = (hi + ps - lo) // ps
         self.n_lines = self.n_pages * self.lines_per_page
 
         # frames[p] is the physical frame backing virtual page p, -1 if
         # unmapped; page_of_frame[f] is the canonical (non-shadow) page.
+        self.pool_frames = np.concatenate([self._pages(s)
+                                           for s in layout.segments])
         self.frames = np.full(self.n_pages, -1, dtype=np.int64)
-        self.page_of_frame = np.full(self.n_pages, -1, dtype=np.int64)
-        pool: List[int] = []
-        for seg in layout.segments:
-            for p in range((seg.start - lo) // ps, (seg.end - lo) // ps):
-                self.frames[p] = p
-                self.page_of_frame[p] = p
-                pool.append(p)
-        self.pool_frames = np.array(pool, dtype=np.int64)
+        self.frames[self.pool_frames] = self.pool_frames
+        self.page_of_frame = self.frames.copy()
         self.buffer_frame = (hi - lo) // ps
 
         # without a stack the alias range is empty
-        self._shadow_page0 = self._stack_page0 = self._stack_pages = 0
+        self._stack_page0 = self._stack_pages = 0
         if stack is not None:
-            self._shadow_page0 = (stack.start - stack.size - lo) // ps
-            self._stack_page0 = (stack.start - lo) // ps
-            self._stack_pages = stack.size // ps
-            for k in range(self._stack_pages):
-                self.frames[self._shadow_page0 + k] = \
-                    self.frames[self._stack_page0 + k]
+            pages = self._pages(stack)
+            self._stack_page0, self._stack_pages = int(pages[0]), len(pages)
+            self.frames[pages - len(pages)] = pages
 
         self.wear = np.zeros(self.n_lines, dtype=np.int64)
         # words[i] is line i's payload word; it counts only where
         # has_word[i] is set
         self.words = np.zeros(self.n_lines, dtype=np.uint64)
         self.has_word = np.zeros(self.n_lines, dtype=bool)
+
+    def _pages(self, seg) -> np.ndarray:
+        """Dense page numbers of a segment: its frames under identity."""
+        return np.arange((seg.start - self.base) >> self.page_shift,
+                         (seg.end - self.base) >> self.page_shift)
 
     # ------------------------------------------------------------------
     # translation
@@ -154,9 +158,8 @@ class MemorySpace:
         self.page_of_frame[frame_b] = pa
         self.page_of_frame[frame_a] = pb
         for page in (pa, pb):
-            k = page - self._stack_page0
-            if 0 <= k < self._stack_pages:
-                self.frames[self._shadow_page0 + k] = self.frames[page]
+            if 0 <= page - self._stack_page0 < self._stack_pages:
+                self.frames[page - self._stack_pages] = self.frames[page]
 
     def page_addr_of_frame(self, frame: int) -> int:
         p = int(self.page_of_frame[frame])
@@ -172,15 +175,36 @@ class MemorySpace:
 
     def wear_csv_bytes(self) -> bytes:
         """CSV rows line_index,physical_address_hex,count with a sum trailer."""
-        out = ["line_index,physical_address_hex,count"]
-        base_line = self.base >> self.line_shift
+        out = [_WEAR_HEADER]
         for i in np.flatnonzero(self.wear):
-            idx = base_line + int(i)
+            idx = self.base_line + int(i)
             out.append("%d,0x%x,%d" % (idx, idx * self.line_size,
                                        int(self.wear[i])))
-        out.append("#total,%d" % self.total_wear())
-        out.append("")
+        out += ["#total,%d" % self.total_wear(), ""]
         return "\n".join(out).encode("utf-8")
+
+    def load_wear_csv(self, path):
+        """Replace the wear map with one `wear_csv_bytes` wrote to path.
+
+        A malformed row, a line outside this space or a wrong #total
+        trailer raises SimulationError naming the file.
+        """
+        with open(path, "rb") as fh:
+            rows = fh.read().decode("utf-8", "replace").splitlines()
+        wear = np.zeros(self.n_lines, dtype=np.int64)
+        for line_no, row in enumerate(rows[1:-1], start=2):
+            m = _WEAR_ROW.fullmatch(row)
+            i = int(m[1]) - self.base_line if m else -1
+            if not (0 <= i < self.n_lines
+                    and int(m[2], 16) == int(m[1]) * self.line_size):
+                raise SimulationError("%s line %d: not a wear row of this "
+                                      "layout: %r" % (path, line_no, row))
+            wear[i] = int(m[3])
+        if rows[:1] != [_WEAR_HEADER] \
+                or rows[1:][-1:] != ["#total,%d" % wear.sum()]:
+            raise SimulationError("%s: wear map header or #total trailer "
+                                  "missing or wrong" % path)
+        self.wear[:] = wear
 
     def region_lines(self, segment: Optional[str] = None) -> np.ndarray:
         """Dense line indices of a reporting region.
@@ -189,20 +213,12 @@ class MemorySpace:
         segment name, just that segment's physical lines under the
         identity placement (regions are fixed physical extents).
         """
-        lpp = self.lines_per_page
-        parts = []
         if segment is None:
-            for seg in self.layout.segments:
-                p0 = (seg.start - self.base) >> self.page_shift
-                n = seg.size >> self.page_shift
-                parts.append(np.arange(p0 * lpp, (p0 + n) * lpp))
-            b0 = self.buffer_frame * lpp
-            parts.append(np.arange(b0, b0 + lpp))
+            frames = np.append(self.pool_frames, self.buffer_frame)
         else:
             seg = self.layout.segment(segment)
             if seg is None:
                 raise SimulationError("no segment named %r" % segment)
-            p0 = (seg.start - self.base) >> self.page_shift
-            n = seg.size >> self.page_shift
-            parts.append(np.arange(p0 * lpp, (p0 + n) * lpp))
-        return np.concatenate(parts)
+            frames = self._pages(seg)
+        lpp = self.lines_per_page
+        return (frames[:, None] * lpp + np.arange(lpp)).ravel()

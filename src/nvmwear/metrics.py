@@ -14,6 +14,7 @@ leveler spends back into its endurance gain.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict
 
@@ -83,9 +84,4 @@ def export_histogram(counts: Dict[int, int]) -> bytes:
 
 def log2_bins(counts) -> Dict[int, int]:
     """Bin counts as floor(log2(count) + 1), with bin 0 for zero counts."""
-    bins: Dict[int, int] = {}
-    for c in counts:
-        c = int(c)
-        b = 0 if c == 0 else c.bit_length()
-        bins[b] = bins.get(b, 0) + 1
-    return dict(sorted(bins.items()))
+    return dict(sorted(Counter(int(c).bit_length() for c in counts).items()))

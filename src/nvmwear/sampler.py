@@ -55,13 +55,3 @@ class WriteSampler:
         if self.samples_taken == 0:
             raise MetricsError("no samples taken yet")
         return float(self.estimates[frame]) / self.samples_taken
-
-    def to_csv_bytes(self, frame_to_abs=None) -> bytes:
-        """CSV rows frame,estimate for non-zero frames, with a sample trailer."""
-        out = ["frame,estimate"]
-        for f in np.flatnonzero(self.estimates):
-            fa = int(f) if frame_to_abs is None else frame_to_abs(int(f))
-            out.append("%d,%d" % (fa, int(self.estimates[f])))
-        out.append("#samples,%d" % self.samples_taken)
-        out.append("")
-        return "\n".join(out).encode("utf-8")

@@ -64,6 +64,11 @@ class MemoryLayout:
         self.validate()
 
     def validate(self):
+        ps, ls = self.page_size, self.line_size
+        if not (type(ps) is type(ls) is int and 0 < ls <= ps
+                and not ps & ps - 1 and not ls & ls - 1):
+            raise LayoutError("page size %r and line size %r are not powers "
+                              "of two with the line no larger" % (ps, ls))
         if not self.segments:
             raise LayoutError("layout has no segments")
         seen = set()
@@ -233,18 +238,15 @@ class Trace:
 # ----------------------------------------------------------------------
 # file format
 
-def parse_trace(data: Union[bytes, str, Iterable[str]]) -> Trace:
+def parse_trace(data: Union[bytes, str]) -> Trace:
     """Parse trace text into a Trace; errors carry the 1-based line number.
 
     Only the record grammar is checked per line; the event rules are the
     `Trace` constructor's, and a failing event's line is looked up after.
     """
     if isinstance(data, bytes):
-        lines = data.decode("utf-8").splitlines()
-    elif isinstance(data, str):
-        lines = data.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in data]
+        data = data.decode("utf-8")
+    lines = data.splitlines()
 
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None
@@ -421,15 +423,9 @@ def gen_workload(kind: str, total_writes: int, layout: MemoryLayout,
     """
     if total_writes < 0:
         raise GeneratorError("total_writes must be non-negative")
-    gens = {
-        "hotspot": _gen_hotspot,
-        "stream": _gen_stream,
-        "deepstack": _gen_deepstack,
-        "queue": _gen_queue,
-    }
-    if kind not in gens:
+    if kind not in WORKLOADS:
         raise GeneratorError("unknown workload kind %r" % kind)
-    return gens[kind](total_writes, layout, seed)
+    return WORKLOADS[kind](total_writes, layout, seed)
 
 
 def _need(layout: MemoryLayout, name: str, min_bytes: int, kind: str) -> Segment:
@@ -581,3 +577,12 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     values = np.array(values, dtype=np.uint64)
     has_value = np.array(has_value, dtype=np.bool_)
     return Trace(layout, kinds, addrs, values, has_value)
+
+
+# workload kind -> generator, in the order the CLI lists them
+WORKLOADS = {
+    "hotspot": _gen_hotspot,
+    "stream": _gen_stream,
+    "deepstack": _gen_deepstack,
+    "queue": _gen_queue,
+}

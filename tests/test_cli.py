@@ -1,11 +1,13 @@
 """End-to-end command-line checks driving main() in process."""
 
 import json
+import warnings
 
 import pytest
 
 from nvmwear import Trace, engine, load_trace
 from nvmwear.cli import main, parse_config_file
+from nvmwear.trace import WORKLOADS
 
 
 def run_cli(*argv):
@@ -256,3 +258,91 @@ def test_report_unknown_segment(tmp_path, capsys):
 def test_report_missing_run_dir(tmp_path, capsys):
     assert run_cli("report", "--run", tmp_path / "void") == 1
     assert "report.json" in capsys.readouterr().err
+
+
+def test_kind_choices_come_from_the_generator_table(tmp_path, capsys,
+                                                    monkeypatch):
+    # both --kind options accept exactly the kinds trace.WORKLOADS lists
+    monkeypatch.setitem(WORKLOADS, "stream2", WORKLOADS["stream"])
+    assert run_cli("gen", "--kind", "stream2", "--writes", 100,
+                   "--out", tmp_path / "t.trace") == 0
+    assert run_cli("run", "--kind", "stream2", "--writes", 100,
+                   "--out", tmp_path / "run") == 0
+    monkeypatch.delitem(WORKLOADS, "queue")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--kind", "queue", "--out", tmp_path / "x")
+    assert exc.value.code == 2
+
+
+def _finished_run(tmp_path):
+    run_dir = tmp_path / "run"
+    assert run_cli("run", "--kind", "stream", "--writes", 500,
+                   "--out", run_dir) == 0
+    return run_dir
+
+
+@pytest.mark.parametrize("row, why", [
+    ("12,0x300,zz", "not a wear row"),        # non-integer count
+    ("12,0x300,1", "not a wear row"),         # line below the layout
+    ("%d,0x%x,1" % (1 << 40, 64 << 40), "not a wear row"),  # above it
+])
+def test_report_rejects_bad_wear_rows(tmp_path, capsys, row, why):
+    run_dir = _finished_run(tmp_path)
+    wear = run_dir / "leveled_wear.csv"
+    head, rest = wear.read_text().split("\n", 1)
+    wear.write_text("%s\n%s\n%s" % (head, row, rest))
+    capsys.readouterr()
+    assert run_cli("report", "--run", run_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(wear) in err and "line 2" in err and why in err
+
+
+def test_report_rejects_wrong_wear_total(tmp_path, capsys):
+    run_dir = _finished_run(tmp_path)
+    wear = run_dir / "leveled_wear.csv"
+    wear.write_text(wear.read_text().replace("#total,", "#total,1"))
+    capsys.readouterr()
+    assert run_cli("report", "--run", run_dir) == 1
+    assert "#total" in capsys.readouterr().err
+
+
+def test_report_of_an_empty_wear_map_is_all_zero(tmp_path, capsys):
+    run_dir = _finished_run(tmp_path)
+    (run_dir / "leveled_wear.csv").write_text(
+        "line_index,physical_address_hex,count\n#total,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("report", "--run", run_dir) == 0
+        assert run_cli("report", "--run", run_dir, "--bins", "log2") == 0
+    rows = (run_dir / "report" / "data.csv").read_text().splitlines()
+    assert rows[-1] == "#total,0"
+    assert len(rows) == 2 + 8 * 64 and all(r.endswith(",0") for r in rows[1:])
+    assert (run_dir / "report" / "data_log2.csv").read_text() == \
+        "bin,lines\n0,%d\n" % (8 * 64)
+
+
+@pytest.mark.parametrize("tamper, why", [
+    # a text segment at 0x10: the hand-built extents of an older report
+    # built a 67M-entry dict here and died with MemoryError
+    (lambda doc: doc["config"]["layout"]["segments"][0].__setitem__(1, "0x10"),
+     "page-aligned"),
+    (lambda doc: doc["config"]["layout"]["segments"][0].__setitem__(
+        1, "0x1000"), "below 2^32"),
+    (lambda doc: doc["config"]["layout"].__setitem__("page_size", 0),
+     "powers of two"),
+    (lambda doc: doc["config"]["layout"]["segments"][0].__setitem__(1, "x"),
+     "bad layout"),
+    (lambda doc: doc["config"].pop("layout"), "bad layout"),
+])
+def test_report_rejects_invalid_layouts(tmp_path, capsys, tamper, why):
+    run_dir = _finished_run(tmp_path)
+    path = run_dir / "report.json"
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", "--run", run_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and why in err
+    assert not (run_dir / "report").exists()

@@ -322,15 +322,25 @@ def test_config_round_trip_and_unknown_key():
 
 
 def test_config_validation():
-    # every way of building a SimConfig runs the same checks
+    # every way of building a SimConfig runs the same checks, types first:
+    # a str would fail the range check with a bare TypeError, "no" would
+    # turn fine leveling on, 2.5 would fail in replay and np.int64 in
+    # json.dumps of the report
     for bad in ({"sample_interval_n": 0}, {"remap_threshold_t": 0},
-                {"stack_step": 65}, {"fixed_valid_stack": -1}):
+                {"stack_step": 65}, {"fixed_valid_stack": -1},
+                {"sample_interval_n": "5"}, {"enable_fine": "no"},
+                {"sample_interval_n": 2.5},
+                {"sample_interval_n": np.int64(50)},
+                {"seed": True}, {"enable_coarse": 1}, {"pool_pages": 4.0},
+                {"fixed_valid_stack": None}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
         with pytest.raises(ConfigError):
             SimConfig.from_dict(dict(SimConfig().to_dict(), **bad))
         with pytest.raises(ConfigError):
             replace(SimConfig(), **bad)
+    assert SimConfig(pool_pages=None) == SimConfig()
+    assert SimConfig(pool_pages=64, enable_fine=False).pool_pages == 64
 
 
 def test_report_document_shape(layout):

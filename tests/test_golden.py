@@ -2,10 +2,12 @@
 
 The digests were taken from the simulator before memory was addressed
 only by frame and line index; any change to report.json, the wear maps,
-the logs or the estimates changes one of them.  Only the deepstack
-generator (Python's `random.Random`) and the deterministic stream
-generator are pinned: hotspot and queue draw from numpy's `Generator`,
-whose streams may change across numpy versions.
+the logs or the estimates changes one of them.  The `report` histograms
+and the flat report.csv of the deepstack run were pinned before `report`
+read runs back through `MemoryLayout` and `MemorySpace`.  Only the
+deepstack generator (Python's `random.Random`) and the deterministic
+stream generator are pinned: hotspot and queue draw from numpy's
+`Generator`, whose streams may change across numpy versions.
 """
 
 import hashlib
@@ -44,11 +46,41 @@ DIGESTS = {
     },
 }
 
+REPORT_CSV = "f30bb0eb357d24ad572b0c7a04f26e98cbb0451bdde800cece4bff287cc65ba5"
+
+# `report` flags -> digest of every file it writes for the deepstack run
+REPORTS = {
+    (): {
+        "text.csv": "91cdf67d7947174dd51fe1ea6ffddd7765ac8ea1a633d682b1a24dec5257eec8",
+        "data.csv": "a312dc7825fa02ae198dbe1824668cbc5d3c74b5363752b0ade6db70602057d3",
+        "bss.csv": "51f7e53576e1c67a63540cb149ff6dc893b0b80ea03b64aa636769478687d024",
+        "stack.csv": "ff4794d0473a1ed01b501ce31df0418d551499b4fc427e9a118de28ef3f8c330",
+    },
+    ("--bins", "log2", "--segment", "stack"): {
+        "stack_log2.csv": "43d42a46e025316e83a661bc6a6eb283feebe3562170453d8f9fed7a457304e3",
+    },
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_run_artifacts_match_pinned_digests(run, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", *RUNS[run], "--out", str(out)]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in DIGESTS[run]}
+    got = {name: sha256(out / name) for name in DIGESTS[run]}
     assert got == DIGESTS[run]
+
+
+def test_report_outputs_match_pinned_digests(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", *RUNS["deepstack"], "--format", "csv",
+                 "--out", str(run_dir)]) == 0
+    assert sha256(run_dir / "report.csv") == REPORT_CSV
+    for i, (flags, digests) in enumerate(REPORTS.items()):
+        out = tmp_path / ("report%d" % i)
+        assert main(["report", "--run", str(run_dir), *flags,
+                     "--out", str(out)]) == 0
+        assert {p.name: sha256(p) for p in out.iterdir()} == digests

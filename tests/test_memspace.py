@@ -238,3 +238,69 @@ def test_layout_without_stack_has_no_shadow():
     # every mapped page is a canonical one: no alias entries
     assert sp.frames.tolist() == sp.page_of_frame.tolist()
     assert sp.base == lay.segments[0].start
+
+
+@pytest.mark.parametrize("pages", [(2, 8, 4, 4), (4, 40, 8, 12), (2, 8, 4, 0),
+                                   (0, 0, 0, 4), (0, 2, 0, 0)])
+def test_page_table_and_regions_match_per_page_construction(pages):
+    layout = make_layout(*pages)
+    space = MemorySpace(layout)
+    frames = np.full(space.n_pages, -1)
+    regions = {}
+    for seg in layout.segments:
+        p0 = (seg.start - space.base) // 4096
+        p1 = (seg.end - space.base) // 4096
+        frames[p0:p1] = np.arange(p0, p1)
+        regions[seg.name] = np.arange(p0 * 64, p1 * 64)
+    pool = np.flatnonzero(frames >= 0)
+    assert np.array_equal(space.page_of_frame, frames)
+    stack = layout.segment("stack")
+    if stack is not None:
+        k0, n = (stack.start - space.base) // 4096, stack.size // 4096
+        frames[k0 - n:k0] = frames[k0:k0 + n]
+    assert np.array_equal(space.frames, frames)
+    assert np.array_equal(space.pool_frames, pool)
+    buf = space.buffer_frame * 64
+    assert np.array_equal(space.region_lines(), np.concatenate(
+        [*regions.values(), np.arange(buf, buf + 64)]))
+    for name, lines in regions.items():
+        assert np.array_equal(space.region_lines(name), lines)
+
+
+def test_wear_csv_round_trip(layout, tmp_path):
+    rng = np.random.default_rng(5)
+    src = MemorySpace(layout)
+    src.wear[rng.integers(0, src.n_lines, 300)] = rng.integers(1, 1 << 40, 300)
+    path = tmp_path / "wear.csv"
+    path.write_bytes(src.wear_csv_bytes())
+    dst = MemorySpace(layout)
+    dst.load_wear_csv(path)
+    assert np.array_equal(dst.wear, src.wear)
+    # header and trailer alone: an all-zero map
+    path.write_bytes(MemorySpace(layout).wear_csv_bytes())
+    dst.load_wear_csv(path)
+    assert dst.total_wear() == 0
+
+
+def test_wear_csv_reader_rejects_other_layouts_and_bad_rows(layout, tmp_path):
+    path = tmp_path / "wear.csv"
+    space = MemorySpace(layout)
+    bigger = MemorySpace(make_layout(data_pages=64))
+    bigger.wear[-1] = 3  # the buffer frame, past this layout's span
+    base = space.base_line
+    header = "line_index,physical_address_hex,count\n"
+    for text in (bigger.wear_csv_bytes().decode(),
+                 header + "%d,0x%x,1\n#total,1\n" % (base - 1, (base - 1) * 64),
+                 header + "%d,0x%x,1\n#total,1\n" % (base, base * 64 + 64),
+                 header + "%d,0x%x,zz\n#total,1\n" % (base, base * 64),
+                 header + "%d,0x%x,-1\n#total,-1\n" % (base, base * 64)):
+        path.write_text(text)
+        with pytest.raises(SimulationError, match="line 2: not a wear row"):
+            space.load_wear_csv(path)
+    for text in ("", header, header + "#total,2\n",
+                 header + "%d,0x%x,1\n" % (base, base * 64),
+                 "line,count\n#total,0\n"):
+        path.write_text(text)
+        with pytest.raises(SimulationError, match="header or #total"):
+            space.load_wear_csv(path)
+    assert space.total_wear() == 0

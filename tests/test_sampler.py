@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from nvmwear import MemorySpace, RunResult, SimConfig
+from nvmwear.engine import estimates_csv
 from nvmwear.errors import ConfigError, MetricsError
 from nvmwear.sampler import WriteSampler
 
@@ -97,10 +99,13 @@ def test_hot_frame_share():
     assert abs(s.estimate_share(0) - 0.8) <= 0.10
 
 
-def test_csv_dump():
+def test_csv_dump(layout):
+    # the engine writes the estimates, numbering frames as the other logs do
     s = WriteSampler(1, 6)
     feed(s, [3, 3, 5, 5])
-    lines = s.to_csv_bytes().decode().splitlines()
-    assert lines == ["frame,estimate", "3,1", "5,1", "#samples,2"]
-    remapped = s.to_csv_bytes(lambda f: 100 + f).decode().splitlines()
-    assert remapped[1] == "103,1"
+    space = MemorySpace(layout)
+    result = RunResult(space=space, config=SimConfig(), totals={}, sampler=s)
+    fb = space.base_frame
+    lines = estimates_csv(result).decode().splitlines()
+    assert lines == ["frame,estimate", "%d,1" % (fb + 3), "%d,1" % (fb + 5),
+                     "#samples,2"]

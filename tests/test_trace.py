@@ -223,6 +223,13 @@ def test_layout_validation():
     with pytest.raises(LayoutError, match="overlap"):
         MemoryLayout((Segment("data", 0x100001000, 0x100003000),
                       Segment("bss", 0x100002000, 0x100004000),))
+    # MemorySpace shifts by page and line size, so both are powers of two
+    for page_size, line_size in ((0, 64), (-4096, 64), (4096, 0),
+                                 (4096, 48), (64, 4096), (4096.0, 64),
+                                 ("4096", 64)):
+        with pytest.raises(LayoutError, match="powers of two"):
+            MemoryLayout((seg,), page_size, line_size)
+    assert MemoryLayout((seg,), 4096, 4096).line_size == 4096
 
 
 def test_layout_rejects_stack_shadow_over_a_segment():
