@@ -210,8 +210,8 @@ def cmd_report(args) -> int:
             payload = "\n".join([*rows, ""]).encode("utf-8")
             path = out_dir / ("%s_log2.csv" % name)
         else:
-            payload = metrics.export_histogram(dict(zip(
-                (space.base_line + lines).tolist(), counts.tolist())))
+            payload = metrics.export_histogram(space.base_line + lines,
+                                               counts)
             path = out_dir / ("%s.csv" % name)
         write_atomic(path, payload)
         print("wrote %s" % path)
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
                 parser.error("--%s takes one value without --sweep" % flag)
     try:
         return args.func(args)
-    except (SimulationError, OSError) as exc:
+    except (SimulationError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
 from .memspace import MemorySpace
 
 _AGE_MAX = np.iinfo(np.int64).max
@@ -30,8 +29,6 @@ class CoarseWearLeveler:
     """
 
     def __init__(self, space: MemorySpace, threshold_t: int):
-        if threshold_t < 1:
-            raise ConfigError("remap threshold must be >= 1")
         self.space = space
         self.threshold = threshold_t
         self.pending = np.zeros(space.n_pages, dtype=np.int64)

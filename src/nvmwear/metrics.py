@@ -68,16 +68,14 @@ class MetricsReport:
 # ----------------------------------------------------------------------
 # histogram export
 
-def export_histogram(counts: Dict[int, int]) -> bytes:
-    """Serialize a line-index -> count map as CSV.
+def export_histogram(lines: np.ndarray, counts: np.ndarray) -> bytes:
+    """Serialize per-line counts as CSV: one row per line index, in order.
 
-    Header, rows sorted by line index, '#total' trailer.
+    Header, a row per (line, count) pair, '#total' trailer.
     """
-    items = sorted(counts.items())
-    total = sum(c for _, c in items)
     out = ["line_index,count"]
-    out.extend("%d,%d" % (idx, c) for idx, c in items)
-    out.append("#total,%d" % total)
+    out.extend("%d,%d" % row for row in zip(lines.tolist(), counts.tolist()))
+    out.append("#total,%d" % counts.sum())
     out.append("")
     return "\n".join(out).encode("utf-8")
 

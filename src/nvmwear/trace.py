@@ -218,6 +218,8 @@ class Trace:
         in_stack = np.zeros(len(a), dtype=bool) if stack is None \
             else (a >= stack.start) & (a <= stack.end)
         rules = (  # a failing event is named by the first rule it breaks
+            (self.kinds > _KIND_SP,
+             "event at 0x%x is neither a write nor a stack-pointer update"),
             (is_w & (a % self.layout.line_size != 0),
              "unaligned write address 0x%%x, not %d-byte aligned"
              % self.layout.line_size),
@@ -227,6 +229,7 @@ class Trace:
             (is_sp & (a % 8 != 0),
              "unaligned stack pointer 0x%x, not 8-byte aligned"),
             (is_sp & ~in_stack, "stack pointer 0x%x outside the stack segment"),
+            (is_sp & self.has_value, "stack pointer 0x%x carries a payload"),
         )
         bad = np.logical_or.reduce([mask for mask, _ in rules])
         if bad.any():
@@ -247,6 +250,7 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     lines = data.splitlines()
+    del data  # free the decoded text before the per-line lists grow
 
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None

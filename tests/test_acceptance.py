@@ -5,7 +5,6 @@ summary) before asserting, so a red criterion still reports itself
 alongside the green ones.
 """
 
-import json
 import random
 import time
 
@@ -13,22 +12,20 @@ import numpy as np
 
 from nvmwear import (
     SimConfig,
-    SmartPointer,
     SpUpdateEvent,
     Trace,
     WriteEvent,
     achieved_endurance,
-    adjust_inmemory_pointers,
     gen_workload,
     make_layout,
-    normalized_endurance,
     paired_run,
-    relocate_step,
     replay,
 )
 from nvmwear.cli import main as cli_main
 from nvmwear.memspace import MemorySpace
-from nvmwear.stack import StackState, translate_stack
+from nvmwear.metrics import normalized_endurance
+from nvmwear.stack import (SmartPointer, StackState, adjust_inmemory_pointers,
+                           relocate_step, translate_stack)
 
 from conftest import record_acceptance
 
@@ -173,7 +170,7 @@ def test_criterion_02_write_conservation():
 
 
 def test_criterion_03_oracle_equivalence():
-    from nvmwear import aggregate_linecounts
+    from nvmwear.trace import aggregate_linecounts
     lay = make_layout()
     cfg = SimConfig(enable_coarse=False, enable_fine=False)
     ok_kinds = []

@@ -274,6 +274,22 @@ def test_kind_choices_come_from_the_generator_table(tmp_path, capsys,
     assert exc.value.code == 2
 
 
+# one 2^62-byte segment: a valid layout whose line map cannot be allocated
+HUGE_SEGMENT = ["data", "0x100000000", "0x4000000000000000"]
+
+
+def _assert_clean_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_run_reports_a_layout_too_large_to_allocate(tmp_path, capsys):
+    path = tmp_path / "huge.trace"
+    path.write_text("@segment %s %s %s\nW 0x100000000\n" % tuple(HUGE_SEGMENT))
+    assert run_cli("run", "--trace", path, "--out", tmp_path / "out") == 1
+    _assert_clean_error(capsys)
+
+
 def _finished_run(tmp_path):
     run_dir = tmp_path / "run"
     assert run_cli("run", "--kind", "stream", "--writes", 500,
@@ -346,3 +362,14 @@ def test_report_rejects_invalid_layouts(tmp_path, capsys, tamper, why):
     err = capsys.readouterr().err
     assert err.startswith("error:") and why in err
     assert not (run_dir / "report").exists()
+
+
+def test_report_of_a_layout_too_large_to_allocate(tmp_path, capsys):
+    run_dir = _finished_run(tmp_path)
+    path = run_dir / "report.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["layout"]["segments"] = [HUGE_SEGMENT]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", "--run", run_dir) == 1
+    _assert_clean_error(capsys)

@@ -3,10 +3,10 @@
 import random
 
 import numpy as np
-import pytest
 
-from nvmwear import ConfigError, MemorySpace, make_layout
+from nvmwear import make_layout
 from nvmwear.coarse import CoarseWearLeveler
+from nvmwear.memspace import MemorySpace
 
 
 def make_space(**kw):
@@ -143,11 +143,6 @@ def test_on_sample_counts_frames_independently():
         if req is not None:
             fired.append(req)
     assert fired == [2, 3]
-
-
-def test_threshold_must_be_positive():
-    with pytest.raises(ConfigError):
-        CoarseWearLeveler(make_space(), 0)
 
 
 # ----------------------------------------------------------------------

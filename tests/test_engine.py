@@ -11,24 +11,21 @@ import numpy as np
 import pytest
 
 from nvmwear import (
-    CoarseWearLeveler,
-    MemorySpace,
     SimConfig,
     SpUpdateEvent,
-    StackState,
     Trace,
     WriteEvent,
     WriteSampler,
-    aggregate_linecounts,
     gen_workload,
-    make_layout,
     paired_run,
-    relocate_step,
     replay,
-    report_dict,
 )
+from nvmwear.coarse import CoarseWearLeveler
+from nvmwear.engine import report_dict
 from nvmwear.errors import ConfigError
-from nvmwear.stack import translate_stack
+from nvmwear.memspace import MemorySpace
+from nvmwear.stack import StackState, relocate_step, translate_stack
+from nvmwear.trace import aggregate_linecounts
 
 
 def reference_replay(trace, config):

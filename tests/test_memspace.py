@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from nvmwear import (MemoryLayout, MemorySpace, Segment, SimulationError,
-                     UnmappedPageError, make_layout)
+from nvmwear import MemoryLayout, Segment, SimulationError, make_layout
+from nvmwear.errors import UnmappedPageError
+from nvmwear.memspace import MemorySpace
 
 
 @pytest.fixture

@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from nvmwear import (
-    MetricsError,
-    achieved_endurance,
-    endurance_improvement,
-    export_histogram,
-    lifetime_improvement,
-    log2_bins,
-    normalized_endurance,
-    write_overhead,
-)
+from nvmwear import achieved_endurance
+from nvmwear.errors import MetricsError
+from nvmwear.metrics import (endurance_improvement, export_histogram,
+                             lifetime_improvement, log2_bins,
+                             normalized_endurance, write_overhead)
 
 
 def test_ae_uniform_is_one():
@@ -77,8 +72,7 @@ def test_lifetime_improvement_discounts_overhead():
 
 
 def test_histogram_csv_round_trip():
-    counts = {0: 3, 3: 7, 4: 1}
-    blob = export_histogram(counts)
+    blob = export_histogram(np.array([0, 3, 4]), np.array([3, 7, 1]))
     assert blob.decode().splitlines() == [
         "line_index,count", "0,3", "3,7", "4,1", "#total,11"]
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from nvmwear import MemorySpace, RunResult, SimConfig
-from nvmwear.engine import estimates_csv
+from nvmwear import SimConfig, WriteSampler
+from nvmwear.engine import RunResult, estimates_csv
 from nvmwear.errors import ConfigError, MetricsError
-from nvmwear.sampler import WriteSampler
+from nvmwear.memspace import MemorySpace
 
 
 def feed(sampler, frames):

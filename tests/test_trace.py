@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from nvmwear import (
-    LayoutError,
     MemoryLayout,
     Segment,
     SpUpdateEvent,
     Trace,
-    TraceFormatError,
     WriteEvent,
-    aggregate_linecounts,
-    emit_trace,
     gen_workload,
     make_layout,
-    parse_trace,
 )
-from nvmwear.errors import GeneratorError
+from nvmwear.errors import GeneratorError, LayoutError, TraceFormatError
+from nvmwear.trace import aggregate_linecounts, emit_trace, parse_trace
 
 HEADER = "@segment stack 0x100010000 0x100020000\n"
 
@@ -292,6 +288,17 @@ def test_validate_catches_bad_events(layout):
         Trace(layout, [0, 0, 1], [stack.start, stack.start, stack.start + 4],
               [0] * 3, [False] * 3)
     assert exc.value.event_index == 2
+
+
+def test_constructor_rejects_events_the_text_format_cannot_express(layout):
+    # neither has a text form, so emit/parse could not round-trip them
+    d, stack = layout.segment("data").start, layout.segment("stack")
+    with pytest.raises(TraceFormatError, match="neither a write") as exc:
+        Trace(layout, [0, 2, 0], [d, d + 64, d + 128], [0] * 3, [False] * 3)
+    assert exc.value.event_index == 1
+    with pytest.raises(TraceFormatError, match="carries a payload") as exc:
+        Trace(layout, [1], [stack.end - 64], [5], [True])
+    assert exc.value.event_index == 0
 
 
 def test_trace_arrays_are_read_only(layout):
