@@ -34,8 +34,11 @@ def parse_config_file(path) -> Dict:
     """Flat `key = value` file with SimConfig field names and types."""
     types = get_type_hints(engine.SimConfig)
     out: Dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            # an undecodable byte is a lone surrogate, which "replace" drops
+            if raw.encode("utf-8", "replace").decode("utf-8") != raw:
+                raise ConfigError("%s line %d: not UTF-8" % (path, line_no))
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -108,59 +108,43 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
     fine = config.enable_fine and stack_seg is not None
     coarse = config.enable_coarse
     sampling = coarse or fine
+    chunk = (config.sample_interval_n + 1) if sampling else _BASELINE_CHUNK
 
-    kinds = trace.kinds
-    w_pos = np.flatnonzero(kinds == 0)
-    addrs_w = trace.addrs[w_pos]
-    values_w = trace.values[w_pos]
-    has_value_w = trace.has_value[w_pos]
-    s_pos = np.flatnonzero(kinds == 1)
-    sp_vals = trace.addrs[s_pos]
-    n_writes = len(addrs_w)
-    n_sp = len(s_pos)
-
+    is_write = trace.kinds == 0
     sampler = WriteSampler(config.sample_interval_n, space.n_pages) \
         if sampling else None
     leveler = CoarseWearLeveler(space, config.remap_threshold_t) \
         if coarse else None
     st = None
     if fine:
-        if n_sp:
-            sp0 = stack_seg.end
-        else:
-            u0 = min(config.fixed_valid_stack,
-                     stack_seg.size - config.stack_step)
-            sp0 = stack_seg.end - u0
+        sp_pos = np.flatnonzero(~is_write)
+        sp0 = stack_seg.end if len(sp_pos) else stack_seg.end - min(
+            config.fixed_valid_stack, stack_seg.size - config.stack_step)
         st = StackState(region_base=stack_seg.start,
                         region_size=stack_seg.size, sp=sp0,
                         step=config.stack_step)
+        # the sp in force at each tick: the last update before its write
+        tick_sp = np.concatenate(([sp0], trace.addrs[sp_pos]))[np.searchsorted(
+            sp_pos, np.flatnonzero(is_write)[chunk - 1::chunk])]
 
+    addrs_w = trace.addrs[is_write]
+    values_w = trace.values[is_write]
+    has_value_w = trace.has_value[is_write]
+    n_writes = len(addrs_w)
     wear = space.wear
     words = space.words
     has_word = space.has_word
-    n_lines = space.n_lines
-    s_lo = stack_seg.start if stack_seg is not None else 0
-    s_hi = stack_seg.end if stack_seg is not None else 0
 
     sample_log: List[Tuple[int, int]] = []
     remap_log: List[Tuple[int, int, int, int, int]] = []
     reloc_log: List[Tuple[int, int, int, int, int]] = []
-    stack_copy_lines = 0
-    chunk = (config.sample_interval_n + 1) if sampling else _BASELINE_CHUNK
-    si = 0
-    cur_sp = st.sp if fine else 0
-
-    start = 0
-    while start < n_writes:
+    for start in range(0, n_writes, chunk):
         end = min(start + chunk, n_writes)
         a = addrs_w[start:end]
-        if fine and st.shift:
-            in_stack = (a >= s_lo) & (a < s_hi)
-            v = a - st.shift * in_stack
-        else:
-            v = a
-        lines = space.line_index(v)
-        wear += np.bincount(lines, minlength=n_lines)
+        if fine:
+            a = a - st.shift * ((a >= stack_seg.start) & (a < stack_seg.end))
+        lines = space.line_index(a)
+        wear += np.bincount(lines, minlength=space.n_lines)
 
         # the last write to a line in the period decides its word
         hv = has_value_w[start:end]
@@ -171,38 +155,32 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             has_word[uniq] = carries
             words[uniq[carries]] = values_w[start:end][last[carries]]
 
-        if sampling and end - start == chunk:
-            tick_pos = w_pos[end - 1]
-            while si < n_sp and s_pos[si] < tick_pos:
-                cur_sp = int(sp_vals[si])
-                si += 1
-            frame = int(lines[-1]) // space.lines_per_page
-            sampler.record_tick(frame)
-            sample_log.append((end, frame))
-            if coarse:
-                request = leveler.on_sample(frame)
-                if request is not None:
-                    result = leveler.perform_remap(request)
-                    if result is not None:
-                        remap_log.append((end,) + result)
-            if fine:
-                st.sp = cur_sp
-                wraps_before = st.wraps
-                copied = relocate_step(st, space)
-                stack_copy_lines += copied
-                reloc_log.append((end, st.shift, st.valid_bytes, copied,
-                                  1 if st.wraps > wraps_before else 0))
-        start = end
+        if not sampling or end - start < chunk:
+            continue
+        frame = int(lines[-1]) // space.lines_per_page
+        sampler.record_tick(frame)
+        sample_log.append((end, frame))
+        if coarse and leveler.on_sample(frame) is not None:
+            result = leveler.perform_remap(frame)
+            if result is not None:
+                remap_log.append((end,) + result)
+        if fine:
+            st.sp = int(tick_sp[start // chunk])
+            wraps = st.wraps
+            copied = relocate_step(st, space)
+            reloc_log.append((end, st.shift, st.valid_bytes, copied,
+                              st.wraps - wraps))
 
     coarse_lines = leveler.copy_lines if coarse else 0
+    stack_copy_lines = sum(row[3] for row in reloc_log)
     totals = {
         "app_writes": n_writes,
         "coarse_copy_lines": coarse_lines,
         "stack_copy_lines": stack_copy_lines,
         "total_writes": n_writes + coarse_lines + stack_copy_lines,
-        "samples": sampler.samples_taken if sampling else 0,
-        "remaps": leveler.remaps if coarse else 0,
-        "relocations": st.relocations if fine else 0,
+        "samples": len(sample_log),
+        "remaps": len(remap_log),
+        "relocations": len(reloc_log),
         "wraps": st.wraps if fine else 0,
     }
     return RunResult(space=space, config=config, totals=totals,

@@ -131,6 +131,23 @@ class SpUpdateEvent:
 Event = Union[WriteEvent, SpUpdateEvent]
 
 
+def _event_field(name: str, data, dtype) -> np.ndarray:
+    """`data` as a 1-D contiguous `dtype` array, if no value changes.
+
+    A contiguous array of that dtype is used as it is, with no scan."""
+    try:
+        with np.errstate(invalid="ignore"):  # a bad float cast fails below
+            arr = np.ascontiguousarray(data, dtype=dtype)
+        src = data if isinstance(data, np.ndarray) else np.asarray(data)
+        ok = src.ndim == 1 and (src.dtype == dtype or np.array_equal(arr, src))
+    except (OverflowError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise TraceFormatError("event field %s out of range for a 1-D %s array"
+                               % (name, np.dtype(dtype).name))
+    return arr
+
+
 class Trace:
     """A layout plus an ordered event stream, stored as parallel arrays.
 
@@ -142,14 +159,10 @@ class Trace:
 
     def __init__(self, layout: MemoryLayout, kinds, addrs, values, has_value):
         self.layout = layout
-        try:
-            self.kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
-            self.addrs = np.ascontiguousarray(addrs, dtype=np.int64)
-            self.values = np.ascontiguousarray(values, dtype=np.uint64)
-        except OverflowError as exc:
-            raise TraceFormatError("event field out of range: %s" % exc) \
-                from None
-        self.has_value = np.ascontiguousarray(has_value, dtype=np.bool_)
+        self.kinds = _event_field("kinds", kinds, np.uint8)
+        self.addrs = _event_field("addrs", addrs, np.int64)
+        self.values = _event_field("values", values, np.uint64)
+        self.has_value = _event_field("has_value", has_value, np.bool_)
         n = len(self.kinds)
         if not (len(self.addrs) == len(self.values) == len(self.has_value) == n):
             raise TraceFormatError("event arrays disagree in length")
@@ -248,7 +261,11 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
     `Trace` constructor's, and a failing event's line is looked up after.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise TraceFormatError("not UTF-8 text", line_no) from None
     lines = data.splitlines()
     del data  # free the decoded text before the per-line lists grow
 
@@ -365,8 +382,13 @@ def emit_trace(trace: Trace) -> bytes:
 
 
 def load_trace(path) -> Trace:
+    """Parse a trace file; a TraceFormatError names the file."""
     with open(path, "rb") as fh:
-        return parse_trace(fh.read())
+        try:
+            return parse_trace(fh.read())
+        except TraceFormatError as exc:
+            exc.args = ("%s: %s" % (path, exc),)
+            raise
 
 
 def save_trace(trace: Trace, path):
@@ -480,9 +502,9 @@ def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
     off = (rng.random(n_rest) * sizes[pick]).astype(np.int64)
     addrs[rest] = starts[pick] + off * LINE_SIZE
 
-    kinds = np.concatenate(([_KIND_SP], np.zeros(total, dtype=np.uint8)))
+    kinds = np.concatenate((np.uint8([_KIND_SP]), np.zeros(total, np.uint8)))
     all_addrs = np.concatenate(([sp0], addrs))
-    all_values = np.concatenate(([0], values))
+    all_values = np.concatenate((np.uint64([0]), values))
     all_has = np.concatenate(([False], has_value))
     return Trace(layout, kinds, all_addrs, all_values, all_has)
 
@@ -522,7 +544,6 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     kinds: List[int] = []
     addrs: List[int] = []
     values: List[int] = []
-    has_value: List[bool] = []
     sp = top
     frames: List[int] = []
     writes = 0
@@ -538,14 +559,12 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
         kinds.append(_KIND_WRITE)
         addrs.append(addr)
         values.append(payload())
-        has_value.append(True)
         writes += 1
 
     def emit_sp(val: int):
         kinds.append(_KIND_SP)
         addrs.append(val)
         values.append(0)
-        has_value.append(False)
 
     while writes < total:
         depth = top - sp
@@ -579,8 +598,8 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     kinds = np.array(kinds, dtype=np.uint8)
     addrs = np.array(addrs, dtype=np.int64)
     values = np.array(values, dtype=np.uint64)
-    has_value = np.array(has_value, dtype=np.bool_)
-    return Trace(layout, kinds, addrs, values, has_value)
+    # every write carries a payload and no sp update does
+    return Trace(layout, kinds, addrs, values, kinds == _KIND_WRITE)
 
 
 # workload kind -> generator, in the order the CLI lists them

@@ -148,6 +148,30 @@ def test_run_rejects_malformed_config_line(tmp_path, capsys):
     assert run_cli("run", "--kind", "stream", "--writes", 100,
                    "--config", cfg, "--out", tmp_path / "out") == 1
     assert "line 2" in capsys.readouterr().err
+    for line, why in (("enable_fine = maybe", "bad boolean"),
+                      ("sample_interval_n = 1.5", "bad integer")):
+        cfg.write_text("# c\n" + line + "\n")
+        assert run_cli("run", "--kind", "stream", "--writes", 100,
+                       "--config", cfg, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 2: " + why in err
+
+
+@pytest.mark.parametrize("option", ["--trace", "--config"])
+def test_run_rejects_files_that_are_not_utf8(tmp_path, capsys, option):
+    bad = tmp_path / "bad"
+    if option == "--trace":
+        bad.write_bytes(b"@segment data 0x100000000 0x100001000\n"
+                        b"W 0x100000000\nW 0x1000000\xff0\n")
+        argv = ("--trace", bad)
+    else:
+        bad.write_bytes(b"remap_threshold_t = 4\n"
+                        b"# line 2\nsample_interval_n = \xff\n")
+        argv = ("--kind", "stream", "--writes", 100, "--config", bad)
+    assert run_cli("run", *argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s" % bad) and "line 3:" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [("--n", "20,50"), ("--t", "4,8"),

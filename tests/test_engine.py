@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvmwear import (
     SimConfig,
@@ -17,6 +19,7 @@ from nvmwear import (
     WriteEvent,
     WriteSampler,
     gen_workload,
+    make_layout,
     paired_run,
     replay,
 )
@@ -375,3 +378,44 @@ def test_run_without_stack_segment_skips_fine_leveling():
     assert result.totals["samples"] == 300 // 11
     assert_matches_reference(trace, SimConfig(sample_interval_n=10,
                                               remap_threshold_t=2))
+
+
+@st.composite
+def replay_cases(draw):
+    """A random layout, a trace of up to 300 events on it, and a config."""
+    layout = make_layout(draw(st.integers(0, 3)), draw(st.integers(1, 4)),
+                         draw(st.integers(0, 3)),
+                         draw(st.sampled_from([0, 4, 8])))
+    stack = layout.segment("stack")
+    lines = [a for seg in layout.segments
+             for a in range(seg.start, seg.end, 64)]
+    # sp stays in the top half of the stack, so a relocation has room
+    sps = [] if stack is None else list(
+        range(stack.end - stack.size // 2, stack.end + 1, 8))
+
+    def event(kind, line, word):
+        """A write without (0) or with (1) a payload, a write of a pointer
+        into the stack (2), or an sp update (3)."""
+        if kind >= 2 and sps:
+            sp = sps[word % len(sps)]
+            return SpUpdateEvent(sp) if kind == 3 else WriteEvent(line, sp)
+        return WriteEvent(line, word if kind else None)
+
+    n_events = draw(st.integers(0, 300))
+    events = st.builds(event, st.integers(0, 3), st.sampled_from(lines),
+                       st.integers(0, (1 << 64) - 1))
+    trace = Trace.from_events(layout, draw(
+        st.lists(events, min_size=n_events, max_size=n_events)))
+    config = SimConfig(
+        sample_interval_n=draw(st.integers(1, 20)),
+        remap_threshold_t=draw(st.integers(1, 4)),
+        stack_step=draw(st.sampled_from([64, 128, 4096])),
+        enable_coarse=draw(st.booleans()), enable_fine=draw(st.booleans()),
+        fixed_valid_stack=draw(st.sampled_from([0, 64, 4096, 1 << 20])))
+    return trace, config
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(replay_cases())
+def test_engine_matches_reference_on_random_inputs(case):
+    assert_matches_reference(*case)

@@ -51,6 +51,13 @@ def test_unmapped_page_rejected(space, layout):
         space.line_index(stack.end + 4096 + 64)  # past the buffer frame
     with pytest.raises(UnmappedPageError):
         space.line_index(0x80000000)
+    # a page between two segments is inside the span but backs nothing
+    base = 1 << 32
+    gap = MemorySpace(MemoryLayout((Segment("data", base, base + 4096),
+                                    Segment("bss", base + 8192,
+                                            base + 12288))))
+    with pytest.raises(UnmappedPageError, match="hits an unmapped page"):
+        gap.line_index(base + 4096 + 64)
 
 
 def test_shadow_alias_full_page(space, layout):
@@ -123,6 +130,8 @@ def test_swap_rejects_shadow_and_buffer(space, layout):
         with pytest.raises(SimulationError, match="not a pool frame"):
             space.swap_frames(f, bad)
     assert np.array_equal(space.frames, before)
+    with pytest.raises(SimulationError, match="no canonical page"):
+        space.page_addr_of_frame(space.buffer_frame)
 
 
 def test_copy_arithmetic(space, layout):

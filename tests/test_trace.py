@@ -60,6 +60,8 @@ def test_parse_address_outside_segments():
 def test_parse_requires_hex_prefix():
     with pytest.raises(TraceFormatError, match="0x"):
         parse_trace(HEADER + "W 4295040000\n")
+    with pytest.raises(TraceFormatError, match="line 2: bad hex"):
+        parse_trace(HEADER + "W 0xzz\n")
 
 
 def test_parse_value_width_checked():
@@ -94,6 +96,13 @@ def test_parse_sp_alignment_and_range():
 def test_parse_unknown_record():
     with pytest.raises(TraceFormatError, match="unrecognized"):
         parse_trace(HEADER + "R 0x100011000\n")
+    with pytest.raises(TraceFormatError,
+                       match="line 1: malformed @segment record"):
+        parse_trace("@segment data 0x1\n")
+    for record in ("W a b c", "S"):
+        with pytest.raises(TraceFormatError,
+                           match="line 2: malformed %s record" % record[0]):
+            parse_trace(HEADER + record + "\n")
 
 
 def test_emit_empty_trace_is_header_only(layout):
@@ -102,6 +111,9 @@ def test_emit_empty_trace_is_header_only(layout):
     lines = [ln for ln in text.splitlines() if ln]
     assert all(ln.startswith("@segment") for ln in lines)
     assert len(lines) == len(layout.segments)
+    assert parse_trace(text) == tr and parse_trace(text).n_events == 0
+    with pytest.raises(TraceFormatError, match="line 1: layout has no segm"):
+        parse_trace("")
 
 
 def test_emit_single_event(layout):
@@ -137,6 +149,8 @@ def test_generated_traces_validate(layout):
 def test_unknown_kind(layout):
     with pytest.raises(GeneratorError):
         gen_workload("zigzag", 10, layout, 0)
+    with pytest.raises(GeneratorError, match="non-negative"):
+        gen_workload("stream", -1, layout, 0)
 
 
 def test_deepstack_needs_four_stack_pages():
@@ -288,6 +302,10 @@ def test_validate_catches_bad_events(layout):
         Trace(layout, [0, 0, 1], [stack.start, stack.start, stack.start + 4],
               [0] * 3, [False] * 3)
     assert exc.value.event_index == 2
+    with pytest.raises(TraceFormatError, match="disagree in length"):
+        Trace(layout, [0, 0], [stack.start], [0], [False])
+    with pytest.raises(TraceFormatError, match="unknown event"):
+        Trace.from_events(layout, [good, stack.start])
 
 
 def test_constructor_rejects_events_the_text_format_cannot_express(layout):
@@ -299,6 +317,26 @@ def test_constructor_rejects_events_the_text_format_cannot_express(layout):
     with pytest.raises(TraceFormatError, match="carries a payload") as exc:
         Trace(layout, [1], [stack.end - 64], [5], [True])
     assert exc.value.event_index == 0
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("kinds", lambda d: np.array([256])),          # would become a write
+    ("values", lambda d: np.array([-1])),          # would become 2^64 - 1
+    ("addrs", lambda d: np.array([d + 0.5])),      # would be truncated to d
+    ("has_value", lambda d: np.array([2])),        # would become True
+    ("kinds", lambda d: np.zeros((1, 1), dtype=np.uint8)),
+    ("addrs", lambda d: ["0x%x" % d]),             # a string, not a number
+    ("addrs", lambda d: np.array([(1 << 63) + d], dtype=np.uint64)),
+], ids=["kind-256", "negative-value", "float-addr", "has-value-2", "2d-kinds",
+        "string-addr", "uint64-addr"])
+def test_constructor_rejects_fields_that_change_on_conversion(layout, field,
+                                                             bad):
+    d = layout.segment("data").start
+    fields = {"kinds": [0], "addrs": [d], "values": [0], "has_value": [True]}
+    assert Trace(layout, **fields).n_writes == 1
+    fields[field] = bad(d)
+    with pytest.raises(TraceFormatError, match="event field %s" % field):
+        Trace(layout, **fields)
 
 
 def test_trace_arrays_are_read_only(layout):
