@@ -129,11 +129,9 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
 
     addrs_w = trace.addrs[is_write]
     values_w = trace.values[is_write]
-    has_value_w = trace.has_value[is_write]
     n_writes = len(addrs_w)
     wear = space.wear
     words = space.words
-    has_word = space.has_word
 
     sample_log: List[Tuple[int, int]] = []
     remap_log: List[Tuple[int, int, int, int, int]] = []
@@ -147,13 +145,14 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
         wear += np.bincount(lines, minlength=space.n_lines)
 
         # the last write to a line in the period decides its word
-        hv = has_value_w[start:end]
-        if hv.any() or has_word[lines].any():
+        v = values_w[start:end]
+        if v.any() or words[lines].any():
             uniq, first = np.unique(lines[::-1], return_index=True)
-            last = len(lines) - 1 - first
-            carries = hv[last]
-            has_word[uniq] = carries
-            words[uniq[carries]] = values_w[start:end][last[carries]]
+            new = v[len(lines) - 1 - first]
+            # storing unchanged zeros would touch, and so allocate, every
+            # page of `words` that a period's data writes hit
+            changed = words[uniq] != new
+            words[uniq[changed]] = new[changed]
 
         if not sampling or end - start < chunk:
             continue

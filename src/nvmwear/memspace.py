@@ -11,7 +11,9 @@ circular stack addressing needs no extra page-table state.
 
 Wear counts are the simulation's ground truth.  Every line write from any
 source (application replay, remap copies, relocation copies) increments
-exactly one per-line counter here.
+exactly one per-line counter here.  A line's content is modelled by one
+`uint64` word, the 8 bytes at its base; the rest of the line is zero, so
+a word of 0 is an all-zero line.
 """
 
 from __future__ import annotations
@@ -67,10 +69,8 @@ class MemorySpace:
             self.frames[pages - len(pages)] = pages
 
         self.wear = np.zeros(self.n_lines, dtype=np.int64)
-        # words[i] is line i's payload word; it counts only where
-        # has_word[i] is set
+        # words[i] is the word at line i's base; 0 for a zeroed line
         self.words = np.zeros(self.n_lines, dtype=np.uint64)
-        self.has_word = np.zeros(self.n_lines, dtype=bool)
 
     def _pages(self, seg) -> np.ndarray:
         """Dense page numbers of a segment: its frames under identity."""
@@ -103,26 +103,12 @@ class MemorySpace:
         return int(lines) if lines.ndim == 0 else lines
 
     # ------------------------------------------------------------------
-    # materialized words; at most one 8-byte word per line, at the base
-
-    def word(self, dense_line: int) -> Optional[int]:
-        if self.has_word[dense_line]:
-            return int(self.words[dense_line])
-        return None
-
-    # ------------------------------------------------------------------
     # write accounting
 
-    def record_write(self, line: int, value: Optional[int] = None):
-        """Charge one write to a dense line, storing the payload.
-
-        A write with no payload leaves the whole line as zero bytes, so
-        any previously materialized word on that line is dropped.
-        """
+    def record_write(self, line: int, value: int = 0):
+        """Charge one write to a dense line, storing its base word."""
         self.wear[line] += 1
-        if value is not None:
-            self.words[line] = value
-        self.has_word[line] = value is not None
+        self.words[line] = value
 
     def copy_frame(self, src_frame: int, dst_frame: int) -> int:
         """Copy one frame's content onto another, charging the destination.
@@ -134,7 +120,6 @@ class MemorySpace:
         dst = slice(dst_frame * lpp, (dst_frame + 1) * lpp)
         self.wear[dst] += 1
         self.words[dst] = self.words[src]
-        self.has_word[dst] = self.has_word[src]
         return lpp
 
     # ------------------------------------------------------------------
@@ -190,7 +175,11 @@ class MemorySpace:
         trailer raises SimulationError naming the file.
         """
         with open(path, "rb") as fh:
-            rows = fh.read().decode("utf-8", "replace").splitlines()
+            text = fh.read().decode("utf-8", "replace")
+        # only "\n" ends a row, as in trace files; CRLF rows still load
+        rows = text.replace("\r\n", "\n").split("\n")
+        if rows[-1] == "":  # the newline that ends the last row
+            rows.pop()
         wear = np.zeros(self.n_lines, dtype=np.int64)
         for line_no, row in enumerate(rows[1:-1], start=2):
             m = _WEAR_ROW.fullmatch(row)

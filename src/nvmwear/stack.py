@@ -110,7 +110,6 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
     space.wear[dst_lines] += 1
     space.words[dst_lines] = adjust_inmemory_pointers(space.words[src_lines],
                                                       st)
-    space.has_word[dst_lines] = space.has_word[src_lines]
     st.shift += st.step
     st.relocations += 1
     wraparound_reset(st)

@@ -6,18 +6,20 @@ addresses are *logical*: they name locations in a fixed layout that never
 moves.  Address shifting done by a wear-leveling policy happens later, at
 replay time, so a single trace is comparable across policies.
 
-File format (UTF-8, one record per line)::
+File format (UTF-8, one record per line, each ending in a line feed)::
 
     @segment <name> <start_hex> <end_hex>    header, one line per segment
-    W <addr_hex>                             line write
+    W <addr_hex>                             line write of zero bytes
     W <addr_hex> <value_hex>                 line write carrying a payload word
     S <sp_hex>                               stack-pointer update
     # comment
 
 All header lines must precede the first event line.  Addresses are
-0x-prefixed hex.  Write addresses are 64-byte aligned; a payload, when
-present, is the 8-byte word at the line's base address.  Stack-pointer
-values are 8-byte aligned and stay inside the stack segment.
+0x-prefixed hex.  Write addresses are 64-byte aligned; the payload is
+the 8-byte word at the line's base address, and a write without one
+writes zero bytes, so `W a` and `W a 0x0` are the same event.
+Stack-pointer values are 8-byte aligned and stay inside the stack
+segment.
 """
 
 from __future__ import annotations
@@ -117,7 +119,9 @@ class MemoryLayout:
 
 @dataclass(frozen=True)
 class WriteEvent:
-    """One whole-line write; `value` is the optional word at the line base."""
+    """One whole-line write; `value` is the word at the line base.
+
+    A line's other bytes are zero, so `None` is stored as the word 0."""
 
     address: int
     value: Optional[int] = None
@@ -157,17 +161,15 @@ class Trace:
     and consumers need not check it again.
     """
 
-    def __init__(self, layout: MemoryLayout, kinds, addrs, values, has_value):
+    def __init__(self, layout: MemoryLayout, kinds, addrs, values):
         self.layout = layout
         self.kinds = _event_field("kinds", kinds, np.uint8)
         self.addrs = _event_field("addrs", addrs, np.int64)
         self.values = _event_field("values", values, np.uint64)
-        self.has_value = _event_field("has_value", has_value, np.bool_)
-        n = len(self.kinds)
-        if not (len(self.addrs) == len(self.values) == len(self.has_value) == n):
+        if not len(self.kinds) == len(self.addrs) == len(self.values):
             raise TraceFormatError("event arrays disagree in length")
         self.validate()
-        for arr in (self.kinds, self.addrs, self.values, self.has_value):
+        for arr in (self.kinds, self.addrs, self.values):
             arr.flags.writeable = False
 
     # ------------------------------------------------------------------
@@ -178,21 +180,18 @@ class Trace:
         kinds: List[int] = []
         addrs: List[int] = []
         values: List[int] = []
-        has_value: List[bool] = []
         for ev in events:
             if isinstance(ev, WriteEvent):
                 kinds.append(_KIND_WRITE)
                 addrs.append(ev.address)
                 values.append(0 if ev.value is None else ev.value)
-                has_value.append(ev.value is not None)
             elif isinstance(ev, SpUpdateEvent):
                 kinds.append(_KIND_SP)
                 addrs.append(ev.sp)
                 values.append(0)
-                has_value.append(False)
             else:
                 raise TraceFormatError("unknown event %r" % (ev,))
-        return cls(layout, kinds, addrs, values, has_value)
+        return cls(layout, kinds, addrs, values)
 
     # ------------------------------------------------------------------
 
@@ -210,9 +209,7 @@ class Trace:
         return (self.layout == other.layout
                 and np.array_equal(self.kinds, other.kinds)
                 and np.array_equal(self.addrs, other.addrs)
-                and np.array_equal(self.has_value, other.has_value)
-                and np.array_equal(np.where(self.has_value, self.values, 0),
-                                   np.where(other.has_value, other.values, 0)))
+                and np.array_equal(self.values, other.values))
 
     def validate(self):
         """Check every event against the layout; raises TraceFormatError.
@@ -242,7 +239,8 @@ class Trace:
             (is_sp & (a % 8 != 0),
              "unaligned stack pointer 0x%x, not 8-byte aligned"),
             (is_sp & ~in_stack, "stack pointer 0x%x outside the stack segment"),
-            (is_sp & self.has_value, "stack pointer 0x%x carries a payload"),
+            (is_sp & (self.values != 0),
+             "stack pointer 0x%x carries a payload"),
         )
         bad = np.logical_or.reduce([mask for mask, _ in rules])
         if bad.any():
@@ -266,15 +264,18 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
         except UnicodeDecodeError as exc:
             line_no = data.count(b"\n", 0, exc.start) + 1
             raise TraceFormatError("not UTF-8 text", line_no) from None
-    lines = data.splitlines()
+    # only "\n" ends a line: str.splitlines would also split a comment at
+    # a form feed or U+2028; a trailing "\r" is stripped as whitespace
+    lines = data.split("\n")
     del data  # free the decoded text before the per-line lists grow
+    if lines[-1] == "":  # the newline that ends the last line
+        lines.pop()
 
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None
     kinds: List[int] = []
     addrs: List[int] = []
     values: List[int] = []
-    has_value: List[bool] = []
 
     def parse_hex(tok: str, line_no: int, what: str, bits: int = 64) -> int:
         if not tok.lower().startswith("0x"):
@@ -298,7 +299,7 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
     def build() -> Trace:
         """A Trace of the events so far, naming a bad event by its line."""
         try:
-            return Trace(layout, kinds, addrs, values, has_value)
+            return Trace(layout, kinds, addrs, values)
         except TraceFormatError as exc:
             events = -1
             for line_no, raw in enumerate(lines, start=1):
@@ -335,19 +336,18 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
                 kind = _KIND_WRITE
                 addr = parse_hex(toks[1], line_no, "address", 63)
                 value = parse_hex(toks[2], line_no, "value") \
-                    if len(toks) == 3 else None
+                    if len(toks) == 3 else 0
             elif tag == "S" and len(toks) == 2:
                 kind = _KIND_SP
                 addr = parse_hex(toks[1], line_no, "stack pointer", 63)
-                value = None
+                value = 0
             elif tag in ("W", "S"):
                 raise TraceFormatError("malformed %s record" % tag, line_no)
             else:
                 raise TraceFormatError("unrecognized record %r" % tag, line_no)
             kinds.append(kind)
             addrs.append(addr)
-            values.append(0 if value is None else value)
-            has_value.append(value is not None)
+            values.append(value)
     except TraceFormatError:
         if layout is not None:
             build()  # an invalid event on an earlier line is reported first
@@ -359,19 +359,19 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
     kinds = np.array(kinds, dtype=np.uint8)
     addrs = np.array(addrs, dtype=np.int64)
     values = np.array(values, dtype=np.uint64)
-    has_value = np.array(has_value, dtype=np.bool_)
     return build()
 
 
 def emit_trace(trace: Trace) -> bytes:
-    """Serialize a trace; emit/parse round-trips to an equal trace."""
+    """Serialize a trace; emit/parse round-trips to an equal trace.
+
+    A write's value is written only when it is nonzero."""
     out: List[str] = []
     for seg in trace.layout.segments:
         out.append("@segment %s 0x%x 0x%x" % (seg.name, seg.start, seg.end))
-    for k, a, v, h in zip(trace.kinds, trace.addrs, trace.values,
-                          trace.has_value):
+    for k, a, v in zip(trace.kinds, trace.addrs, trace.values):
         if k == _KIND_WRITE:
-            if h:
+            if v:
                 out.append("W 0x%x 0x%x" % (a, v))
             else:
                 out.append("W 0x%x" % a)
@@ -479,7 +479,6 @@ def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
 
     addrs = np.empty(total, dtype=np.int64)
     values = np.zeros(total, dtype=np.uint64)
-    has_value = np.zeros(total, dtype=bool)
 
     addrs[hot] = hot_lines[rng.integers(0, 4, int(hot.sum()))]
 
@@ -489,7 +488,6 @@ def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
     depth = tri[np.arange(n_stk) % len(tri)]
     addrs[stk] = stack.end - LINE_SIZE * (1 + depth)
     values[stk] = rng.integers(0, 1 << 32, n_stk, dtype=np.uint64)
-    has_value[stk] = True
 
     rest = ~(hot | stk)
     n_rest = int(rest.sum())
@@ -505,8 +503,7 @@ def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
     kinds = np.concatenate((np.uint8([_KIND_SP]), np.zeros(total, np.uint8)))
     all_addrs = np.concatenate(([sp0], addrs))
     all_values = np.concatenate((np.uint64([0]), values))
-    all_has = np.concatenate(([False], has_value))
-    return Trace(layout, kinds, all_addrs, all_values, all_has)
+    return Trace(layout, kinds, all_addrs, all_values)
 
 
 def _gen_stream(total: int, layout: MemoryLayout, seed: int) -> Trace:
@@ -515,8 +512,7 @@ def _gen_stream(total: int, layout: MemoryLayout, seed: int) -> Trace:
     idx = np.arange(total, dtype=np.int64) % n_lines
     addrs = data.start + idx * LINE_SIZE
     kinds = np.zeros(total, dtype=np.uint8)
-    return Trace(layout, kinds, addrs, np.zeros(total, dtype=np.uint64),
-                 np.zeros(total, dtype=bool))
+    return Trace(layout, kinds, addrs, np.zeros(total, dtype=np.uint64))
 
 
 def _gen_queue(total: int, layout: MemoryLayout, seed: int) -> Trace:
@@ -530,8 +526,7 @@ def _gen_queue(total: int, layout: MemoryLayout, seed: int) -> Trace:
     line = (drift + np.minimum(reach, ring - 1)) % ring
     addrs = bss.start + line * LINE_SIZE
     kinds = np.zeros(total, dtype=np.uint8)
-    return Trace(layout, kinds, addrs, np.zeros(total, dtype=np.uint64),
-                 np.zeros(total, dtype=bool))
+    return Trace(layout, kinds, addrs, np.zeros(total, dtype=np.uint64))
 
 
 def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
@@ -598,8 +593,7 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     kinds = np.array(kinds, dtype=np.uint8)
     addrs = np.array(addrs, dtype=np.int64)
     values = np.array(values, dtype=np.uint64)
-    # every write carries a payload and no sp update does
-    return Trace(layout, kinds, addrs, values, kinds == _KIND_WRITE)
+    return Trace(layout, kinds, addrs, values)
 
 
 # workload kind -> generator, in the order the CLI lists them

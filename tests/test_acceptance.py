@@ -270,7 +270,7 @@ def test_criterion_07_shadow_alias_and_wraparound():
         picks = rng.choice(addr_pool, size=k)
         for a in picks.tolist():
             line = space.line_index(translate_stack(a, st))
-            assert space.word(line) == expected[a], hex(a)
+            assert space.words[line] == expected[a], hex(a)
         return k
 
     ptr = SmartPointer(sp + 320)
@@ -287,7 +287,7 @@ def test_criterion_07_shadow_alias_and_wraparound():
         if st.relocations % cycle == 0:
             # a whole cycle later the pointer is back on its creation line
             assert space.line_index(ptr.deref(st)) == creation_line
-            assert space.word(creation_line) == expected[sp + 320]
+            assert space.words[creation_line] == expected[sp + 320]
             cycle_checks += 1
     assert st.wraps >= 2 and cycle_checks >= 2
     record_acceptance(

@@ -73,10 +73,10 @@ def test_record_write_counts_and_payload(space, layout):
     line = space.line_index(data.start)
     space.record_write(line, 0xAB)
     assert space.wear[line] == 1
-    assert space.word(line) == 0xAB
+    assert space.words[line] == 0xAB
     space.record_write(line)  # payload-less write zeroes the line
     assert space.wear[line] == 2
-    assert space.word(line) is None
+    assert space.words[line] == 0
 
 
 def test_shadow_and_real_hit_one_line(space, layout):
@@ -165,7 +165,7 @@ def test_copy_moves_materialized_words(space, layout):
     fa = frame_of(space, data.start)
     fb = frame_of(space, data.start + 4096)
     space.copy_frame(fa, fb)
-    assert space.word(fb * 64 + 2) == 0x77
+    assert space.words[fb * 64 + 2] == 0x77
 
 
 def test_swap_permutation_property():
@@ -286,6 +286,10 @@ def test_wear_csv_round_trip(layout, tmp_path):
     dst = MemorySpace(layout)
     dst.load_wear_csv(path)
     assert np.array_equal(dst.wear, src.wear)
+    path.write_bytes(src.wear_csv_bytes().replace(b"\n", b"\r\n"))
+    dst.wear[:] = 0
+    dst.load_wear_csv(path)
+    assert np.array_equal(dst.wear, src.wear)
     # header and trailer alone: an all-zero map
     path.write_bytes(MemorySpace(layout).wear_csv_bytes())
     dst.load_wear_csv(path)
@@ -303,7 +307,9 @@ def test_wear_csv_reader_rejects_other_layouts_and_bad_rows(layout, tmp_path):
                  header + "%d,0x%x,1\n#total,1\n" % (base - 1, (base - 1) * 64),
                  header + "%d,0x%x,1\n#total,1\n" % (base, base * 64 + 64),
                  header + "%d,0x%x,zz\n#total,1\n" % (base, base * 64),
-                 header + "%d,0x%x,-1\n#total,-1\n" % (base, base * 64)):
+                 header + "%d,0x%x,-1\n#total,-1\n" % (base, base * 64),
+                 # only "\n" ends a row, so NEL cannot split this one
+                 header + "%d,0x%x,1\x85\n#total,1\n" % (base, base * 64)):
         path.write_text(text)
         with pytest.raises(SimulationError, match="line 2: not a wear row"):
             space.load_wear_csv(path)

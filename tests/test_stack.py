@@ -173,7 +173,7 @@ def test_content_preserved_across_relocations_and_wraps():
         relocate_step(st, space)
         for addr, val in stored.items():
             line = space.line_index(translate_stack(addr, st))
-            assert space.word(line) == val
+            assert space.words[line] == val
     assert st.wraps == 2
 
 
@@ -189,10 +189,10 @@ def test_pointer_words_stay_consistent_through_relocation():
     for _ in range(5):
         relocate_step(st, space)
     holder_line = space.line_index(translate_stack(holder, st))
-    stored_ptr = space.word(holder_line)
+    stored_ptr = int(space.words[holder_line])
     assert stored_ptr == target - 5 * 64  # rewritten once per step
     # the rewritten pointer dereferences to the moved target content
-    assert space.word(space.line_index(stored_ptr)) == 0xFEED
+    assert space.words[space.line_index(stored_ptr)] == 0xFEED
 
 
 def test_smart_pointer_identity_and_full_cycle():
@@ -206,7 +206,7 @@ def test_smart_pointer_identity_and_full_cycle():
         relocate_step(st, space)
     assert st.shift == 0 and st.wraps == 1
     assert space.line_index(ptr.deref(st)) == line0
-    assert space.word(space.line_index(ptr.deref(st))) == 0xBEEF
+    assert space.words[space.line_index(ptr.deref(st))] == 0xBEEF
 
 
 def test_smart_pointer_follows_content_between_wraps():
@@ -218,7 +218,7 @@ def test_smart_pointer_follows_content_between_wraps():
     for k in range(25):
         relocate_step(st, space)
         line = space.line_index(ptr.deref(st))
-        assert space.word(line) == 0xCAFE
+        assert space.words[line] == 0xCAFE
 
 
 def test_circular_copy_wear_is_uniform_over_full_cycles():

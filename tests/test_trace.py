@@ -6,11 +6,13 @@ import pytest
 from nvmwear import (
     MemoryLayout,
     Segment,
+    SimConfig,
     SpUpdateEvent,
     Trace,
     WriteEvent,
     gen_workload,
     make_layout,
+    replay,
 )
 from nvmwear.errors import GeneratorError, LayoutError, TraceFormatError
 from nvmwear.trace import aggregate_linecounts, emit_trace, parse_trace
@@ -67,6 +69,17 @@ def test_parse_requires_hex_prefix():
 def test_parse_value_width_checked():
     with pytest.raises(TraceFormatError, match="64 bits"):
         parse_trace(HEADER + "W 0x100011000 0x10000000000000000\n")
+
+
+@pytest.mark.parametrize("breaker", ["\x0c", "\x85", "\u2028"])
+def test_only_newline_ends_a_line(breaker):
+    # str.splitlines would cut the comment and parse its tail as line 3
+    text = ("@segment data 0x100000000 0x100001000\n# note%smore\nW 0xzz\n"
+            % breaker)
+    for data in (text, text.encode()):
+        with pytest.raises(TraceFormatError,
+                           match="^line 3: bad hex address '0xzz'$"):
+            parse_trace(data)
 
 
 def test_parse_header_after_events_rejected():
@@ -126,6 +139,7 @@ def test_emit_single_event(layout):
 def test_round_trip_generated(kind, layout):
     tr = gen_workload(kind, 2000, layout, 42)
     assert parse_trace(emit_trace(tr)) == tr
+    assert parse_trace(emit_trace(tr).replace(b"\n", b"\r\n")) == tr
 
 
 @pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack", "queue"])
@@ -199,12 +213,9 @@ def test_deepstack_pointer_payload_share(layout):
     tr = gen_workload("deepstack", 10**4, layout, 2)
     stack = layout.segment("stack")
     w = tr.kinds == 0
-    vals = tr.values[w][tr.has_value[w]]
+    vals = tr.values[w]
     ptrs = np.count_nonzero((vals >= stack.start) & (vals < stack.end))
     assert ptrs >= 0.01 * len(vals)
-    # all stack writes carry a payload word
-    in_stack = (tr.addrs[w] >= stack.start) & (tr.addrs[w] < stack.end)
-    assert tr.has_value[w][in_stack].all()
 
 
 def test_queue_skew(layout):
@@ -278,7 +289,7 @@ def test_layout_and_trace_reject_addresses_past_int64():
     with pytest.raises(TraceFormatError, match="out of range"):
         Trace.from_events(layout, [WriteEvent(data.start, 1 << 64)])
     with pytest.raises(TraceFormatError, match="out of range"):
-        Trace(layout, [0], [data.start], [-1], [True])
+        Trace(layout, [0], [data.start], [-1])
 
 
 def test_make_layout_leaves_shadow_gap():
@@ -300,10 +311,10 @@ def test_validate_catches_bad_events(layout):
     assert exc.value.event_index == 0
     with pytest.raises(TraceFormatError, match="8-byte") as exc:
         Trace(layout, [0, 0, 1], [stack.start, stack.start, stack.start + 4],
-              [0] * 3, [False] * 3)
+              [0] * 3)
     assert exc.value.event_index == 2
     with pytest.raises(TraceFormatError, match="disagree in length"):
-        Trace(layout, [0, 0], [stack.start], [0], [False])
+        Trace(layout, [0, 0], [stack.start], [0])
     with pytest.raises(TraceFormatError, match="unknown event"):
         Trace.from_events(layout, [good, stack.start])
 
@@ -312,27 +323,27 @@ def test_constructor_rejects_events_the_text_format_cannot_express(layout):
     # neither has a text form, so emit/parse could not round-trip them
     d, stack = layout.segment("data").start, layout.segment("stack")
     with pytest.raises(TraceFormatError, match="neither a write") as exc:
-        Trace(layout, [0, 2, 0], [d, d + 64, d + 128], [0] * 3, [False] * 3)
+        Trace(layout, [0, 2, 0], [d, d + 64, d + 128], [0] * 3)
     assert exc.value.event_index == 1
     with pytest.raises(TraceFormatError, match="carries a payload") as exc:
-        Trace(layout, [1], [stack.end - 64], [5], [True])
-    assert exc.value.event_index == 0
+        Trace(layout, [1, 0, 1], [stack.end - 64, d, stack.end - 64],
+              [0, 7, 5])
+    assert exc.value.event_index == 2
 
 
 @pytest.mark.parametrize("field, bad", [
     ("kinds", lambda d: np.array([256])),          # would become a write
     ("values", lambda d: np.array([-1])),          # would become 2^64 - 1
     ("addrs", lambda d: np.array([d + 0.5])),      # would be truncated to d
-    ("has_value", lambda d: np.array([2])),        # would become True
     ("kinds", lambda d: np.zeros((1, 1), dtype=np.uint8)),
     ("addrs", lambda d: ["0x%x" % d]),             # a string, not a number
     ("addrs", lambda d: np.array([(1 << 63) + d], dtype=np.uint64)),
-], ids=["kind-256", "negative-value", "float-addr", "has-value-2", "2d-kinds",
+], ids=["kind-256", "negative-value", "float-addr", "2d-kinds",
         "string-addr", "uint64-addr"])
 def test_constructor_rejects_fields_that_change_on_conversion(layout, field,
                                                              bad):
     d = layout.segment("data").start
-    fields = {"kinds": [0], "addrs": [d], "values": [0], "has_value": [True]}
+    fields = {"kinds": [0], "addrs": [d], "values": [0]}
     assert Trace(layout, **fields).n_writes == 1
     fields[field] = bad(d)
     with pytest.raises(TraceFormatError, match="event field %s" % field):
@@ -342,17 +353,30 @@ def test_constructor_rejects_fields_that_change_on_conversion(layout, field,
 def test_trace_arrays_are_read_only(layout):
     data = layout.segment("data")
     addrs = np.array([data.start, data.start + 64], dtype=np.int64)
-    tr = Trace(layout, [0, 0], addrs, [0, 0], [False, False])
+    tr = Trace(layout, [0, 0], addrs, [0, 0])
     assert tr.addrs is addrs  # frozen in place, not copied
-    for arr in (tr.kinds, tr.addrs, tr.values, tr.has_value):
+    for arr in (tr.kinds, tr.addrs, tr.values):
         with pytest.raises(ValueError):
             arr[0] = 1
 
 
-def test_trace_equality_ignores_masked_values(layout):
-    data = layout.segment("data")
-    a = Trace(layout, [0], [data.start], [123], [False])
-    b = Trace(layout, [0], [data.start], [0], [False])
-    assert a == b
-    c = Trace(layout, [0], [data.start], [123], [True])
-    assert a != c
+def test_zero_payload_is_the_same_event_as_none(layout):
+    # a write without a payload leaves the line's bytes zero
+    d = layout.segment("data").start
+    top = layout.segment("stack").end - 64
+    header = "".join("@segment %s 0x%x 0x%x\n" % (s.name, s.start, s.end)
+                     for s in layout.segments)
+    events = "W 0x%x 0x5\nW 0x%x%s\nW 0x%x 0x7\nW 0x%x%s\n"
+    bare = header + events % (d, d, "", top, top, "")
+    zero = header + events % (d, d, " 0x0", top, top, " 0x0")
+    a, b = parse_trace(bare), parse_trace(zero)
+    assert a == b == Trace.from_events(layout, [
+        WriteEvent(d, 5), WriteEvent(d, 0), WriteEvent(top, 7),
+        WriteEvent(top)])
+    assert emit_trace(a) == emit_trace(b) == bare.encode()
+    assert Trace(layout, [0], [d], [123]) != Trace(layout, [0], [d], [0])
+    cfg = SimConfig(sample_interval_n=1, remap_threshold_t=1)
+    ra, rb = replay(a, cfg), replay(b, cfg)
+    assert np.array_equal(ra.wear, rb.wear)
+    assert np.array_equal(ra.space.words, rb.space.words)
+    assert not ra.space.words.any()
