@@ -203,6 +203,15 @@ class Trace:
     def n_writes(self) -> int:
         return int(np.count_nonzero(self.kinds == _KIND_WRITE))
 
+    def __repr__(self) -> str:
+        """Counts, then the segments and first events as trace-file text."""
+        head = Trace(self.layout, *(a[:4] for a in (self.kinds, self.addrs,
+                                                    self.values)))
+        text = emit_trace(head).decode().strip().replace("\n", "; ")
+        return "Trace(%d events, %d writes: %s%s)" % (
+            self.n_events, self.n_writes, text,
+            "; ..." if self.n_events > 4 else "")
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented

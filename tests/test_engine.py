@@ -5,6 +5,7 @@ reference below feeds the same primitives one event at a time.  Both
 must produce identical wear maps, logs, totals, and sampler state.
 """
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from nvmwear import (
     paired_run,
     replay,
 )
+from nvmwear import engine
 from nvmwear.coarse import CoarseWearLeveler
 from nvmwear.engine import report_dict
 from nvmwear.errors import ConfigError
@@ -177,6 +179,36 @@ def test_last_write_in_a_period_decides_the_word(layout, payloads):
     got = assert_matches_reference(trace, cfg)
     assert got.totals["remaps"] > 0 and got.totals["relocations"] == 3
     assert got.space.words[got.space.line_index(hot)] == (payloads[-1] or 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 101])
+@pytest.mark.parametrize("coarse,fine", [(True, True), (True, False),
+                                         (False, True), (False, False)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_wear_is_exact_across_flush_boundaries(kind, coarse, fine, chunk,
+                                               layout, monkeypatch):
+    # pending lines are charged every `chunk` of them: at a period end with
+    # levelers on, mid-trace with them off, and once after the last period
+    monkeypatch.setattr(engine, "_BASELINE_CHUNK", chunk)
+    trace = gen_workload(kind, 2000, layout, seed=8)
+    cfg = SimConfig(sample_interval_n=10, remap_threshold_t=2,
+                    enable_coarse=coarse, enable_fine=fine)
+    assert_matches_reference(trace, cfg)
+
+
+def test_replay_time_does_not_grow_with_memory_size():
+    # the same hotspot writes on 18 pages and on 5,248: each period is
+    # charged in bulk, so cost follows writes and ticks, not memory size
+    cfg = SimConfig(sample_interval_n=10)
+    traces = [gen_workload("hotspot", 20000, lay, seed=1)
+              for lay in (make_layout(), make_layout(64, 4096, 1024, 64))]
+    best = [float("inf")] * 2
+    for _ in range(3):
+        for i, trace in enumerate(traces):
+            t0 = time.perf_counter()
+            replay(trace, cfg)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    assert best[1] / best[0] < 2.5, best
 
 
 def test_payload_free_writes_leave_data_and_bss_words_zero(layout):

@@ -7,7 +7,10 @@ and the flat report.csv of the deepstack run were pinned before `report`
 read runs back through `MemoryLayout` and `MemorySpace`.  Only the
 deepstack generator (Python's `random.Random`) and the deterministic
 stream generator are pinned: hotspot and queue draw from numpy's
-`Generator`, whose streams may change across numpy versions.
+`Generator`, whose streams may change across numpy versions.  The
+4,106-page stream run pins replay on a memory of thousands of pages; its
+digests were taken while every period was still charged with a bincount
+over the whole of memory.
 """
 
 import hashlib
@@ -23,6 +26,9 @@ RUNS = {
     "stream_2page": ("--kind", "stream", "--writes", "20000", "--n", "1",
                      "--t", "1", "--text-pages", "0", "--data-pages", "2",
                      "--bss-pages", "0", "--stack-pages", "0"),
+    # 4,096 data pages; a remap on every sample, relocations every tick
+    "stream_bigmem": ("--kind", "stream", "--writes", "200000", "--n", "100",
+                      "--t", "1", "--data-pages", "4096"),
 }
 
 DIGESTS = {
@@ -43,6 +49,15 @@ DIGESTS = {
         "remap_log.csv": "bb667d9538d8481950aa8ad01542ec9c29d35402fff068819e5a3af709cc999d",
         "relocation_log.csv": "ed07ace64130edf8a261ea7a0dc7e701a634c3c3681fb451d9ab2bc4f16b1856",
         "estimates.csv": "2d307572521836897661396f8375f7b4ac4567b02ea0e1dfaa153abeef9d3e5e",
+    },
+    "stream_bigmem": {
+        "report.json": "2d68143ff58e3d8a2043b696e3d4d012f93bfda58f72c275125b0fc0050171d3",
+        "baseline_wear.csv": "44cd64ae87ac6f433ba0f0f8c0a870eb1a8c5c5256e2b8748d30c78003248bed",
+        "leveled_wear.csv": "60dd683e5a1ebf42d8904fc8cb6b6ee65a832cfb5b089dda5f1ac5772e2fd034",
+        "sample_log.csv": "7959e44b3212261a198110076eb40aa76bb07c52b06ac5e75937ca967b47b0b3",
+        "remap_log.csv": "1e7bc151353872294a3e1c8c68349fe2b8e89b7e0312759847f06019c94d2a15",
+        "relocation_log.csv": "5be48c8012f5cc5e39343efe3a0d1bb15dcdb512bc33ae8c5edd75867310c345",
+        "estimates.csv": "4fecbf0d52c63509fecc65cec804c22742d0c91f3522a416a4357680a762a898",
     },
 }
 

@@ -380,3 +380,15 @@ def test_zero_payload_is_the_same_event_as_none(layout):
     assert np.array_equal(ra.wear, rb.wear)
     assert np.array_equal(ra.space.words, rb.space.words)
     assert not ra.space.words.any()
+
+
+def test_repr_shows_segments_counts_and_first_events():
+    tr = parse_trace(HEADER + "W 0x100011000\nS 0x100020000\n"
+                     "W 0x100011040 0xbeef\nW 0x100011000\nW 0x100011080\n")
+    assert repr(tr) == (
+        "Trace(5 events, 4 writes: @segment stack 0x100010000 0x100020000; "
+        "W 0x100011000; S 0x100020000; W 0x100011040 0xbeef; "
+        "W 0x100011000; ...)")
+    empty = Trace.from_events(tr.layout, [])
+    assert repr(empty) == (
+        "Trace(0 events, 0 writes: @segment stack 0x100010000 0x100020000)")
