@@ -34,37 +34,40 @@ def parse_config_file(path) -> Dict:
     """Flat `key = value` file with SimConfig field names and types."""
     types = get_type_hints(engine.SimConfig)
     out: Dict = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            # an undecodable byte is a lone surrogate, which "replace" drops
-            if raw.encode("utf-8", "replace").decode("utf-8") != raw:
-                raise ConfigError("%s line %d: not UTF-8" % (path, line_no))
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError("%s line %d: expected key = value"
-                                  % (path, line_no))
-            key, _, value = map(str.strip, line.partition("="))
-            if key not in types:
-                raise ConfigError("%s line %d: unknown key %r"
-                                  % (path, line_no, key))
-            if types[key] is bool:
-                if value.lower() in ("true", "1", "yes", "on"):
-                    out[key] = True
-                elif value.lower() in ("false", "0", "no", "off"):
-                    out[key] = False
-                else:
-                    raise ConfigError("%s line %d: bad boolean %r"
-                                      % (path, line_no, value))
-            elif types[key] == Optional[int] and value.lower() == "none":
-                out[key] = None
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s line %d: not UTF-8" % (
+            path, data.count(b"\n", 0, exc.start) + 1)) from None
+    # only "\n" ends a line, as in trace files; a trailing "\r" is stripped
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError("%s line %d: expected key = value"
+                              % (path, line_no))
+        key, _, value = map(str.strip, line.partition("="))
+        if key not in types:
+            raise ConfigError("%s line %d: unknown key %r"
+                              % (path, line_no, key))
+        if types[key] is bool:
+            if value.lower() in ("true", "1", "yes", "on"):
+                out[key] = True
+            elif value.lower() in ("false", "0", "no", "off"):
+                out[key] = False
             else:
-                try:
-                    out[key] = int(value)
-                except ValueError:
-                    raise ConfigError("%s line %d: bad integer %r"
-                                      % (path, line_no, value)) from None
+                raise ConfigError("%s line %d: bad boolean %r"
+                                  % (path, line_no, value))
+        elif types[key] == Optional[int] and value.lower() == "none":
+            out[key] = None
+        else:
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise ConfigError("%s line %d: bad integer %r"
+                                  % (path, line_no, value)) from None
     return out
 
 
@@ -104,7 +107,7 @@ def _build_config(args, n: Optional[int], t: Optional[int]
         "enable_fine": args.fine,
         "pool_pages": args.pool_pages,
         "fixed_valid_stack": args.fixed_valid_stack,
-        "seed": args.seed if args.trace is None else args.sim_seed,
+        "seed": args.seed if args.trace is None else None,
     }
     for key, val in overrides.items():
         if val is not None:
@@ -244,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--writes", type=int, default=100000)
     p_run.add_argument("--seed", type=int, default=0,
                        help="generator seed (also the config seed)")
-    p_run.add_argument("--sim-seed", type=int, default=None)
     p_run.add_argument("--config", help="flat key = value config file")
     p_run.add_argument("--n", type=_int_list, default=None,
                        help="sampling interval (comma list with --sweep)")

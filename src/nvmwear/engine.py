@@ -7,12 +7,9 @@ one relocation step.  Leveler copy traffic goes straight to the wear map
 and is never sampled.  Remaps and relocations only happen between
 events, so writes are processed in whole sampling periods: within one
 period the page table and the stack shift are constant, which lets the
-period be translated as an array batch.
-
-Translated periods are charged in bulk, one bincount over all of memory
-per `_BASELINE_CHUNK` writes, not per period.  This is exact: wear is
-only ever added to, leveler copies add to it too and additions commute,
-and nothing in the loop reads it (coarse ages come from samples).
+period be translated as an array batch.  Each period is charged in
+place, at a cost that follows the period's length and not the memory's
+size.
 
 A replay is a pure function of (trace, config): identical inputs give
 identical wear maps, logs, and reports.
@@ -36,7 +33,7 @@ from .sampler import WriteSampler
 from .stack import StackState, relocate_step
 from .trace import MemoryLayout, Segment, Trace
 
-_BASELINE_CHUNK = 1 << 20
+_BASELINE_CHUNK = 1 << 20  # the period length with the levelers off
 
 
 @dataclass(frozen=True)
@@ -135,25 +132,18 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
     addrs_w = trace.addrs[is_write]
     values_w = trace.values[is_write]
     n_writes = len(addrs_w)
-    wear = space.wear
     words = space.words
 
     sample_log: List[Tuple[int, int]] = []
     remap_log: List[Tuple[int, int, int, int, int]] = []
     reloc_log: List[Tuple[int, int, int, int, int]] = []
-    pending: List[np.ndarray] = []  # translated periods not yet charged
-    charged = 0  # writes before this index are in `wear`
     for start in range(0, n_writes, chunk):
         end = min(start + chunk, n_writes)
         a = addrs_w[start:end]
         if fine:
             a = a - st.shift * ((a >= stack_seg.start) & (a < stack_seg.end))
         lines = space.line_index(a)
-        pending.append(lines)
-        if end - charged >= _BASELINE_CHUNK or end == n_writes:
-            wear += np.bincount(np.concatenate(pending) if len(pending) > 1
-                                else lines, minlength=space.n_lines)
-            pending, charged = [], end
+        np.add.at(space.wear, lines, 1)
 
         # the last write to a line in the period decides its word
         v = values_w[start:end]

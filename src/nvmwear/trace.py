@@ -291,6 +291,9 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
             raise TraceFormatError("%s %r is not 0x-prefixed hex" % (what, tok),
                                    line_no)
         try:
+            # int() would also take "_" separators and non-ASCII digits
+            if "_" in tok or not tok.isascii():
+                raise ValueError
             val = int(tok, 16)
         except ValueError:
             raise TraceFormatError("bad hex %s %r" % (what, tok), line_no)

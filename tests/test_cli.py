@@ -133,6 +133,17 @@ def test_config_file_round_trip(tmp_path):
         (out2 / "report.json").read_bytes()
 
 
+def test_config_lines_end_at_newline_only(tmp_path):
+    # a lone "\r" does not end a comment, as in trace files; CRLF still works
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes(b"# note\rsample_interval_n = 7\n")
+    assert parse_config_file(cfg) == {}
+    cfg.write_bytes(b"# note\r\nsample_interval_n = 7\r\n"
+                    b"enable_fine = off\r\n")
+    assert parse_config_file(cfg) == {"sample_interval_n": 7,
+                                      "enable_fine": False}
+
+
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("interval = 5\n")

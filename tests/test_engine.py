@@ -6,6 +6,7 @@ must produce identical wear maps, logs, totals, and sampler state.
 """
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -187,8 +188,8 @@ def test_last_write_in_a_period_decides_the_word(layout, payloads):
 @pytest.mark.parametrize("kind", KINDS)
 def test_wear_is_exact_across_flush_boundaries(kind, coarse, fine, chunk,
                                                layout, monkeypatch):
-    # pending lines are charged every `chunk` of them: at a period end with
-    # levelers on, mid-trace with them off, and once after the last period
+    # `_BASELINE_CHUNK` is the period length with the levelers off; each
+    # period, of either length, is charged in place as it is translated
     monkeypatch.setattr(engine, "_BASELINE_CHUNK", chunk)
     trace = gen_workload(kind, 2000, layout, seed=8)
     cfg = SimConfig(sample_interval_n=10, remap_threshold_t=2,
@@ -198,7 +199,7 @@ def test_wear_is_exact_across_flush_boundaries(kind, coarse, fine, chunk,
 
 def test_replay_time_does_not_grow_with_memory_size():
     # the same hotspot writes on 18 pages and on 5,248: each period is
-    # charged in bulk, so cost follows writes and ticks, not memory size
+    # charged in place, so cost follows writes and ticks, not memory size
     cfg = SimConfig(sample_interval_n=10)
     traces = [gen_workload("hotspot", 20000, lay, seed=1)
               for lay in (make_layout(), make_layout(64, 4096, 1024, 64))]
@@ -209,6 +210,19 @@ def test_replay_time_does_not_grow_with_memory_size():
             replay(trace, cfg)
             best[i] = min(best[i], time.perf_counter() - t0)
     assert best[1] / best[0] < 2.5, best
+
+
+def test_replay_holds_no_copy_of_the_translated_trace(layout):
+    # translated lines are charged period by period, never gathered up
+    trace = gen_workload("stream", 300000, layout, seed=3)
+    cfg = SimConfig(sample_interval_n=1000, enable_fine=False)
+    tracemalloc.start()
+    try:
+        replay(trace, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (trace.addrs.nbytes + trace.values.nbytes), peak
 
 
 def test_payload_free_writes_leave_data_and_bss_words_zero(layout):

@@ -64,6 +64,11 @@ def test_parse_requires_hex_prefix():
         parse_trace(HEADER + "W 4295040000\n")
     with pytest.raises(TraceFormatError, match="line 2: bad hex"):
         parse_trace(HEADER + "W 0xzz\n")
+    for tok in ("0x1_0001_1000", "0x10001100\u0661"):
+        with pytest.raises(TraceFormatError, match="line 2: bad hex address"):
+            parse_trace(HEADER + "W %s\n" % tok)
+    with pytest.raises(TraceFormatError, match="line 2: bad hex value"):
+        parse_trace(HEADER + "W 0x100011000 0x_5\n")
 
 
 def test_parse_value_width_checked():
