@@ -116,7 +116,7 @@ def _build_config(args, n: Optional[int], t: Optional[int]
 
 
 def _report_csv_bytes(doc: Dict) -> bytes:
-    rows = ["section,key,value"]
+    rows: List[str] = []
 
     def flatten(section, obj):
         for key, val in obj.items():
@@ -127,7 +127,7 @@ def _report_csv_bytes(doc: Dict) -> bytes:
 
     for section in ("config", "totals", "metrics", "per_segment"):
         flatten(section, doc[section])
-    return "\n".join([*rows, ""]).encode("utf-8")
+    return metrics.csv_bytes("section,key,value", rows)
 
 
 def _run_one(trace: Trace, config: engine.SimConfig,
@@ -211,9 +211,9 @@ def cmd_report(args) -> int:
     for name, lines in regions:
         counts = space.wear[lines]
         if args.bins == "log2":
-            rows = ["bin,lines"] + ["%d,%d" % bin_lines for bin_lines
-                                    in metrics.log2_bins(counts).items()]
-            payload = "\n".join([*rows, ""]).encode("utf-8")
+            payload = metrics.csv_bytes(
+                "bin,lines", ("%d,%d" % bin_lines for bin_lines
+                              in metrics.log2_bins(counts).items()))
             path = out_dir / ("%s_log2.csv" % name)
         else:
             payload = metrics.export_histogram(space.base_line + lines,

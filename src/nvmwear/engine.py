@@ -26,9 +26,9 @@ import numpy as np
 from .coarse import CoarseWearLeveler
 from .errors import ConfigError, SimulationError
 from .memspace import MemorySpace
-from .metrics import (MetricsReport, achieved_endurance, endurance_improvement,
-                      lifetime_improvement, normalized_endurance,
-                      write_overhead)
+from .metrics import (MetricsReport, achieved_endurance, csv_bytes,
+                      endurance_improvement, lifetime_improvement,
+                      normalized_endurance, write_overhead)
 from .sampler import WriteSampler
 from .stack import StackState, relocate_step
 from .trace import MemoryLayout, Segment, Trace
@@ -270,27 +270,25 @@ def report_layout(path) -> MemoryLayout:
         raise SimulationError("%s: bad layout: %r" % (path, exc)) from None
 
 
-def _csv(header: str, rows) -> bytes:
-    """A header line and one line per row, each ending in a newline."""
-    return "\n".join([header, *rows, ""]).encode("utf-8")
-
-
 def sample_log_csv(result: RunResult) -> bytes:
     fbase = result.space.base_frame
-    return _csv("event_index,frame",
-                ("%d,%d" % (idx, fbase + f) for idx, f in result.sample_log))
+    return csv_bytes(
+        "event_index,frame",
+        ("%d,%d" % (idx, fbase + f) for idx, f in result.sample_log))
 
 
 def remap_log_csv(result: RunResult) -> bytes:
     fbase = result.space.base_frame
-    return _csv("event_index,hot_page_hex,cold_page_hex,hot_frame,cold_frame",
-                ("%d,0x%x,0x%x,%d,%d" % (idx, hp, cp, fbase + hf, fbase + cf)
-                 for idx, hp, cp, hf, cf in result.remap_log))
+    return csv_bytes(
+        "event_index,hot_page_hex,cold_page_hex,hot_frame,cold_frame",
+        ("%d,0x%x,0x%x,%d,%d" % (idx, hp, cp, fbase + hf, fbase + cf)
+         for idx, hp, cp, hf, cf in result.remap_log))
 
 
 def relocation_log_csv(result: RunResult) -> bytes:
-    return _csv("event_index,shift_delta,valid_bytes,copied_lines,wrapped",
-                ("%d,%d,%d,%d,%d" % row for row in result.reloc_log))
+    return csv_bytes(
+        "event_index,shift_delta,valid_bytes,copied_lines,wrapped",
+        ("%d,%d,%d,%d,%d" % row for row in result.reloc_log))
 
 
 def estimates_csv(result: RunResult) -> bytes:
@@ -298,4 +296,4 @@ def estimates_csv(result: RunResult) -> bytes:
     est, fbase = result.sampler.estimates, result.space.base_frame
     rows = ["%d,%d" % (fbase + f, est[f]) for f in np.flatnonzero(est)]
     rows.append("#samples,%d" % result.sampler.samples_taken)
-    return _csv("frame,estimate", rows)
+    return csv_bytes("frame,estimate", rows)

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SimulationError, UnmappedPageError
+from .metrics import csv_bytes
 from .trace import MemoryLayout
 
 _WEAR_HEADER = "line_index,physical_address_hex,count"
@@ -160,13 +161,13 @@ class MemorySpace:
 
     def wear_csv_bytes(self) -> bytes:
         """CSV rows line_index,physical_address_hex,count with a sum trailer."""
-        out = [_WEAR_HEADER]
+        rows = []
         for i in np.flatnonzero(self.wear):
             idx = self.base_line + int(i)
-            out.append("%d,0x%x,%d" % (idx, idx * self.line_size,
-                                       int(self.wear[i])))
-        out += ["#total,%d" % self.total_wear(), ""]
-        return "\n".join(out).encode("utf-8")
+            rows.append("%d,0x%x,%d" % (idx, idx * self.line_size,
+                                        int(self.wear[i])))
+        rows.append("#total,%d" % self.total_wear())
+        return csv_bytes(_WEAR_HEADER, rows)
 
     def load_wear_csv(self, path):
         """Replace the wear map with one `wear_csv_bytes` wrote to path.

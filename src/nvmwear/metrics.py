@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -66,18 +66,21 @@ class MetricsReport:
 
 
 # ----------------------------------------------------------------------
-# histogram export
+# CSV export
+
+def csv_bytes(header: str, rows: Iterable[str]) -> bytes:
+    """A header line and one line per row, each ending in a newline."""
+    return "\n".join([header, *rows, ""]).encode("utf-8")
+
 
 def export_histogram(lines: np.ndarray, counts: np.ndarray) -> bytes:
     """Serialize per-line counts as CSV: one row per line index, in order.
 
     Header, a row per (line, count) pair, '#total' trailer.
     """
-    out = ["line_index,count"]
-    out.extend("%d,%d" % row for row in zip(lines.tolist(), counts.tolist()))
-    out.append("#total,%d" % counts.sum())
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+    rows = ["%d,%d" % row for row in zip(lines.tolist(), counts.tolist())]
+    rows.append("#total,%d" % counts.sum())
+    return csv_bytes("line_index,count", rows)
 
 
 def log2_bins(counts) -> Dict[int, int]:

@@ -25,6 +25,7 @@ segment.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -276,15 +277,14 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
     # only "\n" ends a line: str.splitlines would also split a comment at
     # a form feed or U+2028; a trailing "\r" is stripped as whitespace
     lines = data.split("\n")
-    del data  # free the decoded text before the per-line lists grow
+    del data  # free the decoded text before the event columns grow
     if lines[-1] == "":  # the newline that ends the last line
         lines.pop()
 
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None
-    kinds: List[int] = []
-    addrs: List[int] = []
-    values: List[int] = []
+    # typed columns the Trace takes as arrays without a copy
+    kinds, addrs, values = array("B"), array("q"), array("Q")
 
     def parse_hex(tok: str, line_no: int, what: str, bits: int = 64) -> int:
         if not tok.lower().startswith("0x"):
@@ -367,10 +367,6 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
 
     if layout is None:
         layout = finish_header(len(lines) + 1)
-    # free each list as it becomes an array, before the Trace validates
-    kinds = np.array(kinds, dtype=np.uint8)
-    addrs = np.array(addrs, dtype=np.int64)
-    values = np.array(values, dtype=np.uint64)
     return build()
 
 
@@ -381,7 +377,9 @@ def emit_trace(trace: Trace) -> bytes:
     out: List[str] = []
     for seg in trace.layout.segments:
         out.append("@segment %s 0x%x 0x%x" % (seg.name, seg.start, seg.end))
-    for k, a, v in zip(trace.kinds, trace.addrs, trace.values):
+    # memoryviews yield plain ints, which format faster than numpy scalars
+    columns = (trace.kinds, trace.addrs, trace.values)
+    for k, a, v in zip(*map(memoryview, columns)):
         if k == _KIND_WRITE:
             if v:
                 out.append("W 0x%x 0x%x" % (a, v))
@@ -548,63 +546,47 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     max_depth = stack.size // 2  # keeps relocation headroom at replay time
     frame_sizes = (64, 128, 192, 256)
 
-    kinds: List[int] = []
-    addrs: List[int] = []
-    values: List[int] = []
+    kinds, addrs, values = array("B"), array("q"), array("Q")
     sp = top
     frames: List[int] = []
     writes = 0
-
-    def payload() -> int:
-        # an occasional payload is a pointer into the current valid stack
-        if sp < top and rng.random() < 0.02:
-            return sp + 8 * rng.randrange((top - sp) // 8)
-        return rng.getrandbits(32)
-
-    def emit_write(addr: int):
-        nonlocal writes
-        kinds.append(_KIND_WRITE)
-        addrs.append(addr)
-        values.append(payload())
-        writes += 1
-
-    def emit_sp(val: int):
-        kinds.append(_KIND_SP)
-        addrs.append(val)
-        values.append(0)
-
     while writes < total:
         depth = top - sp
         r = rng.random()
         shallow = depth < stack.size // 8
         p_call = 0.45 if shallow else 0.20
         p_ret = 0.20 if shallow else 0.45
+        written = ()
         if frames and r < p_ret:
             sp += frames.pop()
-            emit_sp(sp)
         elif (not frames) or r < p_ret + p_call:
             size = rng.choice(frame_sizes)
             if depth + size > max_depth:
                 sp += frames.pop()
-                emit_sp(sp)
-                continue
-            sp -= size
-            frames.append(size)
-            emit_sp(sp)
-            for off in range(0, size, LINE_SIZE):
-                if writes >= total:
-                    break
-                emit_write(sp + off)
+            else:
+                sp -= size
+                frames.append(size)
+                # a call writes its new frame, up to the total
+                n = min(size // LINE_SIZE, total - writes)
+                written = range(sp, sp + n * LINE_SIZE, LINE_SIZE)
         else:
             # rewrite a line of the newest frame; keeps the top hot
             size = frames[-1]
-            off = LINE_SIZE * rng.randrange(size // LINE_SIZE)
-            emit_write(sp + off)
-
-    # free each list as it becomes an array, before the Trace validates
-    kinds = np.array(kinds, dtype=np.uint8)
-    addrs = np.array(addrs, dtype=np.int64)
-    values = np.array(values, dtype=np.uint64)
+            written = (sp + LINE_SIZE * rng.randrange(size // LINE_SIZE),)
+        if top - sp != depth:  # a call or a return moved sp
+            kinds.append(_KIND_SP)
+            addrs.append(sp)
+            values.append(0)
+        for addr in written:
+            # an occasional payload is a pointer into the current valid stack
+            if sp < top and rng.random() < 0.02:
+                value = sp + 8 * rng.randrange((top - sp) // 8)
+            else:
+                value = rng.getrandbits(32)
+            kinds.append(_KIND_WRITE)
+            addrs.append(addr)
+            values.append(value)
+        writes += len(written)
     return Trace(layout, kinds, addrs, values)
 
 

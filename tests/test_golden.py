@@ -10,7 +10,9 @@ stream generator are pinned: hotspot and queue draw from numpy's
 `Generator`, whose streams may change across numpy versions.  The
 4,106-page stream run pins replay on a memory of thousands of pages; its
 digests were taken while every period was still charged with a bincount
-over the whole of memory.
+over the whole of memory.  Payload words reach no run artifact, so the
+deepstack trace that `gen` writes is pinned as well; its digest was taken
+while the generator still collected its events in Python lists.
 """
 
 import hashlib
@@ -61,6 +63,10 @@ DIGESTS = {
     },
 }
 
+# `gen` of the deepstack run's trace, payload words included
+GEN_DEEPSTACK = \
+    "e2e61db031786ef45320ebfd676585a2305e60625a79414db70ccf96b4e558b8"
+
 REPORT_CSV = "f30bb0eb357d24ad572b0c7a04f26e98cbb0451bdde800cece4bff287cc65ba5"
 
 # `report` flags -> digest of every file it writes for the deepstack run
@@ -99,3 +105,10 @@ def test_report_outputs_match_pinned_digests(tmp_path, capsys):
         assert main(["report", "--run", str(run_dir), *flags,
                      "--out", str(out)]) == 0
         assert {p.name: sha256(p) for p in out.iterdir()} == digests
+
+
+def test_generated_deepstack_trace_matches_pinned_digest(tmp_path, capsys):
+    out = tmp_path / "deepstack.trace"
+    assert main(["gen", "--kind", "deepstack", "--writes", "20000",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert sha256(out) == GEN_DEEPSTACK

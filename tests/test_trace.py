@@ -1,5 +1,7 @@
 """Trace model, file format, generators, and the aggregation oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,25 @@ def test_round_trip_generated(kind, layout):
     tr = gen_workload(kind, 2000, layout, 42)
     assert parse_trace(emit_trace(tr)) == tr
     assert parse_trace(emit_trace(tr).replace(b"\n", b"\r\n")) == tr
+
+
+@pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack"])
+def test_parse_holds_no_python_object_per_event(kind, layout):
+    """Beyond splitting the text into lines, parsing needs about the
+    final arrays' memory: an int object per field would take 2-3x."""
+    data = emit_trace(gen_workload(kind, 100_000, layout, 1))
+    tracemalloc.start()
+    try:
+        lines = data.decode().split("\n")
+        split_peak = tracemalloc.get_traced_memory()[1]
+        del lines
+        tracemalloc.reset_peak()
+        tr = parse_trace(data)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = tr.kinds.nbytes + tr.addrs.nbytes + tr.values.nbytes
+    assert parse_peak - split_peak < 2 * final
 
 
 @pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack", "queue"])
