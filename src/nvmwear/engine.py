@@ -33,7 +33,9 @@ from .sampler import WriteSampler
 from .stack import StackState, relocate_step
 from .trace import MemoryLayout, Segment, Trace
 
-_BASELINE_CHUNK = 1 << 20  # the period length with the levelers off
+# the period length with the levelers off; translating a period makes
+# several temporaries of its length, so a shorter one keeps them small
+_BASELINE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ segment.
 
 from __future__ import annotations
 
+import io
 import random
 from array import array
 from dataclasses import dataclass
@@ -265,26 +266,19 @@ class Trace:
 def parse_trace(data: Union[bytes, str]) -> Trace:
     """Parse trace text into a Trace; errors carry the 1-based line number.
 
-    Only the record grammar is checked per line; the event rules are the
-    `Trace` constructor's, and a failing event's line is looked up after.
+    One pass reads the UTF-8 bytes line by line (a `str` is read as its
+    UTF-8 encoding).  Each line checks only the record grammar; each event
+    keeps its line for the `Trace` constructor's event rules.  An error
+    names the first bad line, a line that is not UTF-8 included.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = data.count(b"\n", 0, exc.start) + 1
-            raise TraceFormatError("not UTF-8 text", line_no) from None
-    # only "\n" ends a line: str.splitlines would also split a comment at
-    # a form feed or U+2028; a trailing "\r" is stripped as whitespace
-    lines = data.split("\n")
-    del data  # free the decoded text before the event columns grow
-    if lines[-1] == "":  # the newline that ends the last line
-        lines.pop()
-
+    if isinstance(data, str):
+        # a lone surrogate is kept, and then fails to decode at its line
+        data = data.encode("utf-8", "surrogatepass")
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None
-    # typed columns the Trace takes as arrays without a copy
-    kinds, addrs, values = array("B"), array("q"), array("Q")
+    # typed columns the Trace takes as arrays without a copy, and each
+    # event's line number, 64 bits wide so no file can overflow it
+    kinds, addrs, values, event_lines = map(array, "BqQQ")
 
     def parse_hex(tok: str, line_no: int, what: str, bits: int = 64) -> int:
         if not tok.lower().startswith("0x"):
@@ -313,19 +307,19 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
         try:
             return Trace(layout, kinds, addrs, values)
         except TraceFormatError as exc:
-            events = -1
-            for line_no, raw in enumerate(lines, start=1):
-                toks = raw.split()
-                if toks and not toks[0].startswith("#") \
-                        and toks[0] != "@segment":
-                    events += 1
-                    if events == exc.event_index:
-                        raise TraceFormatError(str(exc), line_no) from None
-            raise
+            if exc.event_index is None:
+                raise
+            raise TraceFormatError(str(exc), event_lines[exc.event_index]) \
+                from None
 
+    line_no = 0
     try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
+        # bytes split at b"\n" alone; a trailing "\r" is stripped below
+        for line_no, raw in enumerate(io.BytesIO(data), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise TraceFormatError("not UTF-8 text", line_no) from None
             if not line or line.startswith("#"):
                 continue
             toks = line.split()
@@ -360,35 +354,40 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
             kinds.append(kind)
             addrs.append(addr)
             values.append(value)
+            event_lines.append(line_no)
     except TraceFormatError:
         if layout is not None:
             build()  # an invalid event on an earlier line is reported first
         raise
 
     if layout is None:
-        layout = finish_header(len(lines) + 1)
+        layout = finish_header(line_no + 1)
     return build()
+
+
+_EMIT_CHUNK = 1 << 16  # records held as Python strings at once by emit
 
 
 def emit_trace(trace: Trace) -> bytes:
     """Serialize a trace; emit/parse round-trips to an equal trace.
 
     A write's value is written only when it is nonzero."""
-    out: List[str] = []
-    for seg in trace.layout.segments:
-        out.append("@segment %s 0x%x 0x%x" % (seg.name, seg.start, seg.end))
+    parts = ["".join("@segment %s 0x%x 0x%x\n" % (seg.name, seg.start, seg.end)
+                     for seg in trace.layout.segments).encode()]
     # memoryviews yield plain ints, which format faster than numpy scalars
-    columns = (trace.kinds, trace.addrs, trace.values)
-    for k, a, v in zip(*map(memoryview, columns)):
-        if k == _KIND_WRITE:
-            if v:
-                out.append("W 0x%x 0x%x" % (a, v))
+    columns = [memoryview(c) for c in (trace.kinds, trace.addrs, trace.values)]
+    for start in range(0, trace.n_events, _EMIT_CHUNK):
+        out: List[str] = []
+        for k, a, v in zip(*(c[start:start + _EMIT_CHUNK] for c in columns)):
+            if k == _KIND_WRITE:
+                if v:
+                    out.append("W 0x%x 0x%x\n" % (a, v))
+                else:
+                    out.append("W 0x%x\n" % a)
             else:
-                out.append("W 0x%x" % a)
-        else:
-            out.append("S 0x%x" % a)
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+                out.append("S 0x%x\n" % a)
+        parts.append("".join(out).encode())
+    return b"".join(parts)
 
 
 def load_trace(path) -> Trace:

@@ -112,3 +112,15 @@ def test_generated_deepstack_trace_matches_pinned_digest(tmp_path, capsys):
     assert main(["gen", "--kind", "deepstack", "--writes", "20000",
                  "--seed", "3", "--out", str(out)]) == 0
     assert sha256(out) == GEN_DEEPSTACK
+
+
+def test_trace_round_trip_matches_the_deepstack_digests(tmp_path, capsys):
+    # report.json names the trace file, so only it may differ
+    trace = tmp_path / "deepstack.trace"
+    assert main(["gen", *RUNS["deepstack"][:6], "--out", str(trace)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--trace", str(trace), *RUNS["deepstack"][6:],
+                 "--out", str(out)]) == 0
+    want = {name: digest for name, digest in DIGESTS["deepstack"].items()
+            if name != "report.json"}
+    assert {name: sha256(out / name) for name in want} == want

@@ -56,6 +56,35 @@ def test_parse_reports_the_first_invalid_line():
         parse_trace(HEADER + "W 0x8000000000000000\n")
 
 
+def test_parse_reports_the_first_bad_line_before_a_bad_byte():
+    # a byte that is not UTF-8 on line 4 is no error until line 4
+    tail = b"# ok\n\xff\n"
+    with pytest.raises(TraceFormatError, match="^line 2: unaligned write"):
+        parse_trace(HEADER.encode() + b"W 0x100011001\n" + tail)
+    with pytest.raises(TraceFormatError, match="^line 2: .*0x-prefixed"):
+        parse_trace(HEADER.encode() + b"W zz\n" + tail)
+    with pytest.raises(TraceFormatError, match="^line 4: not UTF-8 text$"):
+        parse_trace(HEADER.encode() + b"W 0x100011000\n" + tail)
+
+
+def test_parse_reads_a_str_as_its_utf8_bytes():
+    # a lone surrogate has no UTF-8 form, like a bad byte in a file
+    with pytest.raises(TraceFormatError, match="^line 2: not UTF-8 text$"):
+        parse_trace(HEADER + "# \ud800\nW 0x100011000\n")
+
+
+def test_parse_reraises_a_constructor_error_without_an_event(monkeypatch):
+    # only an error that names an event is given that event's line
+    def fail(self):
+        raise TraceFormatError("event arrays disagree in length")
+
+    monkeypatch.setattr(Trace, "validate", fail)
+    with pytest.raises(TraceFormatError,
+                       match="^event arrays disagree in length$") as exc:
+        parse_trace(HEADER + "W 0x100011000\n")
+    assert exc.value.line_no is None and exc.value.event_index is None
+
+
 def test_parse_address_outside_segments():
     with pytest.raises(TraceFormatError, match="outside"):
         parse_trace(HEADER + "W 0x200000000\n")
@@ -166,6 +195,34 @@ def test_parse_holds_no_python_object_per_event(kind, layout):
         tracemalloc.stop()
     final = tr.kinds.nbytes + tr.addrs.nbytes + tr.values.nbytes
     assert parse_peak - split_peak < 2 * final
+
+
+@pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack"])
+def test_parse_peak_stays_near_the_final_arrays(kind, layout):
+    """Parsing reads one line at a time, so its whole peak, with nothing
+    set aside for a list of lines, stays under 3x the final arrays."""
+    data = emit_trace(gen_workload(kind, 50_000, layout, 1))
+    tracemalloc.start()
+    try:
+        tr = parse_trace(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (tr.kinds.nbytes + tr.addrs.nbytes + tr.values.nbytes)
+
+
+@pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack"])
+def test_emit_peak_stays_near_the_output(kind, layout):
+    """Emitting formats a chunk of events at a time: a string per event
+    for the whole trace would take 5-7x the output."""
+    tr = gen_workload(kind, 200_000, layout, 1)
+    tracemalloc.start()
+    try:
+        data = emit_trace(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(data)
 
 
 @pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack", "queue"])
