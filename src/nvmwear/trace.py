@@ -263,22 +263,103 @@ class Trace:
 # ----------------------------------------------------------------------
 # file format
 
+_PARSE_CHUNK = 1 << 16  # bytes tokenized at once; bounds the temporaries
+
+# each byte's hex digit value, or 16 for a byte that is not a hex digit
+_NIBBLE = bytes(int(chr(c), 16) if chr(c) in "0123456789abcdefABCDEF" else 16
+                for c in range(256))
+
+
+def _hex_field(nibbles: np.ndarray, ends: np.ndarray,
+               n_digits: np.ndarray) -> np.ndarray:
+    """The numbers whose `n_digits` (1-16) hex digits end before `ends`."""
+    out = np.zeros(len(ends), np.uint64)
+    last = ends - 1
+    for k in range(int(n_digits.max(initial=0))):  # one pass per place
+        digit = np.take(nibbles, last - k, mode="clip")
+        out |= np.where(k < n_digits, digit, 0).astype(np.uint64) << 4 * k
+    return out
+
+
+def _tokenize_chunk(chunk: bytes) -> Optional[Tuple[np.ndarray, ...]]:
+    """Kinds, addresses and values of a chunk of canonical event lines.
+
+    A canonical line is one `emit_trace` writes: `W` or `S`, a space and
+    a 0x-prefixed address below 2^63, then for a write optionally a space
+    and a 0x-prefixed value, then a line feed; each number has 1-16 hex
+    digits.  Returns None if any line of the chunk is not canonical, and
+    the caller then reads the chunk line by line.
+    """
+    if not chunk.endswith(b"\n"):
+        return None
+    b = np.frombuffer(chunk, np.uint8)
+    # a canonical line has two delimiters (a space, then the line feed),
+    # or three when a space also ends its address
+    delims = np.flatnonzero((b == ord(" ")) | (b == ord("\n")))
+    last = np.flatnonzero(b[delims] == ord("\n"))
+    n_delims = np.diff(last, prepend=-1)
+    if not np.all((n_delims == 2) | (n_delims == 3)):
+        return None
+    ends = delims[last]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    mid = delims[last - n_delims + 2]  # ends the address
+    two = n_delims == 3  # the line has a value
+    sep = mid[two]  # the space before each value
+    addr_digits = mid - starts - 4
+    value_digits = ends[two] - sep - 3
+    if not (np.all((addr_digits >= 1) & (addr_digits <= 16))
+            and np.all((value_digits >= 1) & (value_digits <= 16))):
+        return None
+    tags = b[starts]
+    if not (np.all((tags == ord("W")) | ((tags == ord("S")) & ~two))
+            and np.all(b[starts + 1] == ord(" "))
+            and np.all(b[starts + 2] == ord("0"))
+            and np.all(b[starts + 3] == ord("x"))
+            and np.all(b[sep + 1] == ord("0"))
+            and np.all(b[sep + 2] == ord("x"))):
+        return None
+    # the tag, spaces, x's and line feed, checked above, are the only
+    # bytes allowed that are not hex digits
+    nibbles = np.frombuffer(chunk.translate(_NIBBLE), np.uint8)
+    not_hex = 4 * len(ends) + 2 * len(value_digits)
+    if np.count_nonzero(nibbles == 16) != not_hex:
+        return None
+    addrs = _hex_field(nibbles, mid, addr_digits).view(np.int64)
+    if np.any(addrs < 0):  # at or above 2^63
+        return None
+    values = np.zeros(len(ends), np.uint64)
+    values[two] = _hex_field(nibbles, ends[two], value_digits)
+    kinds = np.where(tags == ord("S"), _KIND_SP, _KIND_WRITE)
+    return kinds, addrs, values
+
+
 def parse_trace(data: Union[bytes, str]) -> Trace:
     """Parse trace text into a Trace; errors carry the 1-based line number.
 
-    One pass reads the UTF-8 bytes line by line (a `str` is read as its
-    UTF-8 encoding).  Each line checks only the record grammar; each event
-    keeps its line for the `Trace` constructor's event rules.  An error
-    names the first bad line, a line that is not UTF-8 included.
+    Canonical event lines (see `_tokenize_chunk`) are tokenized with numpy
+    a chunk of bytes at a time.  Every other chunk, and the header up to
+    its first event line, is read line by line over the UTF-8 bytes (a
+    `str` is read as its UTF-8 encoding).  That loop checks the record
+    grammar and words every grammar error; each event keeps its line for
+    the `Trace` constructor's event rules.  An error names the first bad
+    line, a line that is not UTF-8 included.
     """
     if isinstance(data, str):
         # a lone surrogate is kept, and then fails to decode at its line
         data = data.encode("utf-8", "surrogatepass")
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None
-    # typed columns the Trace takes as arrays without a copy, and each
-    # event's line number, 64 bits wide so no file can overflow it
-    kinds, addrs, values, event_lines = map(array, "BqQQ")
+    # columns for at most one event a line, which the Trace takes as
+    # slices without a copy, and each event's line number, 64 bits wide
+    # so no file can overflow it
+    cap = data.count(b"\n") + 1
+    kinds, addrs, values, event_lines = (
+        np.empty(cap, dtype) for dtype in (np.uint8, np.int64, np.uint64,
+                                           np.int64))
+    # the line loop stores through memoryviews, which take plain ints fast
+    k_col, a_col, v_col, l_col = map(memoryview, (kinds, addrs, values,
+                                                  event_lines))
+    n = 0  # events stored
 
     def parse_hex(tok: str, line_no: int, what: str, bits: int = 64) -> int:
         if not tok.lower().startswith("0x"):
@@ -305,56 +386,73 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
     def build() -> Trace:
         """A Trace of the events so far, naming a bad event by its line."""
         try:
-            return Trace(layout, kinds, addrs, values)
+            return Trace(layout, kinds[:n], addrs[:n], values[:n])
         except TraceFormatError as exc:
             if exc.event_index is None:
                 raise
-            raise TraceFormatError(str(exc), event_lines[exc.event_index]) \
-                from None
+            raise TraceFormatError(
+                str(exc), int(event_lines[exc.event_index])) from None
 
-    line_no = 0
+    pos = line_no = 0
     try:
-        # bytes split at b"\n" alone; a trailing "\r" is stripped below
-        for line_no, raw in enumerate(io.BytesIO(data), start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise TraceFormatError("not UTF-8 text", line_no) from None
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            tag = toks[0]
-            if tag == "@segment":
-                if layout is not None:
-                    raise TraceFormatError(
-                        "@segment after the first event line", line_no)
-                if len(toks) != 4:
-                    raise TraceFormatError("malformed @segment record",
-                                           line_no)
-                start = parse_hex(toks[2], line_no, "segment start")
-                end = parse_hex(toks[3], line_no, "segment end")
-                segments.append(Segment(toks[1], start, end))
-                continue
-            if layout is None:
-                layout = finish_header(line_no)
-            # addresses fit 63 bits because a Trace holds them as int64
-            if tag == "W" and len(toks) in (2, 3):
-                kind = _KIND_WRITE
-                addr = parse_hex(toks[1], line_no, "address", 63)
-                value = parse_hex(toks[2], line_no, "value") \
-                    if len(toks) == 3 else 0
-            elif tag == "S" and len(toks) == 2:
-                kind = _KIND_SP
-                addr = parse_hex(toks[1], line_no, "stack pointer", 63)
-                value = 0
-            elif tag in ("W", "S"):
-                raise TraceFormatError("malformed %s record" % tag, line_no)
+        while pos < len(data):
+            if layout is None:  # the header, up to its first event line
+                stop = data.find(b"\n", pos) + 1 or len(data)
+                chunk = None
             else:
-                raise TraceFormatError("unrecognized record %r" % tag, line_no)
-            kinds.append(kind)
-            addrs.append(addr)
-            values.append(value)
-            event_lines.append(line_no)
+                # cut at the chunk's last line feed, or past one long line
+                stop = (data.rfind(b"\n", pos, pos + _PARSE_CHUNK) + 1
+                        or data.find(b"\n", pos) + 1 or len(data))
+                chunk = _tokenize_chunk(data[pos:stop])
+            if chunk is not None:
+                k = len(chunk[0])
+                kinds[n:n + k], addrs[n:n + k], values[n:n + k] = chunk
+                event_lines[n:n + k] = np.arange(line_no + 1, line_no + k + 1)
+                n, line_no, pos = n + k, line_no + k, stop
+                continue
+            # bytes split at b"\n" alone; a trailing "\r" is stripped below
+            lines, pos = io.BytesIO(data[pos:stop]), stop
+            for line_no, raw in enumerate(lines, start=line_no + 1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    raise TraceFormatError("not UTF-8 text", line_no) from None
+                if not line or line.startswith("#"):
+                    continue
+                toks = line.split()
+                tag = toks[0]
+                if tag == "@segment":
+                    if layout is not None:
+                        raise TraceFormatError(
+                            "@segment after the first event line", line_no)
+                    if len(toks) != 4:
+                        raise TraceFormatError("malformed @segment record",
+                                               line_no)
+                    start = parse_hex(toks[2], line_no, "segment start")
+                    end = parse_hex(toks[3], line_no, "segment end")
+                    segments.append(Segment(toks[1], start, end))
+                    continue
+                if layout is None:
+                    layout = finish_header(line_no)
+                # addresses fit 63 bits because a Trace holds them as int64
+                if tag == "W" and len(toks) in (2, 3):
+                    kind = _KIND_WRITE
+                    addr = parse_hex(toks[1], line_no, "address", 63)
+                    value = parse_hex(toks[2], line_no, "value") \
+                        if len(toks) == 3 else 0
+                elif tag == "S" and len(toks) == 2:
+                    kind = _KIND_SP
+                    addr = parse_hex(toks[1], line_no, "stack pointer", 63)
+                    value = 0
+                elif tag in ("W", "S"):
+                    raise TraceFormatError("malformed %s record" % tag,
+                                           line_no)
+                else:
+                    raise TraceFormatError("unrecognized record %r" % tag,
+                                           line_no)
+                k_col[n], a_col[n], v_col[n], l_col[n] = \
+                    kind, addr, value, line_no
+                n += 1
     except TraceFormatError:
         if layout is not None:
             build()  # an invalid event on an earlier line is reported first

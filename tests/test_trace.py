@@ -1,5 +1,6 @@
 """Trace model, file format, generators, and the aggregation oracle."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,14 @@ from nvmwear import (
     make_layout,
     replay,
 )
+import nvmwear.trace as trace_module
 from nvmwear.errors import GeneratorError, LayoutError, TraceFormatError
-from nvmwear.trace import aggregate_linecounts, emit_trace, parse_trace
+from nvmwear.trace import (
+    WORKLOADS,
+    aggregate_linecounts,
+    emit_trace,
+    parse_trace,
+)
 
 HEADER = "@segment stack 0x100010000 0x100020000\n"
 
@@ -178,23 +185,116 @@ def test_round_trip_generated(kind, layout):
     assert parse_trace(emit_trace(tr).replace(b"\n", b"\r\n")) == tr
 
 
-@pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack"])
-def test_parse_holds_no_python_object_per_event(kind, layout):
-    """Beyond splitting the text into lines, parsing needs about the
-    final arrays' memory: an int object per field would take 2-3x."""
-    data = emit_trace(gen_workload(kind, 100_000, layout, 1))
-    tracemalloc.start()
-    try:
-        lines = data.decode().split("\n")
-        split_peak = tracemalloc.get_traced_memory()[1]
-        del lines
-        tracemalloc.reset_peak()
-        tr = parse_trace(data)
-        parse_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    final = tr.kinds.nbytes + tr.addrs.nbytes + tr.values.nbytes
-    assert parse_peak - split_peak < 2 * final
+@pytest.mark.parametrize("size", [1, 7, 64, 4096])
+def test_chunk_size_does_not_change_the_trace(monkeypatch, layout, size):
+    monkeypatch.setattr(trace_module, "_PARSE_CHUNK", size)
+    for kind in WORKLOADS:
+        tr = gen_workload(kind, 300, layout, 5)
+        assert parse_trace(emit_trace(tr)) == tr
+    # CRLF lines, which only the line loop reads, between LF chunks
+    tr = gen_workload("deepstack", 300, layout, 5)
+    data = emit_trace(tr)
+    a = data.index(b"\n", len(data) // 3) + 1
+    b = data.index(b"\n", 2 * len(data) // 3) + 1
+    assert parse_trace(data[:a] + data[a:b].replace(b"\n", b"\r\n")
+                       + data[b:]) == tr
+
+
+def test_errors_name_their_line_past_many_chunks(layout):
+    lines = emit_trace(gen_workload("stream", 100_000, layout, 0)).split(b"\n")
+    lines[70_000] = b"W 0x%x" % (int(lines[70_000][2:], 16) + 8)
+    with pytest.raises(TraceFormatError, match="^line 70001: unaligned write"):
+        parse_trace(b"\n".join(lines))
+    # a grammar error on a later line does not hide it
+    lines[90_000] = b"W zz"
+    with pytest.raises(TraceFormatError, match="^line 70001: unaligned write"):
+        parse_trace(b"\n".join(lines))
+
+
+def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
+    """Past the header's first event line, every line of `emit_trace`
+    output is tokenized in chunks, and no chunk is left to the line loop
+    (a count that pins the fast path where a timing test would flake)."""
+    tokenized = []
+    tokenize = trace_module._tokenize_chunk
+
+    def counting(chunk):
+        cols = tokenize(chunk)
+        tokenized.append(None if cols is None else len(cols[0]))
+        return cols
+
+    monkeypatch.setattr(trace_module, "_tokenize_chunk", counting)
+    for kind in WORKLOADS:
+        tokenized.clear()
+        tr = parse_trace(emit_trace(gen_workload(kind, 20_000, layout, 3)))
+        assert len(tokenized) > 1 and None not in tokenized
+        assert sum(tokenized) == tr.n_events - 1
+
+
+def _mutate(rng: random.Random, data: bytes, layout) -> bytes:
+    """`data` with a few edits, each of which the parser may reject."""
+    lines = data.split(b"\n")
+    events = range(len(layout.segments), len(lines) - 1)
+    for i in rng.sample(events, rng.randint(1, 3)):
+        line = lines[i]
+        tag, addr = line.split()[:2]
+        addr = int(addr, 16)
+        j = rng.randrange(len(line) + 1)
+        last = line.rfind(b"0x")  # the prefix of the last number
+        lines[i] = rng.choice((
+            line + b"\r",
+            line.replace(b" ", b"\t", 1),
+            rng.choice((b"", b"# note", b" ")) + b"\n" + line,
+            line.upper().replace(b"0X", b"0x"),  # uppercase digits
+            line.replace(b"0x", b"0X", 1),
+            line[:last] + b"1" + line[last + 1:],  # 1x
+            line[:last + 1] + line[last + 2:] + b"x",  # the x moved last
+            line[:last + 2],  # 0x without digits
+            b"%s10x%x %x" % (tag, addr, rng.randrange(16)),  # no tag space
+            b"%s 0x%x%016x" % (tag, rng.randrange(2), addr),  # 17 digits
+            b"%s 0x%x" % (tag, addr | 1 << 63),
+            b"W 0x%x" % (addr + 8),  # unaligned
+            b"S 0x%x" % (layout.segment("stack").end + 8),
+            b"S 0x%x 0x0" % (layout.segment("stack").end - 64),
+            line[:j] + b"\xff" + line[j:],
+            line + b" 0x%x" % rng.getrandbits(rng.choice((8, 64, 65))),
+        ))
+    data = b"\n".join(lines)
+    if rng.random() < 0.3:  # flip one bit of one byte
+        j = rng.randrange(len(data))
+        data = data[:j] + bytes([data[j] ^ 1 << rng.randrange(8)]) \
+            + data[j + 1:]
+    return data[:-1] if rng.random() < 0.1 else data
+
+
+def test_parser_fuzz_agrees_with_the_line_loop(monkeypatch, layout):
+    """Mutated `emit_trace` text parses as the line loop alone parses it:
+    to an equal Trace, or to the same error on the same line."""
+    rng = random.Random(15)
+    texts = [emit_trace(gen_workload(kind, 40, layout, 1))
+             for kind in WORKLOADS]
+    tokenize = trace_module._tokenize_chunk
+
+    def parse(data, tokenizer):
+        monkeypatch.setattr(trace_module, "_tokenize_chunk", tokenizer)
+        try:
+            return parse_trace(data)
+        except TraceFormatError as exc:
+            assert exc.line_no is not None
+            return str(exc)
+
+    traces, errors = 0, set()
+    for _ in range(300):
+        monkeypatch.setattr(trace_module, "_PARSE_CHUNK",
+                            rng.choice((1, 7, 64)))
+        data = _mutate(rng, rng.choice(texts), layout)
+        fast = parse(data, tokenize)
+        assert fast == parse(data, lambda chunk: None), data
+        if isinstance(fast, str):
+            errors.add(fast)
+        else:
+            traces += 1
+    assert traces >= 20 and len(errors) >= 100  # both outcomes are tried
 
 
 @pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack"])
