@@ -11,6 +11,10 @@ period be translated as an array batch.  Each period is charged in
 place, at a cost that follows the period's length and not the memory's
 size.
 
+A replay models wear, sampling and the leveler logs only.  It never
+reads write payloads, which feed just the per-write content primitives
+(`record_write`, `copy_frame`, `relocate_step`), so `space.words` stays 0.
+
 A replay is a pure function of (trace, config): identical inputs give
 identical wear maps, logs, and reports.
 """
@@ -87,6 +91,8 @@ _FIELD_TYPES = get_type_hints(SimConfig)
 
 @dataclass
 class RunResult:
+    """A replay's wear map (in `space`), totals and logs; words stay 0."""
+
     space: MemorySpace
     config: SimConfig
     totals: Dict[str, int]
@@ -132,9 +138,7 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             sp_pos, np.flatnonzero(is_write)[chunk - 1::chunk])]
 
     addrs_w = trace.addrs[is_write]
-    values_w = trace.values[is_write]
     n_writes = len(addrs_w)
-    words = space.words
 
     sample_log: List[Tuple[int, int]] = []
     remap_log: List[Tuple[int, int, int, int, int]] = []
@@ -146,17 +150,6 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             a = a - st.shift * ((a >= stack_seg.start) & (a < stack_seg.end))
         lines = space.line_index(a)
         np.add.at(space.wear, lines, 1)
-
-        # the last write to a line in the period decides its word
-        v = values_w[start:end]
-        if v.any() or words[lines].any():
-            uniq, first = np.unique(lines[::-1], return_index=True)
-            new = v[len(lines) - 1 - first]
-            # storing unchanged zeros would touch, and so allocate, every
-            # page of `words` that a period's data writes hit
-            changed = words[uniq] != new
-            words[uniq[changed]] = new[changed]
-
         if not sampling or end - start < chunk:
             continue
         frame = int(lines[-1]) // space.lines_per_page

@@ -13,7 +13,8 @@ Wear counts are the simulation's ground truth.  Every line write from any
 source (application replay, remap copies, relocation copies) increments
 exactly one per-line counter here.  A line's content is modelled by one
 `uint64` word, the 8 bytes at its base; the rest of the line is zero, so
-a word of 0 is an all-zero line.
+a word of 0 is an all-zero line.  `replay` charges wear alone and
+leaves every word 0.
 """
 
 from __future__ import annotations
