@@ -5,11 +5,15 @@ translation, wear recording, sampling.  When a write is sampled the
 coarse leveler sees the sampled frame first, then the fine leveler runs
 one relocation step.  Leveler copy traffic goes straight to the wear map
 and is never sampled.  Remaps and relocations only happen between
-events, so writes are processed in whole sampling periods: within one
-period the page table and the stack shift are constant, which lets the
-period be translated as an array batch.  Each period is charged in
-place, at a cost that follows the period's length and not the memory's
-size.
+events, so within one sampling period the page table and the stack
+shift are constant.  The per-tick loop does the control work alone: it
+finds the sampled write's frame by scalar arithmetic and drives the
+sampler and both levelers.  Application writes are charged in batches
+of whole periods, each translated under its own period's stack shift:
+a batch is flushed before a remap changes the page table, once it holds
+`_CHARGE_BATCH` writes, and at the end.  Charging late is exact because
+wear is only ever added to and nothing in the loop reads it.  A batch
+costs what its length does, not what the memory's size does.
 
 A replay models wear, sampling and the leveler logs only.  It never
 reads write payloads, which feed just the per-write content primitives
@@ -37,9 +41,9 @@ from .sampler import WriteSampler
 from .stack import StackState, relocate_step
 from .trace import MemoryLayout, Segment, Trace
 
-# the period length with the levelers off; translating a period makes
-# several temporaries of its length, so a shorter one keeps them small
-_BASELINE_CHUNK = 1 << 16
+# pending application writes that force a charge; translating a batch
+# makes several temporaries of its length, so a shorter one keeps them small
+_CHARGE_BATCH = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,12 @@ class RunResult:
 
 
 def replay(trace: Trace, config: SimConfig) -> RunResult:
+    """Replay a trace under a config: its wear map, totals and logs.
+
+    A sampled write's frame is looked up in `space.frames` unchecked: a
+    `Trace` is valid by construction and the stack shift stays in
+    [0, S), so the page is mapped.  Its batch's `line_index` checks it.
+    """
     layout = trace.layout
     if config.pool_pages is not None and layout.total_pages > config.pool_pages:
         raise ConfigError("layout needs %d pages but the pool allows %d"
@@ -118,7 +128,8 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
     fine = config.enable_fine and stack_seg is not None
     coarse = config.enable_coarse
     sampling = coarse or fine
-    chunk = (config.sample_interval_n + 1) if sampling else _BASELINE_CHUNK
+    # with the levelers off the loop has no ticks, only batch ends
+    period = (config.sample_interval_n + 1) if sampling else _CHARGE_BATCH
 
     is_write = trace.kinds == 0
     sampler = WriteSampler(config.sample_interval_n, space.n_pages) \
@@ -127,6 +138,7 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
         if coarse else None
     st = None
     if fine:
+        s_lo, s_hi = stack_seg.start, stack_seg.end
         sp_pos = np.flatnonzero(~is_write)
         sp0 = stack_seg.end if len(sp_pos) else stack_seg.end - min(
             config.fixed_valid_stack, stack_seg.size - config.stack_step)
@@ -135,36 +147,54 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
                         step=config.stack_step)
         # the sp in force at each tick: the last update before its write
         tick_sp = np.concatenate(([sp0], trace.addrs[sp_pos]))[np.searchsorted(
-            sp_pos, np.flatnonzero(is_write)[chunk - 1::chunk])]
+            sp_pos, np.flatnonzero(is_write)[period - 1::period])]
 
     addrs_w = trace.addrs[is_write]
     n_writes = len(addrs_w)
+    frames, base, page_shift = space.frames, space.base, space.page_shift
+    charged = 0
+    shifts: List[int] = []  # the stack shift of each period not yet charged
+
+    def charge(upto: int):
+        """Charge writes [charged, upto) under the current page table."""
+        nonlocal charged
+        a = addrs_w[charged:upto]
+        if fine:
+            shift = np.repeat(np.array(shifts, dtype=np.int64), period)
+            a = a - shift[:len(a)] * ((a >= s_lo) & (a < s_hi))
+            shifts.clear()
+        np.add.at(space.wear, space.line_index(a), 1)
+        charged = upto
 
     sample_log: List[Tuple[int, int]] = []
     remap_log: List[Tuple[int, int, int, int, int]] = []
     reloc_log: List[Tuple[int, int, int, int, int]] = []
-    for start in range(0, n_writes, chunk):
-        end = min(start + chunk, n_writes)
-        a = addrs_w[start:end]
+    for tick, end in enumerate(range(period, n_writes + 1, period)):
         if fine:
-            a = a - st.shift * ((a >= stack_seg.start) & (a < stack_seg.end))
-        lines = space.line_index(a)
-        np.add.at(space.wear, lines, 1)
-        if not sampling or end - start < chunk:
-            continue
-        frame = int(lines[-1]) // space.lines_per_page
-        sampler.record_tick(frame)
-        sample_log.append((end, frame))
-        if coarse and leveler.on_sample(frame) is not None:
-            result = leveler.perform_remap(frame)
-            if result is not None:
-                remap_log.append((end,) + result)
-        if fine:
-            st.sp = int(tick_sp[start // chunk])
-            wraps = st.wraps
-            copied = relocate_step(st, space)
-            reloc_log.append((end, st.shift, st.valid_bytes, copied,
-                              st.wraps - wraps))
+            shifts.append(st.shift)
+        if sampling:
+            a = int(addrs_w[end - 1])
+            if fine and s_lo <= a < s_hi:
+                a -= st.shift
+            frame = int(frames[(a - base) >> page_shift])
+            sampler.record_tick(frame)
+            sample_log.append((end, frame))
+            if coarse and leveler.on_sample(frame) is not None:
+                charge(end)
+                result = leveler.perform_remap(frame)
+                if result is not None:
+                    remap_log.append((end,) + result)
+            if fine:
+                st.sp = int(tick_sp[tick])
+                wraps = st.wraps
+                copied = relocate_step(st, space)
+                reloc_log.append((end, st.shift, st.valid_bytes, copied,
+                                  st.wraps - wraps))
+        if end - charged >= _CHARGE_BATCH:
+            charge(end)
+    if fine:
+        shifts.append(st.shift)
+    charge(n_writes)
 
     coarse_lines = leveler.copy_lines if coarse else 0
     stack_copy_lines = sum(row[3] for row in reloc_log)

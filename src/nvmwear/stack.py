@@ -105,8 +105,7 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
     win_lo = st.sp - st.shift
     win_hi = st.top - st.shift
     src = np.arange(win_lo - (win_lo % ls), win_hi, ls, dtype=np.int64)
-    src_lines = space.line_index(src)
-    dst_lines = space.line_index(src - st.step)
+    dst_lines, src_lines = space.line_index(np.stack((src - st.step, src)))
     space.wear[dst_lines] += 1
     space.words[dst_lines] = adjust_inmemory_pointers(space.words[src_lines],
                                                       st)

@@ -15,6 +15,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from nvmwear import (
+    MemoryLayout,
+    Segment,
     SimConfig,
     SpUpdateEvent,
     Trace,
@@ -170,6 +172,32 @@ def test_engine_matches_reference_wide_steps(layout, step):
     assert got.totals["wraps"] >= 1
 
 
+@pytest.mark.parametrize("n", [1, 10])
+@pytest.mark.parametrize("step", [64, 128, 256])
+@pytest.mark.parametrize("line_size", [128, 256])
+def test_engine_matches_reference_with_lines_wider_than_the_step(
+        line_size, step, n):
+    # every other test uses 64-byte lines; with wider ones a relocation's
+    # destination `src - step` is not line-aligned
+    base = 1 << 32
+    stack = Segment("stack", base + 8 * 4096, base + 12 * 4096)
+    lay = MemoryLayout((Segment("data", base, base + 4 * 4096), stack),
+                       line_size=line_size)
+    lines = [a for seg in lay.segments
+             for a in range(seg.start, seg.end, line_size)]
+    rng = np.random.default_rng(line_size + step + n)
+    events = []
+    for i, a in enumerate(rng.choice(lines, 3000).tolist()):
+        if i % 97 == 0:  # sp stays in the top half of the stack
+            events.append(SpUpdateEvent(
+                stack.end - 8 * int(rng.integers(stack.size // 16))))
+        events.append(WriteEvent(a))
+    trace = Trace.from_events(lay, events)
+    got = assert_matches_reference(trace, SimConfig(
+        sample_interval_n=n, remap_threshold_t=2, stack_step=step))
+    assert got.totals["remaps"] > 0 and got.totals["relocations"] > 0
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_payloads_change_no_run_output(kind, layout):
     # the generator's payloads, none at all, and a pointer to its own
@@ -190,15 +218,15 @@ def test_payloads_change_no_run_output(kind, layout):
         assert got.totals == base.totals
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 101])
+@pytest.mark.parametrize("chunk", [1, 7, 101, 4096])
 @pytest.mark.parametrize("coarse,fine", [(True, True), (True, False),
                                          (False, True), (False, False)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_wear_is_exact_across_flush_boundaries(kind, coarse, fine, chunk,
                                                layout, monkeypatch):
-    # `_BASELINE_CHUNK` is the period length with the levelers off; each
-    # period, of either length, is charged in place as it is translated
-    monkeypatch.setattr(engine, "_BASELINE_CHUNK", chunk)
+    # `_CHARGE_BATCH` pending writes force a charge; at 4096, more than
+    # the trace holds, only remaps and the final flush end a batch
+    monkeypatch.setattr(engine, "_CHARGE_BATCH", chunk)
     trace = gen_workload(kind, 2000, layout, seed=8)
     cfg = SimConfig(sample_interval_n=10, remap_threshold_t=2,
                     enable_coarse=coarse, enable_fine=fine)
@@ -206,7 +234,7 @@ def test_wear_is_exact_across_flush_boundaries(kind, coarse, fine, chunk,
 
 
 def test_replay_time_does_not_grow_with_memory_size():
-    # the same hotspot writes on 18 pages and on 5,248: each period is
+    # the same hotspot writes on 18 pages and on 5,248: each batch is
     # charged in place, so cost follows writes and ticks, not memory size
     cfg = SimConfig(sample_interval_n=10)
     traces = [gen_workload("hotspot", 20000, lay, seed=1)
@@ -221,7 +249,8 @@ def test_replay_time_does_not_grow_with_memory_size():
 
 
 def test_replay_holds_no_copy_of_the_translated_trace(layout):
-    # translated lines are charged period by period, never gathered up
+    # translated lines are charged in batches of `_CHARGE_BATCH` writes
+    # plus at most one period, never gathered up
     trace = gen_workload("stream", 300000, layout, seed=3)
     cfg = SimConfig(sample_interval_n=1000, enable_fine=False)
     tracemalloc.start()
@@ -401,7 +430,6 @@ def test_report_document_shape(layout):
 
 
 def test_run_without_stack_segment_skips_fine_leveling():
-    from nvmwear import MemoryLayout, Segment
     lay = MemoryLayout((Segment("data", 1 << 32, (1 << 32) + 4 * 4096),))
     ev = [WriteEvent((1 << 32) + 64 * (i % 11)) for i in range(300)]
     trace = Trace.from_events(lay, ev)
