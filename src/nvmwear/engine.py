@@ -16,8 +16,9 @@ wear is only ever added to and nothing in the loop reads it.  A batch
 costs what its length does, not what the memory's size does.
 
 A replay models wear, sampling and the leveler logs only.  It never
-reads write payloads, which feed just the per-write content primitives
-(`record_write`, `copy_frame`, `relocate_step`), so `space.words` stays 0.
+reads write payloads, which feed just the per-write content model
+(`record_write`), so it builds no content image: `space.words` stays
+`None`, and its remap and relocation copies charge wear alone.
 
 A replay is a pure function of (trace, config): identical inputs give
 identical wear maps, logs, and reports.
@@ -95,7 +96,7 @@ _FIELD_TYPES = get_type_hints(SimConfig)
 
 @dataclass
 class RunResult:
-    """A replay's wear map (in `space`), totals and logs; words stay 0."""
+    """A replay's wear map (in `space`), totals and logs; no content image."""
 
     space: MemorySpace
     config: SimConfig

@@ -13,14 +13,16 @@ Wear counts are the simulation's ground truth.  Every line write from any
 source (application replay, remap copies, relocation copies) increments
 exactly one per-line counter here.  A line's content is modelled by one
 `uint64` word, the 8 bytes at its base; the rest of the line is zero, so
-a word of 0 is an all-zero line.  `replay` charges wear alone and
-leaves every word 0.
+a word of 0 is an all-zero line.  The content image `words` is `None`
+until the first `record_write`: before it every line is zero, and moving
+zeros changes nothing, so page and stack copies charge wear alone.
+`replay` never calls `record_write`, so a replay builds no image.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -71,8 +73,9 @@ class MemorySpace:
             self.frames[pages - len(pages)] = pages
 
         self.wear = np.zeros(self.n_lines, dtype=np.int64)
-        # words[i] is the word at line i's base; 0 for a zeroed line
-        self.words = np.zeros(self.n_lines, dtype=np.uint64)
+        # words[i] is the word at line i's base, 0 for a zeroed line; None
+        # while every line is zero
+        self.words: Optional[np.ndarray] = None
 
     def _pages(self, seg) -> np.ndarray:
         """Dense page numbers of a segment: its frames under identity."""
@@ -104,11 +107,42 @@ class MemorySpace:
             + ((off >> self.line_shift) & (self.lines_per_page - 1))
         return int(lines) if lines.ndim == 0 else lines
 
+    def line_runs(self, vaddr: int, n: int) -> List[Tuple[int, int]]:
+        """(first dense line, count) runs of n consecutive lines from vaddr.
+
+        The lines are `line_index` of vaddr + i * line_size for i < n, one
+        run per virtual page they touch.  An address outside the span or
+        on an unmapped page raises as `line_index` does.
+        """
+        lpp = self.lines_per_page
+        first = (vaddr - self.base) >> self.line_shift
+        end = first + n
+        # like line_index, report an address outside the span first
+        if n > 0 and (first < 0 or end > self.n_lines):
+            skip = max(0, self.n_lines - first) if first >= 0 else 0
+            raise UnmappedPageError("address 0x%x outside the mapped span"
+                                    % (vaddr + (skip << self.line_shift)))
+        runs = []
+        line = first
+        while line < end:
+            p = line // lpp
+            f = int(self.frames[p])
+            if f < 0:
+                raise UnmappedPageError(
+                    "address 0x%x hits an unmapped page"
+                    % (vaddr + ((line - first) << self.line_shift)))
+            k = min(end, (p + 1) * lpp) - line
+            runs.append((f * lpp + line - p * lpp, k))
+            line += k
+        return runs
+
     # ------------------------------------------------------------------
     # write accounting
 
     def record_write(self, line: int, value: int = 0):
         """Charge one write to a dense line, storing its base word."""
+        if self.words is None:
+            self.words = np.zeros(self.n_lines, dtype=np.uint64)
         self.wear[line] += 1
         self.words[line] = value
 
@@ -121,7 +155,8 @@ class MemorySpace:
         src = slice(src_frame * lpp, (src_frame + 1) * lpp)
         dst = slice(dst_frame * lpp, (dst_frame + 1) * lpp)
         self.wear[dst] += 1
-        self.words[dst] = self.words[src]
+        if self.words is not None:
+            self.words[dst] = self.words[src]
         return lpp
 
     # ------------------------------------------------------------------

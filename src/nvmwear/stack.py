@@ -11,7 +11,8 @@ once the whole valid window sits in the shadow the shift collapses by S
 with no copying.
 
 Payload words whose value points into the current stack window are
-in-memory stack pointers; each relocation rewrites them by -step.  Data
+in-memory stack pointers; each relocation rewrites them by -step, and a
+wraparound reset rewrites those left in the shadow window by +S.  Data
 words are confined to the lower 32 bits and the region sits above 2^32,
 so the classification cannot confuse the two.
 """
@@ -85,16 +86,40 @@ def adjust_inmemory_pointers(words: np.ndarray, st: StackState
     return np.where(in_window, words - np.uint64(st.step), words)
 
 
+def _window(st: StackState, line_size: int):
+    """Address of the valid window's first line and its line count."""
+    lo = st.sp - st.shift
+    lo -= lo % line_size
+    return lo, -(-(st.top - st.shift - lo) // line_size)
+
+
+def _rewrite(words: np.ndarray, src_runs, dst_runs, adjust):
+    """Gather the words of src_runs, adjust them, scatter them over dst_runs."""
+    if not src_runs:
+        return
+    moved = adjust(np.concatenate([words[a:a + k] for a, k in src_runs]))
+    i = 0
+    for a, k in dst_runs:
+        words[a:a + k] = moved[i:i + k]
+        i += k
+
+
 def relocate_step(st: StackState, space: MemorySpace) -> int:
     """Move the valid stack down by one step; returns lines copied.
 
     Copies ceil(u / line) lines for a u-byte valid window, charging each
-    destination line one write, adjusts in-window pointer words during
-    the copy, advances the shift, and applies the wraparound reset when
-    it falls due.  u <= S - step keeps each destination line clear of
-    every source line a low-to-high copy has yet to read, including
-    across the alias fold, so gathering all source words before
-    scattering them equals the line-by-line copy.
+    copy one write as a slice per page the window touches, adjusts
+    in-window pointer words during the copy, advances the shift, and
+    applies the wraparound reset when it falls due; at a reset, the
+    window's pointer words that still point into its shadow copy move up
+    by S.  While the line-rounded window fits in S, u <= S - step keeps
+    each destination line clear of every source line a low-to-high copy
+    has yet to read, including across the alias fold, so gathering all
+    source words before scattering them equals the line-by-line copy.
+    With lines wider than the step the rounded window can exceed S by a
+    line; a destination line met twice is then charged twice, so the
+    wear added equals the lines returned.  Without a content image
+    (`space.words is None`) only wear is charged.
     """
     ls = space.line_size
     u = st.valid_bytes
@@ -102,17 +127,23 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
         raise StackOverflowError(
             "valid stack of %d bytes leaves no room for a %d-byte step"
             % (u, st.step))
-    win_lo = st.sp - st.shift
-    win_hi = st.top - st.shift
-    src = np.arange(win_lo - (win_lo % ls), win_hi, ls, dtype=np.int64)
-    dst_lines, src_lines = space.line_index(np.stack((src - st.step, src)))
-    space.wear[dst_lines] += 1
-    space.words[dst_lines] = adjust_inmemory_pointers(space.words[src_lines],
-                                                      st)
+    src, n = _window(st, ls)
+    dst_runs = space.line_runs(src - st.step, n)
+    src_runs = space.line_runs(src, n)
+    for a, k in dst_runs:
+        space.wear[a:a + k] += 1
+    words = space.words
+    if words is not None:
+        _rewrite(words, src_runs, dst_runs,
+                 lambda w: adjust_inmemory_pointers(w, st))
     st.shift += st.step
     st.relocations += 1
-    wraparound_reset(st)
-    return len(src)
+    if wraparound_reset(st) and words is not None:
+        runs = space.line_runs(*_window(st, ls))
+        lo = st.sp - st.shift - st.region_size
+        _rewrite(words, runs, runs, lambda w: np.where(
+            (w >= lo) & (w < lo + u), w + np.uint64(st.region_size), w))
+    return n
 
 
 class SmartPointer:

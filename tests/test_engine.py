@@ -218,6 +218,13 @@ def test_payloads_change_no_run_output(kind, layout):
         assert got.totals == base.totals
 
 
+def test_leveled_replay_builds_no_content_image(layout):
+    trace = gen_workload("deepstack", 5000, layout, seed=2)
+    result = replay(trace, SimConfig(sample_interval_n=10, remap_threshold_t=2))
+    assert result.totals["relocations"] > 0 and result.totals["remaps"] > 0
+    assert result.space.words is None
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 101, 4096])
 @pytest.mark.parametrize("coarse,fine", [(True, True), (True, False),
                                          (False, True), (False, False)])
@@ -298,6 +305,22 @@ def test_write_conservation(layout):
     assert int(result.wear.sum()) == (trace.n_writes
                                       + 3 * lpp * result.totals["remaps"]
                                       + copied)
+
+
+@pytest.mark.parametrize("line_size", [128, 256])
+def test_write_conservation_with_the_deepest_stack(line_size):
+    # sp one step above the region base: rounded to wide lines, the
+    # window can cover S plus a line and meet its first line twice
+    base = 1 << 32
+    stack = Segment("stack", base + 8 * 4096, base + 12 * 4096)
+    lay = MemoryLayout((Segment("data", base, base + 4 * 4096), stack),
+                       line_size=line_size)
+    events = [SpUpdateEvent(stack.start + 64)]
+    events += [WriteEvent(base + line_size * (i % 50)) for i in range(20000)]
+    result = replay(Trace.from_events(lay, events),
+                    SimConfig(sample_interval_n=10, enable_coarse=False))
+    assert result.totals["wraps"] > 0
+    assert int(result.wear.sum()) == result.totals["total_writes"]
 
 
 def test_sample_positions_follow_interval(layout):

@@ -60,6 +60,44 @@ def test_unmapped_page_rejected(space, layout):
         gap.line_index(base + 4096 + 64)
 
 
+def expand(runs):
+    return [a + i for a, k in runs for i in range(k)]
+
+
+def test_line_runs_expand_to_line_index(space, layout):
+    stack, data = layout.segment("stack"), layout.segment("data")
+    space.swap_frames(frame_of(space, stack.start + 4096),
+                      frame_of(space, data.start))
+    shadow = stack.start - stack.size
+    for vaddr, n in ((data.start + 4096 - 3 * 64, 7),  # a page boundary
+                     (stack.start - 2 * 64 - 8, 70),   # shadow into real
+                     (shadow + 4096 - 64, 66),         # a swapped shadow page
+                     (data.start + 40, 1), (data.start, 0)):
+        runs = space.line_runs(vaddr, n)
+        assert expand(runs) == space.line_index(
+            vaddr + 64 * np.arange(n)).tolist()
+        pages = {(vaddr + 64 * i - space.base) // 4096 for i in range(n)}
+        assert len(runs) == len(pages)
+
+
+def test_line_runs_raise_as_line_index_does(space):
+    base = 1 << 32
+    gap = MemorySpace(MemoryLayout((Segment("data", base, base + 4096),
+                                    Segment("bss", base + 8192,
+                                            base + 12288))))
+    end = space.base + space.n_pages * 4096
+    for sp, vaddr, n in ((space, space.base - 64, 1),  # below the span
+                         (space, end, 1),              # one past its end
+                         (space, end - 128, 4),        # runs off its end
+                         (gap, base + 4096, 1),        # an unmapped page
+                         (gap, base + 4096 - 64, 3)):  # runs onto it
+        with pytest.raises(UnmappedPageError) as want:
+            sp.line_index(vaddr + 64 * np.arange(n))
+        with pytest.raises(UnmappedPageError) as got:
+            sp.line_runs(vaddr, n)
+        assert str(got.value) == str(want.value)
+
+
 def test_shadow_alias_full_page(space, layout):
     stack = layout.segment("stack")
     shadow_base = stack.start - stack.size
@@ -71,6 +109,7 @@ def test_shadow_alias_full_page(space, layout):
 def test_record_write_counts_and_payload(space, layout):
     data = layout.segment("data")
     line = space.line_index(data.start)
+    assert space.words is None  # no image until the first write
     space.record_write(line, 0xAB)
     assert space.wear[line] == 1
     assert space.words[line] == 0xAB
@@ -143,6 +182,16 @@ def test_copy_arithmetic(space, layout):
     space.copy_frame(src, f)
     assert (space.wear[f * 64:(f + 1) * 64] == 2).all()
     assert space.total_wear() == 128
+
+
+def test_copy_without_an_image_charges_the_same_wear(layout):
+    plain, imaged = MemorySpace(layout), MemorySpace(layout)
+    imaged.words = np.arange(imaged.n_lines, dtype=np.uint64)
+    rng = np.random.default_rng(3)
+    for a, b in rng.choice(plain.pool_frames, (20, 2)).tolist():
+        assert plain.copy_frame(a, b) == imaged.copy_frame(a, b)
+    assert np.array_equal(plain.wear, imaged.wear)
+    assert plain.words is None
 
 
 def test_three_way_swap_charges_192(space, layout):

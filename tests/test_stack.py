@@ -195,6 +195,125 @@ def test_pointer_words_stay_consistent_through_relocation():
     assert space.words[space.line_index(stored_ptr)] == 0xFEED
 
 
+def test_pointer_word_stays_consistent_through_three_wraps():
+    # a pointer stored at shift 0 leaves the next window at each reset
+    # unless the reset moves it back up by S
+    space = stack_space()
+    sp = BASE + S - 1024
+    st = st_at(sp=sp)
+    target, holder = sp + 256, sp + 512
+    space.record_write(space.line_index(target), 0xFEED)
+    space.record_write(space.line_index(holder), target)
+    while st.wraps < 3:
+        relocate_step(st, space)
+        ptr = int(space.words[space.line_index(translate_stack(holder, st))])
+        assert ptr == translate_stack(target, st), (st.relocations, hex(ptr))
+        assert space.words[space.line_index(ptr)] == 0xFEED
+    assert st.relocations == 3 * (S // 64)
+
+
+def test_wrap_moves_exactly_the_words_left_in_the_shadow_window():
+    space = stack_space()
+    st = st_at(sp=BASE + S - 1024, shift=S - 64)  # one step before a reset
+    # after the step the window is [lo, hi), all shadow; the step itself
+    # moves in-window words by -64 first
+    lo, hi = BASE - 1024, BASE
+    moves = {lo - 8: lo - 8, lo + 64: lo + S, hi + 56: hi - 8 + S, 0x42: 0x42}
+    src = space.line_index(st.sp - st.shift)
+    for i, word in enumerate(moves):
+        space.record_write(src + i, word)
+    relocate_step(st, space)
+    assert st.wraps == 1 and st.shift == 0
+    lines = space.line_index(np.arange(st.sp, st.top, 64))
+    assert sorted(space.words[lines].tolist()) \
+        == sorted([*moves.values()] + [0] * (len(lines) - len(moves)))
+
+
+def spec_relocate_step(st, space):
+    """The per-line relocation step that `relocate_step` must equal.
+
+    One address per window line, `line_index` of every source and
+    destination, a fancy-indexed charge of one write per copied line,
+    and a gather, pointer adjust and scatter of the words; at a reset,
+    the words of the new window that point into its shadow copy move up
+    by S.
+    """
+    ls = space.line_size
+    if st.valid_bytes > st.region_size - st.step:
+        raise StackOverflowError("no room for a step")
+    win_lo, win_hi = st.sp - st.shift, st.top - st.shift
+    src = np.arange(win_lo - win_lo % ls, win_hi, ls, dtype=np.int64)
+    dst_lines, src_lines = space.line_index(np.stack((src - st.step, src)))
+    np.add.at(space.wear, dst_lines, 1)
+    space.words[dst_lines] = adjust_inmemory_pointers(space.words[src_lines],
+                                                      st)
+    st.shift += st.step
+    st.relocations += 1
+    if wraparound_reset(st):
+        lo, hi = st.sp - st.shift, st.top - st.shift
+        lines = space.line_index(np.arange(lo - lo % ls, hi, ls,
+                                           dtype=np.int64))
+        w = space.words[lines]
+        shadow = (w >= lo - st.region_size) & (w < hi - st.region_size)
+        space.words[lines] = np.where(shadow, w + np.uint64(st.region_size), w)
+    return len(src)
+
+
+@pytest.mark.parametrize("image", [True, False])
+@pytest.mark.parametrize("line_size,step", [(64, 64), (64, 256), (128, 64),
+                                            (256, 64), (256, 128)])
+def test_relocate_step_matches_the_per_line_spec(line_size, step, image):
+    base = 1 << 32
+    stack = Segment("stack", base + 8 * 4096, base + 12 * 4096)
+    lay = MemoryLayout((Segment("data", base, base + 4 * 4096), stack),
+                       line_size=line_size)
+    rng = np.random.default_rng(line_size + step + image)
+    got, want = MemorySpace(lay), MemorySpace(lay)
+    want.words = np.zeros(want.n_lines, dtype=np.uint64)
+    if image:
+        want.words[:] = rng.integers(0, 1 << 32, want.n_lines)
+        got.words = want.words.copy()
+    st_got, st_want = (StackState(region_base=stack.start,
+                                  region_size=stack.size, sp=stack.end - 512,
+                                  step=step) for _ in range(2))
+    pool = got.pool_frames
+    straddles = 0
+    while st_want.wraps < 2 or straddles == 0:
+        if rng.random() < 0.05:  # the coarse leveler's page exchanges
+            a, b = (int(f) for f in rng.choice(pool, 2))
+            got.swap_frames(a, b)
+            want.swap_frames(a, b)
+        if rng.random() < 0.1:  # sp moves, up to the largest legal window
+            sp = int(rng.choice([stack.start + step, stack.start + step + 8,
+                                 stack.end - 8 * int(rng.integers(
+                                     (stack.size - step) // 8 + 1))]))
+            st_got.sp = st_want.sp = sp
+        if image and rng.random() < 0.3:
+            # pointers into the window and its shadow copy, 32-bit data,
+            # other stack addresses and zero lines
+            lo, hi = st_want.sp - st_want.shift, stack.end - st_want.shift
+            for _ in range(4):
+                a = int(rng.integers(lo, hi)) if hi > lo else lo
+                value = int(rng.choice([
+                    rng.integers(lo, hi + 1), rng.integers(lo, hi + 1)
+                    - stack.size, rng.integers(0, 1 << 32),
+                    rng.integers(stack.start - stack.size, stack.end), 0]))
+                for space in (got, want):
+                    space.record_write(space.line_index(a), value)
+        straddles += st_want.sp - st_want.shift < stack.start \
+            < stack.end - st_want.shift
+        before = got.total_wear()
+        copied = relocate_step(st_got, got)
+        assert copied == spec_relocate_step(st_want, want)
+        assert got.total_wear() - before == copied
+        assert st_got == st_want
+        assert np.array_equal(got.wear, want.wear)
+        if image:
+            assert np.array_equal(got.words, want.words)
+        else:
+            assert got.words is None
+
+
 def test_smart_pointer_identity_and_full_cycle():
     space = stack_space()
     sp = BASE + S - 4096
