@@ -88,9 +88,11 @@ class MemorySpace:
     def line_index(self, vaddr):
         """Virtual address -> dense physical line index.
 
-        Takes an int or an int64 array and returns the same shape; an
-        array is checked as a whole and the error names its first bad
-        address.
+        Takes an int or an int64 array and returns the same shape.  An
+        array is checked as a whole, span first: if any address is
+        outside the mapped span, the error names the first such address,
+        even when an earlier one hits an unmapped page; otherwise it
+        names the first address on an unmapped page.
         """
         off = np.asarray(vaddr, dtype=np.int64) - self.base
         p = off >> self.page_shift

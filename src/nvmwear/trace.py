@@ -28,7 +28,8 @@ import io
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -463,29 +464,71 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
     return build()
 
 
-_EMIT_CHUNK = 1 << 16  # records held as Python strings at once by emit
+# events formatted at once: at 1 << 13 a chunk's temporaries are small
+# beside the output, so emit's peak is the 2x its join needs (3.1x at
+# 1 << 16), and no size from 1 << 12 to 1 << 16 was faster
+_EMIT_CHUNK = 1 << 13
+
+# 16 ** 1 .. 16 ** 15; a number's hex digit count is 1 + how many it reaches
+_HEX_POWERS = np.uint64(16) ** np.arange(1, 16, dtype=np.uint64)
+_SEP = np.frombuffer(b" 0x", np.uint8)[:, None]
+
+
+def _hex_columns(col: np.ndarray, width: int) -> np.ndarray:
+    """(width, n) lowercase ASCII hex of the low `width` digits of each
+    uint64, most significant digit first."""
+    octets = col.astype(">u8").view(np.uint8).reshape(-1, 8).T
+    nibbles = np.empty((16, len(col)), np.uint8)
+    nibbles[0::2] = octets >> 4
+    nibbles[1::2] = octets & 15
+    nibbles = nibbles[16 - width:]
+    # "0"-"9" are 48-57 and "a"-"f" 97-102
+    return nibbles + np.uint8(48) + (nibbles > 9) * np.uint8(39)
+
+
+def _emit_chunks(trace: Trace) -> Iterator[bytes]:
+    """The trace's text: the header, then one part per `_EMIT_CHUNK` events.
+
+    A chunk's records are the rows of an (n, w) uint8 matrix, stored
+    column-major so that each numpy pass runs along the events: the tag,
+    " 0x" and the address, " 0x" and the value, then a line feed.  Each
+    number is written at the chunk's widest digit count, and one keep
+    mask drops its leading zeros and the value field of every record
+    whose value is 0."""
+    yield "".join("@segment %s 0x%x 0x%x\n" % (seg.name, seg.start, seg.end)
+                  for seg in trace.layout.segments).encode()
+    for start in range(0, trace.n_events, _EMIT_CHUNK):
+        part = slice(start, start + _EMIT_CHUNK)
+        addrs = trace.addrs[part].view(np.uint64)
+        has = np.flatnonzero(trace.values[part])  # the records with a value
+        values = trace.values[part][has]
+        a_digits = np.searchsorted(_HEX_POWERS, addrs, "right") + 1
+        v_digits = np.zeros(len(addrs), np.intp)
+        v_digits[has] = np.searchsorted(_HEX_POWERS, values, "right") + 1
+        wa, wv = int(a_digits.max()), int(v_digits.max())
+        v0 = 4 + wa  # the value's " 0x"
+        out = np.empty((v0 + 3 + wv + 1, len(addrs)), np.uint8)
+        out[0] = np.where(trace.kinds[part] == _KIND_SP, ord("S"), ord("W"))
+        out[1:4] = out[v0:v0 + 3] = _SEP
+        out[4:v0] = _hex_columns(addrs, wa)
+        out[v0 + 3:-1, has] = _hex_columns(values, wv)
+        out[-1] = ord("\n")
+        # keep a number's own digits, and a value's " 0x" if it has any
+        keep = np.ones(out.shape, bool)
+        np.greater_equal(np.arange(wa)[:, None], wa - a_digits,
+                         out=keep[4:v0])
+        rank = np.concatenate((np.full(3, wv - 1), np.arange(wv)))
+        np.greater_equal(rank[:, None], wv - v_digits, out=keep[v0:-1])
+        yield out.T[keep.T].tobytes()
 
 
 def emit_trace(trace: Trace) -> bytes:
     """Serialize a trace; emit/parse round-trips to an equal trace.
 
-    A write's value is written only when it is nonzero."""
-    parts = ["".join("@segment %s 0x%x 0x%x\n" % (seg.name, seg.start, seg.end)
-                     for seg in trace.layout.segments).encode()]
-    # memoryviews yield plain ints, which format faster than numpy scalars
-    columns = [memoryview(c) for c in (trace.kinds, trace.addrs, trace.values)]
-    for start in range(0, trace.n_events, _EMIT_CHUNK):
-        out: List[str] = []
-        for k, a, v in zip(*(c[start:start + _EMIT_CHUNK] for c in columns)):
-            if k == _KIND_WRITE:
-                if v:
-                    out.append("W 0x%x 0x%x\n" % (a, v))
-                else:
-                    out.append("W 0x%x\n" % a)
-            else:
-                out.append("S 0x%x\n" % a)
-        parts.append("".join(out).encode())
-    return b"".join(parts)
+    Each record is its tag, a space and the 0x-prefixed lowercase hex
+    address without leading zeros; a write's value follows the same way
+    only when it is nonzero."""
+    return b"".join(_emit_chunks(trace))
 
 
 def load_trace(path) -> Trace:
@@ -499,8 +542,9 @@ def load_trace(path) -> Trace:
 
 
 def save_trace(trace: Trace, path):
+    """Write `emit_trace`'s bytes, each chunk as it is made."""
     with open(path, "wb") as fh:
-        fh.write(emit_trace(trace))
+        fh.writelines(_emit_chunks(trace))
 
 
 # ----------------------------------------------------------------------
@@ -580,12 +624,17 @@ def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
     window = 512  # shallow valid stack below the top
     sp0 = stack.end - window
 
+    # the trace's columns: an sp update, then the writes, filled in place
+    kinds = np.zeros(total + 1, np.uint8)
+    all_addrs = np.empty(total + 1, np.int64)
+    all_values = np.zeros(total + 1, np.uint64)
+    kinds[0], all_addrs[0] = _KIND_SP, sp0
+    addrs, values = all_addrs[1:], all_values[1:]
+
     cat = rng.random(total)
     hot = cat < 0.75
     stk = (cat >= 0.75) & (cat < 0.95)
-
-    addrs = np.empty(total, dtype=np.int64)
-    values = np.zeros(total, dtype=np.uint64)
+    del cat
 
     addrs[hot] = hot_lines[rng.integers(0, 4, int(hot.sum()))]
 
@@ -607,9 +656,6 @@ def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
     off = (rng.random(n_rest) * sizes[pick]).astype(np.int64)
     addrs[rest] = starts[pick] + off * LINE_SIZE
 
-    kinds = np.concatenate((np.uint8([_KIND_SP]), np.zeros(total, np.uint8)))
-    all_addrs = np.concatenate(([sp0], addrs))
-    all_values = np.concatenate((np.uint64([0]), values))
     return Trace(layout, kinds, all_addrs, all_values)
 
 

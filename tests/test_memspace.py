@@ -60,6 +60,17 @@ def test_unmapped_page_rejected(space, layout):
         gap.line_index(base + 4096 + 64)
 
 
+def test_line_index_reports_the_span_before_unmapped_pages():
+    base = 1 << 32
+    gap = MemorySpace(MemoryLayout((Segment("data", base, base + 4096),
+                                    Segment("bss", base + 8192,
+                                            base + 12288))))
+    end = gap.base + gap.n_pages * 4096
+    with pytest.raises(UnmappedPageError,
+                       match="^address 0x%x outside the mapped span$" % end):
+        gap.line_index(np.array([base + 4096, base + 4096 + 64, end]))
+
+
 def expand(runs):
     return [a + i for a, k in runs for i in range(k)]
 

@@ -323,6 +323,88 @@ def test_emit_peak_stays_near_the_output(kind, layout):
     assert peak < 4 * len(data)
 
 
+def spec_emit(trace: Trace) -> bytes:
+    """The per-record loop that `emit_trace` must equal byte for byte.
+
+    The header, then per event its tag, a space and the 0x-prefixed
+    address, and for a write with a nonzero value a space and the value."""
+    parts = ["".join("@segment %s 0x%x 0x%x\n" % (seg.name, seg.start, seg.end)
+                     for seg in trace.layout.segments)]
+    for k, a, v in zip(trace.kinds.tolist(), trace.addrs.tolist(),
+                       trace.values.tolist()):
+        if k == trace_module._KIND_WRITE:
+            if v:
+                parts.append("W 0x%x 0x%x\n" % (a, v))
+            else:
+                parts.append("W 0x%x\n" % a)
+        else:
+            parts.append("S 0x%x\n" % a)
+    return "".join(parts).encode()
+
+
+def _edge_trace() -> Trace:
+    """Writes at the least and greatest aligned address of 9 to 16 hex
+    digits in a data segment just below 2^63, each with every payload
+    whose hex width changes at it: 16 addresses x 7 values."""
+    end = (1 << 63) - trace_module.PAGE_SIZE
+    layout = MemoryLayout((Segment("data", trace_module.MIN_ADDRESS, end),))
+    addrs = [16 ** (d - 1) for d in range(9, 17)] \
+        + [min(16 ** d, end) - 64 for d in range(9, 17)]
+    payloads = [0, 1, 0xF, 0x10, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+    return Trace.from_events(layout, [WriteEvent(a, v) for a in addrs
+                                      for v in payloads])
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, None])
+def test_emit_matches_the_spec(monkeypatch, layout, size):
+    """Every chunking of every generator's trace, of edge addresses and
+    payloads, of an empty trace and of chunks with no nonzero value,
+    emits the spec's bytes; so does `repr`, which emits a 4-event head."""
+    if size is not None:
+        monkeypatch.setattr(trace_module, "_EMIT_CHUNK", size)
+    n = 300 if size else 3 * trace_module._EMIT_CHUNK
+    traces = [gen_workload(kind, n, layout, seed)
+              for kind in WORKLOADS for seed in (0, 1)]
+    edge = _edge_trace()
+    d = layout.segment("data").start
+    # a chunk of zero values before, between and after chunks with values
+    mixed = Trace.from_events(layout, [
+        WriteEvent(d + 64 * i, 5 * i if (i // 4) % 2 else 0)
+        for i in range(24)])
+    for tr in traces + [edge, mixed, Trace.from_events(layout, [])]:
+        assert emit_trace(tr) == spec_emit(tr)
+        head = Trace(tr.layout, tr.kinds[:4], tr.addrs[:4], tr.values[:4])
+        text = spec_emit(head).decode().strip().replace("\n", "; ")
+        assert repr(tr) == "Trace(%d events, %d writes: %s%s)" % (
+            tr.n_events, tr.n_writes, text, "; ..." if tr.n_events > 4 else "")
+    widths = {len(ln.split()[1]) - 2 for ln in spec_emit(edge).split(b"\n")
+              if ln.startswith(b"W")}
+    assert widths == set(range(9, 17))
+
+
+@pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack", "queue"])
+def test_save_writes_the_emitted_bytes(tmp_path, layout, kind):
+    tr = gen_workload(kind, 20_000, layout, 1)
+    trace_module.save_trace(tr, tmp_path / "t.trace")
+    assert (tmp_path / "t.trace").read_bytes() == emit_trace(tr)
+
+
+def test_save_peak_does_not_grow_with_the_trace(tmp_path, layout):
+    """`save_trace` writes each chunk as it is made, so its peak is one
+    chunk's, whatever the trace length; joining the chunks first would
+    grow it about 4x from 100k to 400k events."""
+    peaks = []
+    for n in (100_000, 400_000):
+        tr = gen_workload("hotspot", n, layout, 1)
+        tracemalloc.start()
+        try:
+            trace_module.save_trace(tr, tmp_path / "t.trace")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 @pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack", "queue"])
 def test_generator_deterministic(kind, layout):
     a = gen_workload(kind, 1000, layout, 7)
