@@ -7,11 +7,11 @@ one relocation step.  Leveler copy traffic goes straight to the wear map
 and is never sampled.  Remaps and relocations only happen between
 events, so within one sampling period the page table and the stack
 shift are constant.  The per-tick loop does the control work alone: it
-finds the sampled write's frame by scalar arithmetic and drives the
-sampler and both levelers.  Application writes are charged in batches
-of whole periods, each translated under its own period's stack shift:
-a batch is flushed before a remap changes the page table, once it holds
-`_CHARGE_BATCH` writes, and at the end.  Charging late is exact because
+looks up the sampled write's frame in the live page table and drives
+the sampler and both levelers.  A write in period k sees the stack shift
+of k relocations, which `translate_after` computes in closed form.
+Application writes are charged before each remap changes the page table
+and at the end, `_CHARGE_BATCH` at a time.  Charging late is exact because
 wear is only ever added to and nothing in the loop reads it.  A batch
 costs what its length does, not what the memory's size does.
 
@@ -39,10 +39,10 @@ from .metrics import (MetricsReport, achieved_endurance, csv_bytes,
                       endurance_improvement, lifetime_improvement,
                       normalized_endurance, write_overhead)
 from .sampler import WriteSampler
-from .stack import StackState, relocate_step
+from .stack import StackState, relocate_step, translate_after
 from .trace import MemoryLayout, Segment, Trace
 
-# pending application writes that force a charge; translating a batch
+# application writes translated and charged at a time; translating a batch
 # makes several temporaries of its length, so a shorter one keeps them small
 _CHARGE_BATCH = 1 << 13
 
@@ -129,8 +129,7 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
     fine = config.enable_fine and stack_seg is not None
     coarse = config.enable_coarse
     sampling = coarse or fine
-    # with the levelers off the loop has no ticks, only batch ends
-    period = (config.sample_interval_n + 1) if sampling else _CHARGE_BATCH
+    period = config.sample_interval_n + 1
 
     is_write = trace.kinds == 0
     sampler = WriteSampler(config.sample_interval_n, space.n_pages) \
@@ -139,7 +138,6 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
         if coarse else None
     st = None
     if fine:
-        s_lo, s_hi = stack_seg.start, stack_seg.end
         sp_pos = np.flatnonzero(~is_write)
         sp0 = stack_seg.end if len(sp_pos) else stack_seg.end - min(
             config.fixed_valid_stack, stack_seg.size - config.stack_step)
@@ -152,32 +150,30 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
 
     addrs_w = trace.addrs[is_write]
     n_writes = len(addrs_w)
-    frames, base, page_shift = space.frames, space.base, space.page_shift
     charged = 0
-    shifts: List[int] = []  # the stack shift of each period not yet charged
 
     def charge(upto: int):
         """Charge writes [charged, upto) under the current page table."""
         nonlocal charged
-        a = addrs_w[charged:upto]
-        if fine:
-            shift = np.repeat(np.array(shifts, dtype=np.int64), period)
-            a = a - shift[:len(a)] * ((a >= s_lo) & (a < s_hi))
-            shifts.clear()
-        np.add.at(space.wear, space.line_index(a), 1)
+        for lo in range(charged, upto, _CHARGE_BATCH):
+            hi = min(lo + _CHARGE_BATCH, upto)
+            a = addrs_w[lo:hi]
+            if fine:
+                a = translate_after(a, np.arange(lo, hi) // period, st)
+            np.add.at(space.wear, space.line_index(a), 1)
         charged = upto
 
     sample_log: List[Tuple[int, int]] = []
     remap_log: List[Tuple[int, int, int, int, int]] = []
     reloc_log: List[Tuple[int, int, int, int, int]] = []
-    for tick, end in enumerate(range(period, n_writes + 1, period)):
-        if fine:
-            shifts.append(st.shift)
-        if sampling:
-            a = int(addrs_w[end - 1])
-            if fine and s_lo <= a < s_hi:
-                a -= st.shift
-            frame = int(frames[(a - base) >> page_shift])
+    if sampling:
+        sampled = addrs_w[period - 1::period]
+        if fine:  # tick k samples after k relocations
+            sampled = translate_after(sampled, np.arange(len(sampled)), st)
+        pages = (sampled - space.base) >> space.page_shift
+        for tick, page in enumerate(pages.tolist()):
+            end = (tick + 1) * period
+            frame = int(space.frames[page])
             sampler.record_tick(frame)
             sample_log.append((end, frame))
             if coarse and leveler.on_sample(frame) is not None:
@@ -191,10 +187,6 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
                 copied = relocate_step(st, space)
                 reloc_log.append((end, st.shift, st.valid_bytes, copied,
                                   st.wraps - wraps))
-        if end - charged >= _CHARGE_BATCH:
-            charge(end)
-    if fine:
-        shifts.append(st.shift)
     charge(n_writes)
 
     coarse_lines = leveler.copy_lines if coarse else 0

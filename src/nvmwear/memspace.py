@@ -119,23 +119,19 @@ class MemorySpace:
         lpp = self.lines_per_page
         first = (vaddr - self.base) >> self.line_shift
         end = first + n
-        # like line_index, report an address outside the span first
-        if n > 0 and (first < 0 or end > self.n_lines):
-            skip = max(0, self.n_lines - first) if first >= 0 else 0
-            raise UnmappedPageError("address 0x%x outside the mapped span"
-                                    % (vaddr + (skip << self.line_shift)))
         runs = []
         line = first
-        while line < end:
-            p = line // lpp
-            f = int(self.frames[p])
-            if f < 0:
-                raise UnmappedPageError(
-                    "address 0x%x hits an unmapped page"
-                    % (vaddr + ((line - first) << self.line_shift)))
-            k = min(end, (p + 1) * lpp) - line
-            runs.append((f * lpp + line - p * lpp, k))
-            line += k
+        if 0 <= first and end <= self.n_lines:
+            while line < end:
+                p = line // lpp
+                f = int(self.frames[p])
+                if f < 0:
+                    break
+                k = min(end, (p + 1) * lpp) - line
+                runs.append((f * lpp + line - p * lpp, k))
+                line += k
+        if line < end:  # outside the span or on an unmapped page: raises
+            self.line_index(vaddr + self.line_size * np.arange(n))
         return runs
 
     # ------------------------------------------------------------------

@@ -7,8 +7,8 @@ the translation shift by the same amount, so application-visible stack
 addresses stay fixed while their physical placement rotates through the
 region.  Addresses that slide below region_base land in the shadow range
 [region_base - S, region_base), whose pages alias the real stack frames;
-once the whole valid window sits in the shadow the shift collapses by S
-with no copying.
+the whole valid window sits in the shadow exactly when the shift reaches
+S, and the shift then collapses to 0 with no copying.
 
 Payload words whose value points into the current stack window are
 in-memory stack pointers; each relocation rewrites them by -step, and a
@@ -59,20 +59,29 @@ def translate_stack(addr: int, st: StackState) -> int:
 
 
 def wraparound_reset(st: StackState) -> bool:
-    """Collapse the shift by one region size when the window is all-shadow.
+    """Collapse the shift to 0 once it reaches one region size.
 
-    Called after each shift advance.  Fires exactly when the translated
-    valid window [top - shift - u, top - shift) lies entirely inside the
-    shadow range [region_base - S, region_base); no bytes move because
-    shadow pages alias the frames the reset re-addresses.
+    Called after each shift advance.  The translated window
+    [sp - shift, top - shift) is all-shadow exactly at shift S, since
+    sp >= region_base; so k steps from shift 0 leave a shift of
+    k * step mod S.  No bytes move: shadow pages alias the real frames.
     """
-    u = st.valid_bytes
-    upper = st.top - st.shift
-    if upper <= st.region_base and upper - u >= st.region_base - st.region_size:
-        st.shift -= st.region_size
+    if st.shift == st.region_size:
+        st.shift = 0
         st.wraps += 1
         return True
     return False
+
+
+def translate_after(addrs: np.ndarray, steps, st: StackState) -> np.ndarray:
+    """Addresses translated after `steps` relocations from shift 0.
+
+    `steps` is one count, or one per address.  Stack addresses move down
+    as `translate_stack` moves them; others pass through unchanged.
+    """
+    shift = steps % (st.region_size // st.step) * st.step
+    in_stack = (addrs >= st.region_base) & (addrs < st.top)
+    return addrs - shift * in_stack
 
 
 def adjust_inmemory_pointers(words: np.ndarray, st: StackState
@@ -129,12 +138,11 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
             % (u, st.step))
     src, n = _window(st, ls)
     dst_runs = space.line_runs(src - st.step, n)
-    src_runs = space.line_runs(src, n)
     for a, k in dst_runs:
         space.wear[a:a + k] += 1
     words = space.words
     if words is not None:
-        _rewrite(words, src_runs, dst_runs,
+        _rewrite(words, space.line_runs(src, n), dst_runs,
                  lambda w: adjust_inmemory_pointers(w, st))
     st.shift += st.step
     st.relocations += 1

@@ -231,8 +231,8 @@ def test_leveled_replay_builds_no_content_image(layout):
 @pytest.mark.parametrize("kind", KINDS)
 def test_wear_is_exact_across_flush_boundaries(kind, coarse, fine, chunk,
                                                layout, monkeypatch):
-    # `_CHARGE_BATCH` pending writes force a charge; at 4096, more than
-    # the trace holds, only remaps and the final flush end a batch
+    # writes are charged before each remap and at the end, `_CHARGE_BATCH`
+    # at a time; at 4096, more than the trace holds, each charge is one batch
     monkeypatch.setattr(engine, "_CHARGE_BATCH", chunk)
     trace = gen_workload(kind, 2000, layout, seed=8)
     cfg = SimConfig(sample_interval_n=10, remap_threshold_t=2,

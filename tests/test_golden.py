@@ -10,7 +10,9 @@ stream generator are pinned: hotspot and queue draw from numpy's
 `Generator`, whose streams may change across numpy versions.  The
 4,106-page stream run pins replay on a memory of thousands of pages; its
 digests were taken while every period was still charged with a bincount
-over the whole of memory.  Payload words reach no run artifact, so the
+over the whole of memory.  The deepstack run with `--no-coarse` and with
+`--no-fine` was pinned while replay still kept a list of per-period
+stack shifts.  Payload words reach no run artifact, so the
 deepstack trace that `gen` writes is pinned as well; its digest was taken
 while the generator still collected its events in Python lists.
 """
@@ -31,6 +33,14 @@ RUNS = {
     # 4,096 data pages; a remap on every sample, relocations every tick
     "stream_bigmem": ("--kind", "stream", "--writes", "200000", "--n", "100",
                       "--t", "1", "--data-pages", "4096"),
+    # the deepstack run with one leveler: stack translation without
+    # remaps, and remaps without stack translation
+    "deepstack_no_coarse": ("--kind", "deepstack", "--writes", "20000",
+                            "--seed", "3", "--n", "10", "--t", "2",
+                            "--no-coarse"),
+    "deepstack_no_fine": ("--kind", "deepstack", "--writes", "20000",
+                          "--seed", "3", "--n", "10", "--t", "2",
+                          "--no-fine"),
 }
 
 DIGESTS = {
@@ -60,6 +70,26 @@ DIGESTS = {
         "remap_log.csv": "1e7bc151353872294a3e1c8c68349fe2b8e89b7e0312759847f06019c94d2a15",
         "relocation_log.csv": "5be48c8012f5cc5e39343efe3a0d1bb15dcdb512bc33ae8c5edd75867310c345",
         "estimates.csv": "4fecbf0d52c63509fecc65cec804c22742d0c91f3522a416a4357680a762a898",
+    },
+    # relocations never depend on remaps, so the fine-only relocation log
+    # is the deepstack run's
+    "deepstack_no_coarse": {
+        "report.json": "2ce8a723217f21c4cd4c966c9b03c1a0f6bd2d6df4511ff31199082ac515924c",
+        "baseline_wear.csv": "ca704ef3125804fd8cf0917bdaae5b69ec4fac3d94cfe7d3c22c435435466180",
+        "leveled_wear.csv": "69009decdfa5aa1969ba3a16716eef94c25f4a91482ce0b284d50ad6570b00b7",
+        "sample_log.csv": "0388cc05e8724d883b8d2b65cac6e9de250175436ae7161d44d7b03762ce18f3",
+        "remap_log.csv": "47796a75ae772fdcc2e4940099bf6f7b613fea0cec69cad97cf51e7f96aff763",
+        "relocation_log.csv": "fe61affcac11fc3222b279a1a36ace255f0bf6d9bc0dc79716a58dab335d520c",
+        "estimates.csv": "5ba4f748d6827470fcf7662423261ca4080e95225d4921f799db40e3369b56de",
+    },
+    "deepstack_no_fine": {
+        "report.json": "b6782ce6e4eccc83749de9ae64c4c81e460c71dc6b561bef9b6ba652a90cfa00",
+        "baseline_wear.csv": "ca704ef3125804fd8cf0917bdaae5b69ec4fac3d94cfe7d3c22c435435466180",
+        "leveled_wear.csv": "c158e4457fc21e221e917d6d1fc080c237ffe9b8c2837b8a9e7136c7383d9d8a",
+        "sample_log.csv": "2ab167589c27c400b9b175d007a433dd8d082a3b52b6eec0493e6c2789eeb9f7",
+        "remap_log.csv": "a8b7d70881862c045f904ad27a7c8943a9aad6c18910d880354ce5a790686443",
+        "relocation_log.csv": "ed07ace64130edf8a261ea7a0dc7e701a634c3c3681fb451d9ab2bc4f16b1856",
+        "estimates.csv": "d3a5b8f400afa57897d8701077c51351a671c86b70c529dd5b0697cc14264a6c",
     },
 }
 

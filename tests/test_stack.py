@@ -7,7 +7,8 @@ from nvmwear import MemoryLayout, Segment, SimulationError, make_layout
 from nvmwear.errors import ConfigError, StackOverflowError
 from nvmwear.memspace import MemorySpace
 from nvmwear.stack import (SmartPointer, StackState, adjust_inmemory_pointers,
-                           relocate_step, translate_stack, wraparound_reset)
+                           relocate_step, translate_after, translate_stack,
+                           wraparound_reset)
 
 BASE = 0x100010000
 S = 0x10000
@@ -96,6 +97,71 @@ def test_wraparound_empty_stack_boundary():
     st = st_at(sp=BASE + S, shift=S)
     assert wraparound_reset(st)
     assert st.shift == 0
+
+
+def shadow_window_predicate(st):
+    """The wrap rule as first stated: the translated valid window
+    [sp - shift, top - shift) lies inside the shadow range
+    [region_base - S, region_base)."""
+    upper = st.top - st.shift
+    return (upper <= st.region_base
+            and upper - st.valid_bytes >= st.region_base - st.region_size)
+
+
+@pytest.mark.parametrize("step", [64, 512])
+def test_wraparound_reset_equals_the_shadow_window_predicate(step):
+    # every legal state after a shift advance on a 4-page region: a
+    # window that leaves room for a step, sp 8-byte aligned on a grid
+    # that crosses line offsets, and a shift in (0, S]
+    size = 4 * 4096
+    st = StackState(region_base=BASE, region_size=size, sp=BASE + size,
+                    step=step)
+    fired = 0
+    for sp in range(BASE + step, BASE + size + 1, 40):
+        for shift in range(step, size + 1, step):
+            st.sp, st.shift, st.wraps = sp, shift, 0
+            want = shadow_window_predicate(st)
+            assert wraparound_reset(st) == want, (hex(sp), shift)
+            assert (st.shift, st.wraps) == ((0, 1) if want else (shift, 0))
+            fired += want
+    assert fired == len(range(BASE + step, BASE + size + 1, 40))
+
+
+@pytest.mark.parametrize("line_size,step", [(64, 64), (64, 1024), (128, 64),
+                                            (256, 128), (256, 512)])
+def test_shift_and_translation_are_closed_form(line_size, step):
+    # k relocations from shift 0 leave a shift of k * step mod S and
+    # k * step // S wraps, whatever sp does between them
+    base = 1 << 32
+    stack = Segment("stack", base + 8 * 4096, base + 12 * 4096)
+    size = stack.size
+    space = MemorySpace(MemoryLayout(
+        (Segment("data", base, base + 4 * 4096), stack), line_size=line_size))
+    st = StackState(region_base=stack.start, region_size=size,
+                    sp=stack.end - 512, step=step)
+    rng = np.random.default_rng(line_size + step)
+    # stack addresses, and the data, shadow and first address above the
+    # stack, which pass through unchanged
+    others = [base, base + 4 * 4096 - 8, stack.start - size, stack.start - 8,
+              stack.end]
+    addrs, steps, want = [], [], []
+    for k in range(1, 5 * size // (2 * step)):
+        if rng.random() < 0.2:  # sp moves, up to the largest legal window
+            st.sp = stack.end - 8 * int(rng.integers((size - step) // 8 + 1))
+        relocate_step(st, space)
+        assert (st.shift, st.wraps) == (k * step % size, k * step // size)
+        inside = [stack.start, stack.end - 8] + [
+            int(a) for a in rng.integers(stack.start, stack.end, 2)]
+        got = translate_after(np.array(inside + others), k, st)
+        assert got.tolist() == [translate_stack(a, st) for a in inside] \
+            + others
+        addrs += inside
+        steps += [k] * len(inside)
+        want += [translate_stack(a, st) for a in inside]
+    assert st.wraps == 2
+    # per-address step counts, as replay passes them
+    assert translate_after(np.array(addrs), np.array(steps), st).tolist() \
+        == want
 
 
 def test_relocation_sequence_wraps_without_copying_at_reset():
