@@ -221,9 +221,9 @@ def paired_run(trace: Trace, config: SimConfig
 
 def compare_runs(baseline: RunResult, leveled: RunResult) -> MetricsReport:
     """Metrics of a leveled replay against the baseline of the same trace."""
-    region = leveled.space.region_lines()
-    ae_base = achieved_endurance(baseline.wear[region])
-    ae_lev = achieved_endurance(leveled.wear[region])
+    region = leveled.space.region_slices()
+    ae_base = achieved_endurance(*(baseline.wear[s] for s in region))
+    ae_lev = achieved_endurance(*(leveled.wear[s] for s in region))
     wo = write_overhead(baseline.totals["total_writes"],
                         leveled.totals["total_writes"])
     ei = endurance_improvement(ae_lev, ae_base)
@@ -241,7 +241,7 @@ def report_dict(trace: Trace, config: SimConfig, baseline: RunResult,
     layout = trace.layout
     per_segment = {}
     for seg in layout.segments:
-        counts = leveled.wear[leveled.space.region_lines(seg.name)]
+        counts = leveled.wear[leveled.space.region_slices(seg.name)[0]]
         peak = int(counts.max())
         per_segment[seg.name] = {
             "AE": None if peak == 0 else achieved_endurance(counts),

@@ -230,19 +230,29 @@ class MemorySpace:
                                   "missing or wrong" % path)
         self.wear[:] = wear
 
-    def region_lines(self, segment: Optional[str] = None) -> np.ndarray:
-        """Dense line indices of a reporting region.
+    def region_slices(self, segment: Optional[str] = None) -> List[slice]:
+        """A reporting region as dense line slices, one per segment.
 
         Default region: every segment plus the buffer frame.  With a
         segment name, just that segment's physical lines under the
         identity placement (regions are fixed physical extents).
         """
         if segment is None:
-            frames = np.append(self.pool_frames, self.buffer_frame)
+            segs = self.layout.segments
         else:
             seg = self.layout.segment(segment)
             if seg is None:
                 raise SimulationError("no segment named %r" % segment)
-            frames = self._pages(seg)
-        lpp = self.lines_per_page
-        return (frames[:, None] * lpp + np.arange(lpp)).ravel()
+            segs = (seg,)
+        sh = self.line_shift
+        out = [slice((s.start - self.base) >> sh, (s.end - self.base) >> sh)
+               for s in segs]
+        if segment is None:
+            lo = self.buffer_frame * self.lines_per_page
+            out.append(slice(lo, lo + self.lines_per_page))
+        return out
+
+    def region_lines(self, segment: Optional[str] = None) -> np.ndarray:
+        """Dense line indices of `region_slices`, in order."""
+        return np.concatenate([np.arange(s.start, s.stop, dtype=np.int64)
+                               for s in self.region_slices(segment)])

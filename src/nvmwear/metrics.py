@@ -23,15 +23,18 @@ import numpy as np
 from .errors import MetricsError
 
 
-def achieved_endurance(counts) -> float:
-    arr = np.asarray(counts, dtype=np.int64)
-    if arr.size == 0:
+def achieved_endurance(*parts) -> float:
+    """AE of a region given as one array of counts, or as several parts
+    (such as slices of a wear map) that together make up the region."""
+    arrs = [np.asarray(p, dtype=np.int64) for p in parts]
+    size = sum(a.size for a in arrs)
+    if size == 0:
         raise MetricsError("empty region")
-    peak = int(arr.max())
+    peak = max(int(a.max()) for a in arrs if a.size)
     if peak == 0:
         raise MetricsError("all-zero region has no achieved endurance")
     # single division keeps AE exactly scale-invariant
-    return int(arr.sum()) / (arr.size * peak)
+    return sum(int(a.sum()) for a in arrs) / (size * peak)
 
 
 def write_overhead(baseline_total: int, leveled_total: int) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import io
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
                     Union)
@@ -43,6 +44,8 @@ SEGMENT_NAMES = ("text", "data", "bss", "stack")
 
 _KIND_WRITE = 0
 _KIND_SP = 1
+
+_VALIDATE_CHUNK = 1 << 16  # events `Trace.validate` checks at once
 
 
 @dataclass(frozen=True)
@@ -228,43 +231,47 @@ class Trace:
 
         The constructor runs this.  The error names the first invalid
         event in stream order and carries its 0-based index as
-        `event_index`.
+        `event_index`.  Events are checked `_VALIDATE_CHUNK` at a time,
+        so the masks take O(chunk) memory.
         """
-        a = self.addrs
-        is_w = self.kinds == _KIND_WRITE
-        is_sp = self.kinds == _KIND_SP
-        inside = np.zeros(len(a), dtype=bool)
-        for seg in self.layout.segments:
-            inside |= (a >= seg.start) & (a < seg.end)
         stack = self.layout.segment("stack")
-        in_stack = np.zeros(len(a), dtype=bool) if stack is None \
-            else (a >= stack.start) & (a <= stack.end)
-        rules = (  # a failing event is named by the first rule it breaks
-            (self.kinds > _KIND_SP,
-             "event at 0x%x is neither a write nor a stack-pointer update"),
-            (is_w & (a % self.layout.line_size != 0),
-             "unaligned write address 0x%%x, not %d-byte aligned"
-             % self.layout.line_size),
-            (is_w & ~inside, "write address 0x%x outside all segments"),
-            (is_sp & (stack is None),
-             "stack pointer 0x%x without a stack segment"),
-            (is_sp & (a % 8 != 0),
-             "unaligned stack pointer 0x%x, not 8-byte aligned"),
-            (is_sp & ~in_stack, "stack pointer 0x%x outside the stack segment"),
-            (is_sp & (self.values != 0),
-             "stack pointer 0x%x carries a payload"),
-        )
-        bad = np.logical_or.reduce([mask for mask, _ in rules])
-        if bad.any():
-            i = int(np.argmax(bad))
-            msg = next(msg for mask, msg in rules if mask[i])
-            raise TraceFormatError(msg % int(a[i]), event_index=i)
+        ls = self.layout.line_size
+        for lo in range(0, self.n_events, _VALIDATE_CHUNK):
+            part = slice(lo, lo + _VALIDATE_CHUNK)
+            k, a = self.kinds[part], self.addrs[part]
+            is_w, is_sp = k == _KIND_WRITE, k == _KIND_SP
+            inside = np.zeros(len(a), dtype=bool)
+            for seg in self.layout.segments:
+                inside |= (a >= seg.start) & (a < seg.end)
+            in_stack = np.zeros(len(a), dtype=bool) if stack is None \
+                else (a >= stack.start) & (a <= stack.end)
+            rules = (  # a failing event is named by the first rule it breaks
+                (k > _KIND_SP, "event at 0x%x is neither a write nor a "
+                               "stack-pointer update"),
+                (is_w & (a & ls - 1 != 0),
+                 "unaligned write address 0x%%x, not %d-byte aligned" % ls),
+                (is_w & ~inside, "write address 0x%x outside all segments"),
+                (is_sp & (stack is None),
+                 "stack pointer 0x%x without a stack segment"),
+                (is_sp & (a & 7 != 0),
+                 "unaligned stack pointer 0x%x, not 8-byte aligned"),
+                (is_sp & ~in_stack,
+                 "stack pointer 0x%x outside the stack segment"),
+                (is_sp & (self.values[part] != 0),
+                 "stack pointer 0x%x carries a payload"),
+            )
+            bad = np.logical_or.reduce([mask for mask, _ in rules])
+            if bad.any():
+                i = int(np.argmax(bad))
+                msg = next(msg for mask, msg in rules if mask[i])
+                raise TraceFormatError(msg % int(a[i]), event_index=lo + i)
 
 
 # ----------------------------------------------------------------------
 # file format
 
 _PARSE_CHUNK = 1 << 16  # bytes tokenized at once; bounds the temporaries
+_READ_BLOCK = 1 << 20  # bytes `load_trace` reads at once
 
 # each byte's hex digit value, or 16 for a byte that is not a hex digit
 _NIBBLE = bytes(int(chr(c), 16) if chr(c) in "0123456789abcdefABCDEF" else 16
@@ -334,33 +341,44 @@ def _tokenize_chunk(chunk: bytes) -> Optional[Tuple[np.ndarray, ...]]:
     return kinds, addrs, values
 
 
-def parse_trace(data: Union[bytes, str]) -> Trace:
-    """Parse trace text into a Trace; errors carry the 1-based line number.
+def _pieces(blocks: Iterable[bytes]) -> Iterator[Tuple[bytes, int]]:
+    """`(data, cut)` pairs whose `data[:cut]` are the text of `blocks` cut
+    after a line feed; a block's partial last line is carried into the
+    next pair, and the last pair ends where the text does."""
+    carry = b""
+    for block in blocks:
+        data = carry + block
+        cut = data.rfind(b"\n") + 1
+        yield data, cut
+        carry = data[cut:]
+    yield carry, len(carry)
+
+
+def _parse(blocks: Iterable[bytes], cap: int) -> Trace:
+    """Parse trace text given as consecutive blocks of bytes holding at
+    most `cap` events; errors carry the 1-based line number.
 
     Canonical event lines (see `_tokenize_chunk`) are tokenized with numpy
     a chunk of bytes at a time.  Every other chunk, and the header up to
-    its first event line, is read line by line over the UTF-8 bytes (a
-    `str` is read as its UTF-8 encoding).  That loop checks the record
-    grammar and words every grammar error; each event keeps its line for
-    the `Trace` constructor's event rules.  An error names the first bad
-    line, a line that is not UTF-8 included.
+    its first event line, is read line by line over the UTF-8 bytes.
+    That loop checks the record grammar and words every grammar error.
+    An event's line is kept in a table of runs of consecutive event
+    lines, for the `Trace` constructor's event rules.  An error names the
+    first bad line, a line that is not UTF-8 included.
     """
-    if isinstance(data, str):
-        # a lone surrogate is kept, and then fails to decode at its line
-        data = data.encode("utf-8", "surrogatepass")
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None
     # columns for at most one event a line, which the Trace takes as
-    # slices without a copy, and each event's line number, 64 bits wide
-    # so no file can overflow it
-    cap = data.count(b"\n") + 1
-    kinds, addrs, values, event_lines = (
-        np.empty(cap, dtype) for dtype in (np.uint8, np.int64, np.uint64,
-                                           np.int64))
+    # slices without a copy
+    kinds, addrs, values = (np.empty(cap, dtype)
+                            for dtype in (np.uint8, np.int64, np.uint64))
     # the line loop stores through memoryviews, which take plain ints fast
-    k_col, a_col, v_col, l_col = map(memoryview, (kinds, addrs, values,
-                                                  event_lines))
+    k_col, a_col, v_col = map(memoryview, (kinds, addrs, values))
+    # event run_ev[j] is on line run_ln[j], and each next event on the next
+    # line, up to the next run
+    run_ev, run_ln = array("q"), array("q")
     n = 0  # events stored
+    next_line = 0  # the line after the last event's
 
     def parse_hex(tok: str, line_no: int, what: str, bits: int = 64) -> int:
         if not tok.lower().startswith("0x"):
@@ -389,71 +407,83 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
         try:
             return Trace(layout, kinds[:n], addrs[:n], values[:n])
         except TraceFormatError as exc:
-            if exc.event_index is None:
+            i = exc.event_index
+            if i is None:
                 raise
-            raise TraceFormatError(
-                str(exc), int(event_lines[exc.event_index])) from None
+            j = bisect_right(run_ev, i) - 1
+            raise TraceFormatError(str(exc),
+                                   run_ln[j] + i - run_ev[j]) from None
 
-    pos = line_no = 0
+    line_no = 0
     try:
-        while pos < len(data):
-            if layout is None:  # the header, up to its first event line
-                stop = data.find(b"\n", pos) + 1 or len(data)
-                chunk = None
-            else:
-                # cut at the chunk's last line feed, or past one long line
-                stop = (data.rfind(b"\n", pos, pos + _PARSE_CHUNK) + 1
-                        or data.find(b"\n", pos) + 1 or len(data))
-                chunk = _tokenize_chunk(data[pos:stop])
-            if chunk is not None:
-                k = len(chunk[0])
-                kinds[n:n + k], addrs[n:n + k], values[n:n + k] = chunk
-                event_lines[n:n + k] = np.arange(line_no + 1, line_no + k + 1)
-                n, line_no, pos = n + k, line_no + k, stop
-                continue
-            # bytes split at b"\n" alone; a trailing "\r" is stripped below
-            lines, pos = io.BytesIO(data[pos:stop]), stop
-            for line_no, raw in enumerate(lines, start=line_no + 1):
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    raise TraceFormatError("not UTF-8 text", line_no) from None
-                if not line or line.startswith("#"):
-                    continue
-                toks = line.split()
-                tag = toks[0]
-                if tag == "@segment":
-                    if layout is not None:
-                        raise TraceFormatError(
-                            "@segment after the first event line", line_no)
-                    if len(toks) != 4:
-                        raise TraceFormatError("malformed @segment record",
-                                               line_no)
-                    start = parse_hex(toks[2], line_no, "segment start")
-                    end = parse_hex(toks[3], line_no, "segment end")
-                    segments.append(Segment(toks[1], start, end))
-                    continue
-                if layout is None:
-                    layout = finish_header(line_no)
-                # addresses fit 63 bits because a Trace holds them as int64
-                if tag == "W" and len(toks) in (2, 3):
-                    kind = _KIND_WRITE
-                    addr = parse_hex(toks[1], line_no, "address", 63)
-                    value = parse_hex(toks[2], line_no, "value") \
-                        if len(toks) == 3 else 0
-                elif tag == "S" and len(toks) == 2:
-                    kind = _KIND_SP
-                    addr = parse_hex(toks[1], line_no, "stack pointer", 63)
-                    value = 0
-                elif tag in ("W", "S"):
-                    raise TraceFormatError("malformed %s record" % tag,
-                                           line_no)
+        for data, cut in _pieces(blocks):
+            pos = 0
+            while pos < cut:
+                if layout is None:  # the header, up to its first event line
+                    stop = data.find(b"\n", pos, cut) + 1 or cut
+                    chunk = None
                 else:
-                    raise TraceFormatError("unrecognized record %r" % tag,
-                                           line_no)
-                k_col[n], a_col[n], v_col[n], l_col[n] = \
-                    kind, addr, value, line_no
-                n += 1
+                    # cut at the chunk's last line feed, or past a long line
+                    lim = min(pos + _PARSE_CHUNK, cut)
+                    stop = (data.rfind(b"\n", pos, lim) + 1
+                            or data.find(b"\n", pos, cut) + 1 or cut)
+                    chunk = _tokenize_chunk(data[pos:stop])
+                if chunk is not None:
+                    k = len(chunk[0])
+                    kinds[n:n + k], addrs[n:n + k], values[n:n + k] = chunk
+                    if line_no + 1 != next_line:
+                        run_ev.append(n)
+                        run_ln.append(line_no + 1)
+                    n, line_no, pos = n + k, line_no + k, stop
+                    next_line = line_no + 1
+                    continue
+                # bytes split at b"\n" alone; a trailing "\r" is stripped
+                lines, pos = io.BytesIO(data[pos:stop]), stop
+                for line_no, raw in enumerate(lines, start=line_no + 1):
+                    try:
+                        line = raw.decode("utf-8").strip()
+                    except UnicodeDecodeError:
+                        raise TraceFormatError("not UTF-8 text",
+                                               line_no) from None
+                    if not line or line.startswith("#"):
+                        continue
+                    toks = line.split()
+                    tag = toks[0]
+                    if tag == "@segment":
+                        if layout is not None:
+                            raise TraceFormatError(
+                                "@segment after the first event line", line_no)
+                        if len(toks) != 4:
+                            raise TraceFormatError("malformed @segment record",
+                                                   line_no)
+                        start = parse_hex(toks[2], line_no, "segment start")
+                        end = parse_hex(toks[3], line_no, "segment end")
+                        segments.append(Segment(toks[1], start, end))
+                        continue
+                    if layout is None:
+                        layout = finish_header(line_no)
+                    # addresses fit 63 bits because a Trace holds them as int64
+                    if tag == "W" and len(toks) in (2, 3):
+                        kind = _KIND_WRITE
+                        addr = parse_hex(toks[1], line_no, "address", 63)
+                        value = parse_hex(toks[2], line_no, "value") \
+                            if len(toks) == 3 else 0
+                    elif tag == "S" and len(toks) == 2:
+                        kind = _KIND_SP
+                        addr = parse_hex(toks[1], line_no, "stack pointer", 63)
+                        value = 0
+                    elif tag in ("W", "S"):
+                        raise TraceFormatError("malformed %s record" % tag,
+                                               line_no)
+                    else:
+                        raise TraceFormatError("unrecognized record %r" % tag,
+                                               line_no)
+                    k_col[n], a_col[n], v_col[n] = kind, addr, value
+                    if line_no != next_line:
+                        run_ev.append(n)
+                        run_ln.append(line_no)
+                    n += 1
+                    next_line = line_no + 1
     except TraceFormatError:
         if layout is not None:
             build()  # an invalid event on an earlier line is reported first
@@ -462,6 +492,15 @@ def parse_trace(data: Union[bytes, str]) -> Trace:
     if layout is None:
         layout = finish_header(line_no + 1)
     return build()
+
+
+def parse_trace(data: Union[bytes, str]) -> Trace:
+    """Parse trace text, read as one block (see `_parse`); a `str` is read
+    as its UTF-8 encoding."""
+    if isinstance(data, str):
+        # a lone surrogate is kept, and then fails to decode at its line
+        data = data.encode("utf-8", "surrogatepass")
+    return _parse([data], data.count(b"\n") + 1)
 
 
 # events formatted at once: at 1 << 13 a chunk's temporaries are small
@@ -532,10 +571,19 @@ def emit_trace(trace: Trace) -> bytes:
 
 
 def load_trace(path) -> Trace:
-    """Parse a trace file; a TraceFormatError names the file."""
+    """Parse a trace file; a TraceFormatError names the file.
+
+    The file is read in blocks, never whole: once to count its lines,
+    which bounds its events, then up to the same size to parse it."""
     with open(path, "rb") as fh:
+        size = lines = 0
+        for block in iter(lambda: fh.read(_READ_BLOCK), b""):
+            size, lines = size + len(block), lines + block.count(b"\n")
+        fh.seek(0)
+        blocks = iter(lambda: fh.read(min(_READ_BLOCK, size - fh.tell())),
+                      b"")
         try:
-            return parse_trace(fh.read())
+            return _parse(blocks, lines + 1)
         except TraceFormatError as exc:
             exc.args = ("%s: %s" % (path, exc),)
             raise
@@ -614,13 +662,15 @@ def _need(layout: MemoryLayout, name: str, min_bytes: int, kind: str) -> Segment
     return seg
 
 
+_GEN_CHUNK = 1 << 16  # category floats `_gen_hotspot` draws at once
+
+
 def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
     data = _need(layout, "data", PAGE_SIZE, "hotspot")
     bss = layout.segment("bss")
     stack = _need(layout, "stack", 1024, "hotspot")
     rng = np.random.default_rng(seed)
 
-    hot_lines = data.start + LINE_SIZE * np.arange(4, dtype=np.int64)
     window = 512  # shallow valid stack below the top
     sp0 = stack.end - window
 
@@ -631,12 +681,21 @@ def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
     kinds[0], all_addrs[0] = _KIND_SP, sp0
     addrs, values = all_addrs[1:], all_values[1:]
 
-    cat = rng.random(total)
-    hot = cat < 0.75
-    stk = (cat >= 0.75) & (cat < 0.95)
-    del cat
+    # each write's category, from floats drawn a chunk at a time (the
+    # same stream as one draw)
+    hot, stk = np.empty(total, bool), np.empty(total, bool)
+    for lo in range(0, total, _GEN_CHUNK):
+        cat = rng.random(min(_GEN_CHUNK, total - lo))
+        np.less(cat, 0.75, out=hot[lo:lo + len(cat)])
+        np.less(cat, 0.95, out=stk[lo:lo + len(cat)])
+    stk &= ~hot
 
-    addrs[hot] = hot_lines[rng.integers(0, 4, int(hot.sum()))]
+    # one of the data segment's first four lines, its address built in place
+    pick = rng.integers(0, 4, int(hot.sum()))
+    pick *= LINE_SIZE
+    pick += data.start
+    addrs[hot] = pick
+    del pick
 
     # shallow LIFO sawtooth over the top eight stack lines
     n_stk = int(stk.sum())
@@ -685,50 +744,55 @@ def _gen_queue(total: int, layout: MemoryLayout, seed: int) -> Trace:
 def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     stack = _need(layout, "stack", 4 * PAGE_SIZE, "deepstack")
     rng = random.Random(seed)
+    draw, choice, randrange, getrandbits = (rng.random, rng.choice,
+                                            rng.randrange, rng.getrandbits)
     top = stack.end
     max_depth = stack.size // 2  # keeps relocation headroom at replay time
+    shallow_depth = stack.size // 8
     frame_sizes = (64, 128, 192, 256)
 
     kinds, addrs, values = array("B"), array("q"), array("Q")
+    add_kind, add_addr, add_value = kinds.append, addrs.append, values.append
     sp = top
     frames: List[int] = []
+    push, pop = frames.append, frames.pop
     writes = 0
     while writes < total:
         depth = top - sp
-        r = rng.random()
-        shallow = depth < stack.size // 8
+        r = draw()
+        shallow = depth < shallow_depth
         p_call = 0.45 if shallow else 0.20
         p_ret = 0.20 if shallow else 0.45
         written = ()
         if frames and r < p_ret:
-            sp += frames.pop()
+            sp += pop()
         elif (not frames) or r < p_ret + p_call:
-            size = rng.choice(frame_sizes)
+            size = choice(frame_sizes)
             if depth + size > max_depth:
-                sp += frames.pop()
+                sp += pop()
             else:
                 sp -= size
-                frames.append(size)
+                push(size)
                 # a call writes its new frame, up to the total
                 n = min(size // LINE_SIZE, total - writes)
                 written = range(sp, sp + n * LINE_SIZE, LINE_SIZE)
         else:
             # rewrite a line of the newest frame; keeps the top hot
             size = frames[-1]
-            written = (sp + LINE_SIZE * rng.randrange(size // LINE_SIZE),)
+            written = (sp + LINE_SIZE * randrange(size // LINE_SIZE),)
         if top - sp != depth:  # a call or a return moved sp
-            kinds.append(_KIND_SP)
-            addrs.append(sp)
-            values.append(0)
+            add_kind(_KIND_SP)
+            add_addr(sp)
+            add_value(0)
         for addr in written:
             # an occasional payload is a pointer into the current valid stack
-            if sp < top and rng.random() < 0.02:
-                value = sp + 8 * rng.randrange((top - sp) // 8)
+            if sp < top and draw() < 0.02:
+                value = sp + 8 * randrange((top - sp) // 8)
             else:
-                value = rng.getrandbits(32)
-            kinds.append(_KIND_WRITE)
-            addrs.append(addr)
-            values.append(value)
+                value = getrandbits(32)
+            add_kind(_KIND_WRITE)
+            add_addr(addr)
+            add_value(value)
         writes += len(written)
     return Trace(layout, kinds, addrs, values)
 

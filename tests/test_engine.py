@@ -22,6 +22,7 @@ from nvmwear import (
     Trace,
     WriteEvent,
     WriteSampler,
+    achieved_endurance,
     gen_workload,
     make_layout,
     paired_run,
@@ -32,6 +33,7 @@ from nvmwear.coarse import CoarseWearLeveler
 from nvmwear.engine import report_dict
 from nvmwear.errors import ConfigError
 from nvmwear.memspace import MemorySpace
+from nvmwear.metrics import endurance_improvement
 from nvmwear.stack import StackState, relocate_step, translate_stack
 from nvmwear.trace import aggregate_linecounts
 
@@ -506,3 +508,31 @@ def replay_cases(draw):
 @given(replay_cases())
 def test_engine_matches_reference_on_random_inputs(case):
     assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("pages", [(2, 8, 4, 4), (64, 256, 64, 8),
+                                   (0, 2, 0, 0), (0, 0, 0, 4)])
+def test_region_metrics_equal_the_gathered_ones(pages):
+    """`compare_runs` and `report_dict` sum and take the max over wear
+    slices; their metrics are those of the gathered region, bit for bit."""
+    layout = make_layout(*pages)
+    kind = "stream" if layout.segment("stack") is None else "hotspot"
+    if layout.segment("data") is None:
+        trace = Trace.from_events(layout, [
+            WriteEvent(layout.segment("stack").start + 64 * (i % 5))
+            for i in range(3000)])
+    else:
+        trace = gen_workload(kind, 30000, layout, seed=4)
+    cfg = SimConfig(sample_interval_n=20, remap_threshold_t=2)
+    baseline, leveled, rep = paired_run(trace, cfg)
+    region = leveled.space.region_lines()
+    ae_base = achieved_endurance(baseline.wear[region])
+    assert rep.ae == achieved_endurance(leveled.wear[region])
+    assert rep.ei == endurance_improvement(rep.ae, ae_base)
+    doc = report_dict(trace, cfg, baseline, leveled, rep)
+    for seg in layout.segments:
+        counts = leveled.wear[leveled.space.region_lines(seg.name)]
+        peak = int(counts.max())
+        assert doc["per_segment"][seg.name] == {
+            "AE": None if peak == 0 else achieved_endurance(counts),
+            "max": peak, "mean": float(counts.mean())}

@@ -8,6 +8,9 @@ read runs back through `MemoryLayout` and `MemorySpace`.  Only the
 deepstack generator (Python's `random.Random`) and the deterministic
 stream generator are pinned: hotspot and queue draw from numpy's
 `Generator`, whose streams may change across numpy versions.  The
+hotspot trace that `gen` writes is pinned all the same, as the benchmark's
+CI digests already rest on that stream; its digest was taken while the
+generator still drew its category floats in one call.  The
 4,106-page stream run pins replay on a memory of thousands of pages; its
 digests were taken while every period was still charged with a bincount
 over the whole of memory.  The deepstack run with `--no-coarse` and with
@@ -97,6 +100,10 @@ DIGESTS = {
 GEN_DEEPSTACK = \
     "e2e61db031786ef45320ebfd676585a2305e60625a79414db70ccf96b4e558b8"
 
+# `gen` of a hotspot trace whose category draws cross a chunk boundary
+GEN_HOTSPOT = \
+    "1b54f4e5634c3e35054e28e7fa56e16c4f6aabb637488c5a0d8e8c6cb5fac13b"
+
 REPORT_CSV = "f30bb0eb357d24ad572b0c7a04f26e98cbb0451bdde800cece4bff287cc65ba5"
 
 # `report` flags -> digest of every file it writes for the deepstack run
@@ -142,6 +149,13 @@ def test_generated_deepstack_trace_matches_pinned_digest(tmp_path, capsys):
     assert main(["gen", "--kind", "deepstack", "--writes", "20000",
                  "--seed", "3", "--out", str(out)]) == 0
     assert sha256(out) == GEN_DEEPSTACK
+
+
+def test_generated_hotspot_trace_matches_pinned_digest(tmp_path, capsys):
+    out = tmp_path / "hotspot.trace"
+    assert main(["gen", "--kind", "hotspot", "--writes", "200003",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert sha256(out) == GEN_HOTSPOT
 
 
 def test_trace_round_trip_matches_the_deepstack_digests(tmp_path, capsys):

@@ -93,3 +93,19 @@ def test_log2_bins_total_preserved():
     counts = rng.integers(0, 10**6, 500)
     bins = log2_bins(counts)
     assert sum(bins.values()) == 500
+
+
+def test_ae_of_parts_equals_ae_of_their_concatenation():
+    # a region given as slices of a wear map, as the engine passes it
+    rng = np.random.default_rng(5)
+    wear = rng.integers(0, 1 << 40, 4096)
+    cuts = [slice(0, 64), slice(64, 64), slice(1000, 3000), slice(4032, 4096)]
+    parts = [wear[c] for c in cuts]
+    assert achieved_endurance(*parts) \
+        == achieved_endurance(np.concatenate(parts))
+    assert achieved_endurance(wear[:0], [0, 3], [1]) \
+        == achieved_endurance([0, 3, 1])
+    with pytest.raises(MetricsError, match="empty"):
+        achieved_endurance(wear[:0], [])
+    with pytest.raises(MetricsError, match="all-zero"):
+        achieved_endurance([0], wear[:0], [0, 0])

@@ -650,3 +650,170 @@ def test_repr_shows_segments_counts_and_first_events():
     empty = Trace.from_events(tr.layout, [])
     assert repr(empty) == (
         "Trace(0 events, 0 writes: @segment stack 0x100010000 0x100020000)")
+
+
+def _error(make):
+    """(message, event_index, line_no) of the TraceFormatError `make()`
+    raises."""
+    with pytest.raises(TraceFormatError) as exc:
+        make()
+    return str(exc.value), exc.value.event_index, exc.value.line_no
+
+
+# the texts the tests above reject, and a few more
+_BAD_TEXTS = [HEADER + body for body in (
+    "W 0x100011001\n", "W 0x100011000\nW 0x100011001\n",
+    "# c\n\nS 0x100011004\nW zz\n", "W zz\nS 0x100011004\n",
+    "W 0x8000000000000000\n", "W 0x200000000\n", "W 4295040000\n",
+    "W 0xzz\n", "W 0x1_0001_1000\n", "W 0x100011000 0x_5\n",
+    "W 0x100011000 0x10000000000000000\n",
+    "W 0x100011000\n@segment data 0x100030000 0x100031000\n",
+    "S 0x100011004\n", "S 0x100020008\n", "R 0x100011000\n", "W a b c\n",
+    "S\n", "# \ud800\nW 0x100011000\n", "S 0x100020000 0x5\n",
+    "W 0x100011000\n\n# c\nW 0x100011040\nS 0x100020008\n",
+)] + ["", "@segment data 0x1\n",
+      "@segment data 0x100000000 0x100001000\n# note\x85more\nW 0xzz\n"]
+
+
+def _bad_constructions(layout):
+    """Callables that build an invalid Trace, from the tests above."""
+    d, stack = layout.segment("data").start, layout.segment("stack")
+    good = WriteEvent(stack.start)
+    return [
+        lambda: Trace.from_events(layout, [good, WriteEvent(stack.start + 1)]),
+        lambda: Trace.from_events(layout, [SpUpdateEvent(stack.start - 8),
+                                           good]),
+        lambda: Trace(layout, [0, 0, 1],
+                      [stack.start, stack.start, stack.start + 4], [0] * 3),
+        lambda: Trace(layout, [0, 2, 0], [d, d + 64, d + 128], [0] * 3),
+        lambda: Trace(layout, [1, 0, 1], [stack.end - 64, d, stack.end - 64],
+                      [0, 7, 5]),
+        lambda: Trace.from_events(layout, [WriteEvent(1 << 63)]),
+        lambda: Trace(layout, [0, 0], [stack.start], [0]),
+        # an sp without a stack segment
+        lambda: Trace(MemoryLayout((layout.segment("data"),)), [0, 1],
+                      [d, d], [0, 0]),
+    ]
+
+
+def _edge_case(layout, bad):
+    """Columns of a 200-write deepstack trace with each (index, rule) of
+    `bad` broken, and their text with a comment and a blank line every 9
+    lines, so that an event's line is not its index plus a constant."""
+    tr = gen_workload("deepstack", 200, layout, 2)
+    kinds, addrs, values = (a.copy() for a in (tr.kinds, tr.addrs, tr.values))
+    outside = layout.segment("stack").start - 64  # in the shadow gap
+    for i, rule in bad:
+        if rule == "unaligned":
+            addrs[i] += 4
+        elif rule == "outside":
+            addrs[i] = outside
+        elif rule == "kind":  # a kind of 2 that is also unaligned
+            kinds[i], addrs[i] = 2, addrs[i] + 4
+        else:  # a payload on an sp update, or on a write an address outside
+            kinds[i], values[i] = 1, 5
+    lines = ["@segment %s 0x%x 0x%x" % (s.name, s.start, s.end)
+             for s in layout.segments]
+    for i, (k, a, v) in enumerate(zip(kinds.tolist(), addrs.tolist(),
+                                      values.tolist())):
+        if i % 9 == 4:
+            lines += ["# note", ""]
+        lines.append("S 0x%x" % a if k else "W 0x%x 0x%x" % (a, v))
+    return (kinds, addrs, values), ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_validation_chunk_does_not_change_errors(monkeypatch, layout, size):
+    """Every error case above, and bad events one before, at and one after
+    a chunk boundary, names the same message, event and line at any
+    chunk size as in one chunk."""
+    bads = [bad for c in (7, 64) for i in (c - 1, c, c + 1)
+            for bad in ([(i, "unaligned")], [(i, "outside")], [(i, "kind")],
+                        [(i, "payload")],
+                        [(i, "outside"), (i + 70, "unaligned")],
+                        [(i, "payload"), (i + 1, "kind")])]
+    edges = [_edge_case(layout, bad) for bad in bads]
+    cases = [lambda t=t: parse_trace(t) for t in _BAD_TEXTS] \
+        + _bad_constructions(layout) \
+        + [lambda c=c: Trace(layout, *c) for c, _ in edges]
+    # a kind of 2 and an sp payload have no text form
+    text_bads = [bad for bad in bads
+                 if all(rule in ("unaligned", "outside") for _, rule in bad)]
+    texts = [_edge_case(layout, bad)[1] for bad in text_bads]
+    cases += [lambda t=t: parse_trace(t) for t in texts]
+    monkeypatch.setattr(trace_module, "_VALIDATE_CHUNK", 1 << 20)
+    want = [_error(make) for make in cases]
+    monkeypatch.setattr(trace_module, "_VALIDATE_CHUNK", size)
+    assert [_error(make) for make in cases] == want
+    # the edge cases name their first bad event, and its line
+    n = len(_BAD_TEXTS) + len(_bad_constructions(layout))
+    assert [index for _, index, _ in want[n:n + len(edges)]] \
+        == [bad[0][0] for bad in bads]
+    for text, bad, (_, _, line) in zip(texts, text_bads,
+                                       want[n + len(edges):]):
+        event_lines = [no for no, ln in enumerate(text.split(b"\n"), 1)
+                       if ln[:1] in (b"W", b"S")]
+        assert line == event_lines[bad[0][0]]
+
+
+def _load_cases(layout):
+    """Trace texts that `load_trace` must read as `parse_trace` does, at
+    any block size."""
+    texts = [emit_trace(gen_workload(kind, 300, layout, 5))
+             for kind in WORKLOADS]
+    data = texts[2]  # deepstack: S records and payloads
+    lines = data.split(b"\n")
+    long_line = b"# " + "\u00e9".join("x" * 40 for _ in range(120)).encode()
+    between = [ln for i, ln in enumerate(lines) for ln in (
+        (ln, b"# c\xc3\xa9", b"", b"  ") if i % 5 == 3 else (ln,))]
+    return texts + [
+        data.replace(b"\n", b"\r\n"),  # CRLF lines
+        data[:-1],  # no final line feed
+        data[:-1].replace(b"\n", b"\r\n"),
+        b"\n".join(lines[:40] + [long_line] + lines[40:]),  # > 4096 bytes
+        b"\n".join(between),  # comments and blank lines between events
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
+                                              block):
+    """Read in blocks, a file gives the trace, or the error and line, that
+    parsing its bytes at once gives."""
+    monkeypatch.setattr(trace_module, "_READ_BLOCK", block)
+    path = tmp_path / "t.trace"
+    good = _load_cases(layout)
+    for data in good:
+        path.write_bytes(data)
+        assert trace_module.load_trace(path) == parse_trace(data)
+    lines = good[-1].split(b"\n")
+    bad = [b"\n".join(lines[:i] + [edit] + lines[i + 1:])
+           for i, edit in ((100, b"W zz"), (150, b"W 0x100000004"),
+                           (151, b"\xff"), (len(lines) - 2, b"S 0x1"))]
+    bad += [good[-2][:-1] + b"\xc3", good[-5] + b"W 0x4"]
+    for data in bad:
+        path.write_bytes(data)
+        msg, _, line = _error(lambda: parse_trace(data))
+        assert line is not None
+        assert _error(lambda: trace_module.load_trace(path)) == (
+            "%s: %s" % (path, msg), None, line)
+
+
+def test_load_peak_stays_near_the_final_columns(tmp_path, layout):
+    """A file of several blocks loads within its final columns plus
+    O(block) scratch: neither the whole file nor a per-event line number
+    is held."""
+    block = trace_module._READ_BLOCK
+    tr = gen_workload("hotspot", 300_000, layout, 1)
+    path = tmp_path / "t.trace"
+    trace_module.save_trace(tr, path)
+    assert path.stat().st_size >= 4 * block
+    tracemalloc.start()
+    try:
+        loaded = trace_module.load_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == tr
+    cols = tr.kinds.nbytes + tr.addrs.nbytes + tr.values.nbytes
+    assert peak < 1.3 * cols + 4 * block
