@@ -15,12 +15,9 @@ and at the end, `_CHARGE_BATCH` at a time.  Charging late is exact because
 wear is only ever added to and nothing in the loop reads it.  A batch
 costs what its length does, not what the memory's size does.
 
-A replay models wear, sampling and the leveler logs only.  It never
-reads write payloads, which feed just the per-write content model
-(`record_write`), so it builds no content image: `space.words` stays
-`None`, and its remap and relocation copies charge wear alone.
-
-A replay is a pure function of (trace, config): identical inputs give
+A replay models wear, sampling and the leveler logs only: it reads no
+write payloads (see `nvmwear.content`), and its copies charge wear alone.
+It is a pure function of (trace, config): identical inputs give
 identical wear maps, logs, and reports.
 """
 

@@ -11,12 +11,8 @@ circular stack addressing needs no extra page-table state.
 
 Wear counts are the simulation's ground truth.  Every line write from any
 source (application replay, remap copies, relocation copies) increments
-exactly one per-line counter here.  A line's content is modelled by one
-`uint64` word, the 8 bytes at its base; the rest of the line is zero, so
-a word of 0 is an all-zero line.  The content image `words` is `None`
-until the first `record_write`: before it every line is zero, and moving
-zeros changes nothing, so page and stack copies charge wear alone.
-`replay` never calls `record_write`, so a replay builds no image.
+exactly one per-line counter here.  Copies charge wear alone; the
+content of lines is modelled by `nvmwear.content`.
 """
 
 from __future__ import annotations
@@ -73,9 +69,6 @@ class MemorySpace:
             self.frames[pages - len(pages)] = pages
 
         self.wear = np.zeros(self.n_lines, dtype=np.int64)
-        # words[i] is the word at line i's base, 0 for a zeroed line; None
-        # while every line is zero
-        self.words: Optional[np.ndarray] = None
 
     def _pages(self, seg) -> np.ndarray:
         """Dense page numbers of a segment: its frames under identity."""
@@ -135,29 +128,6 @@ class MemorySpace:
         return runs
 
     # ------------------------------------------------------------------
-    # write accounting
-
-    def record_write(self, line: int, value: int = 0):
-        """Charge one write to a dense line, storing its base word."""
-        if self.words is None:
-            self.words = np.zeros(self.n_lines, dtype=np.uint64)
-        self.wear[line] += 1
-        self.words[line] = value
-
-    def copy_frame(self, src_frame: int, dst_frame: int) -> int:
-        """Copy one frame's content onto another, charging the destination.
-
-        Returns the number of line writes charged (lines per page).
-        """
-        lpp = self.lines_per_page
-        src = slice(src_frame * lpp, (src_frame + 1) * lpp)
-        dst = slice(dst_frame * lpp, (dst_frame + 1) * lpp)
-        self.wear[dst] += 1
-        if self.words is not None:
-            self.words[dst] = self.words[src]
-        return lpp
-
-    # ------------------------------------------------------------------
     # remapping
 
     def swap_frames(self, frame_a: int, frame_b: int):
@@ -180,6 +150,15 @@ class MemorySpace:
         for page in (pa, pb):
             if 0 <= page - self._stack_page0 < self._stack_pages:
                 self.frames[page - self._stack_pages] = self.frames[page]
+
+    def copy_frame(self, src_frame: int, dst_frame: int) -> int:
+        """Charge a frame copy to the destination's lines, one write each.
+
+        Returns the lines charged; `ContentSpace` also moves the content.
+        """
+        lpp = self.lines_per_page
+        self.wear[dst_frame * lpp:(dst_frame + 1) * lpp] += 1
+        return lpp
 
     def page_addr_of_frame(self, frame: int) -> int:
         p = int(self.page_of_frame[frame])

@@ -10,11 +10,8 @@ region.  Addresses that slide below region_base land in the shadow range
 the whole valid window sits in the shadow exactly when the shift reaches
 S, and the shift then collapses to 0 with no copying.
 
-Payload words whose value points into the current stack window are
-in-memory stack pointers; each relocation rewrites them by -step, and a
-wraparound reset rewrites those left in the shadow window by +S.  Data
-words are confined to the lower 32 bits and the region sits above 2^32,
-so the classification cannot confuse the two.
+A relocation here charges wear alone; `nvmwear.content` models the
+content of the moved lines, in-memory pointers included.
 """
 
 from __future__ import annotations
@@ -84,84 +81,29 @@ def translate_after(addrs: np.ndarray, steps, st: StackState) -> np.ndarray:
     return addrs - shift * in_stack
 
 
-def adjust_inmemory_pointers(words: np.ndarray, st: StackState
-                             ) -> np.ndarray:
-    """Move the uint64 words inside the current virtual stack window by -step.
-
-    Returns a new array.  The window is [translate(sp), translate(top));
-    every other word, including all 32-bit data, is returned unchanged.
-    """
-    in_window = (words >= st.sp - st.shift) & (words < st.top - st.shift)
-    return np.where(in_window, words - np.uint64(st.step), words)
-
-
-def _window(st: StackState, line_size: int):
+def window_lines(st: StackState, line_size: int):
     """Address of the valid window's first line and its line count."""
     lo = st.sp - st.shift
     lo -= lo % line_size
     return lo, -(-(st.top - st.shift - lo) // line_size)
 
 
-def _rewrite(words: np.ndarray, src_runs, dst_runs, adjust):
-    """Gather the words of src_runs, adjust them, scatter them over dst_runs."""
-    if not src_runs:
-        return
-    moved = adjust(np.concatenate([words[a:a + k] for a, k in src_runs]))
-    i = 0
-    for a, k in dst_runs:
-        words[a:a + k] = moved[i:i + k]
-        i += k
-
-
 def relocate_step(st: StackState, space: MemorySpace) -> int:
     """Move the valid stack down by one step; returns lines copied.
 
-    Copies ceil(u / line) lines for a u-byte valid window, charging each
-    copy one write as a slice per page the window touches, adjusts
-    in-window pointer words during the copy, advances the shift, and
-    applies the wraparound reset when it falls due; at a reset, the
-    window's pointer words that still point into its shadow copy move up
-    by S.  While the line-rounded window fits in S, u <= S - step keeps
-    each destination line clear of every source line a low-to-high copy
-    has yet to read, including across the alias fold, so gathering all
-    source words before scattering them equals the line-by-line copy.
-    With lines wider than the step the rounded window can exceed S by a
-    line; a destination line met twice is then charged twice, so the
-    wear added equals the lines returned.  Without a content image
-    (`space.words is None`) only wear is charged.
+    Charges ceil(u / line) line copies for a u-byte valid window, a slice
+    per page the window touches, advances the shift and applies a due
+    wraparound reset.  A line-rounded window longer than S (lines wider
+    than the step) meets a line twice and charges it twice.
     """
-    ls = space.line_size
-    u = st.valid_bytes
-    if u > st.region_size - st.step:
+    if st.valid_bytes > st.region_size - st.step:
         raise StackOverflowError(
             "valid stack of %d bytes leaves no room for a %d-byte step"
-            % (u, st.step))
-    src, n = _window(st, ls)
-    dst_runs = space.line_runs(src - st.step, n)
-    for a, k in dst_runs:
+            % (st.valid_bytes, st.step))
+    src, n = window_lines(st, space.line_size)
+    for a, k in space.line_runs(src - st.step, n):
         space.wear[a:a + k] += 1
-    words = space.words
-    if words is not None:
-        _rewrite(words, space.line_runs(src, n), dst_runs,
-                 lambda w: adjust_inmemory_pointers(w, st))
     st.shift += st.step
     st.relocations += 1
-    if wraparound_reset(st) and words is not None:
-        runs = space.line_runs(*_window(st, ls))
-        lo = st.sp - st.shift - st.region_size
-        _rewrite(words, runs, runs, lambda w: np.where(
-            (w >= lo) & (w < lo + u), w + np.uint64(st.region_size), w))
+    wraparound_reset(st)
     return n
-
-
-class SmartPointer:
-    """Holds a logical stack address; resolves through the live shift."""
-
-    __slots__ = ("logical",)
-
-    def __init__(self, logical: int):
-        self.logical = logical
-
-    def deref(self, st: StackState) -> int:
-        """Current address of the pointee: the live shift cancels the moves."""
-        return translate_stack(self.logical, st)

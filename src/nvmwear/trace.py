@@ -358,9 +358,9 @@ def _parse(blocks: Iterable[bytes], cap: int) -> Trace:
     """Parse trace text given as consecutive blocks of bytes holding at
     most `cap` events; errors carry the 1-based line number.
 
-    Canonical event lines (see `_tokenize_chunk`) are tokenized with numpy
-    a chunk of bytes at a time.  Every other chunk, and the header up to
-    its first event line, is read line by line over the UTF-8 bytes.
+    Canonical event lines (see `_tokenize_chunk`), CRLF folded to LF, are
+    tokenized with numpy a chunk at a time.  Every other chunk, and the
+    header up to its first event line, is read line by line over UTF-8.
     That loop checks the record grammar and words every grammar error.
     An event's line is kept in a table of runs of consecutive event
     lines, for the `Trace` constructor's event rules.  An error names the
@@ -427,7 +427,8 @@ def _parse(blocks: Iterable[bytes], cap: int) -> Trace:
                     lim = min(pos + _PARSE_CHUNK, cut)
                     stop = (data.rfind(b"\n", pos, lim) + 1
                             or data.find(b"\n", pos, cut) + 1 or cut)
-                    chunk = _tokenize_chunk(data[pos:stop])
+                    chunk = _tokenize_chunk(
+                        data[pos:stop].replace(b"\r\n", b"\n"))
                 if chunk is not None:
                     k = len(chunk[0])
                     kinds[n:n + k], addrs[n:n + k], values[n:n + k] = chunk

@@ -22,10 +22,10 @@ from nvmwear import (
     replay,
 )
 from nvmwear.cli import main as cli_main
-from nvmwear.memspace import MemorySpace
+from nvmwear.content import (ContentSpace, adjust_inmemory_pointers,
+                             relocate_content)
 from nvmwear.metrics import normalized_endurance
-from nvmwear.stack import (SmartPointer, StackState, adjust_inmemory_pointers,
-                           relocate_step, translate_stack)
+from nvmwear.stack import StackState, translate_stack
 
 from conftest import record_acceptance
 
@@ -255,7 +255,7 @@ def test_criterion_06_fine_uniformity_and_combined_gain():
 def test_criterion_07_shadow_alias_and_wraparound():
     lay = make_layout()
     stack = lay.segment("stack")
-    space = MemorySpace(lay)
+    space = ContentSpace(lay)
     sp = stack.end - 2048
     st = StackState(region_base=stack.start, region_size=stack.size, sp=sp)
     rng = np.random.default_rng(17)
@@ -273,8 +273,8 @@ def test_criterion_07_shadow_alias_and_wraparound():
             assert space.words[line] == expected[a], hex(a)
         return k
 
-    ptr = SmartPointer(sp + 320)
-    creation_line = space.line_index(ptr.deref(st))
+    ptr = sp + 320  # a captured logical address
+    creation_line = space.line_index(translate_stack(ptr, st))
     cycle = stack.size // st.step
     rounds = 2 * cycle + 16
     per_round = -(-10**5 // (2 * rounds))  # ceil: >= 1e5 reads total
@@ -282,18 +282,19 @@ def test_criterion_07_shadow_alias_and_wraparound():
     cycle_checks = 0
     for _ in range(rounds):
         reads += read_back(per_round)
-        relocate_step(st, space)
+        relocate_content(st, space)
         reads += read_back(per_round)
         if st.relocations % cycle == 0:
             # a whole cycle later the pointer is back on its creation line
-            assert space.line_index(ptr.deref(st)) == creation_line
+            assert space.line_index(translate_stack(ptr, st)) == creation_line
             assert space.words[creation_line] == expected[sp + 320]
             cycle_checks += 1
     assert st.wraps >= 2 and cycle_checks >= 2
     record_acceptance(
         "criterion  7 PASS shadow alias: %d reads stayed content-identical "
-        "across %d relocations and %d wraps; smart pointer returned to its "
-        "creation line after each full cycle" % (reads, rounds, st.wraps))
+        "across %d relocations and %d wraps; the captured address returned "
+        "to its creation line after each full cycle"
+        % (reads, rounds, st.wraps))
     assert reads >= 10**5
 
 

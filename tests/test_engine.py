@@ -1,13 +1,19 @@
 """Replay engine cross-checked against a one-event-at-a-time reference.
 
 The engine batches writes into whole sampling periods for speed; the
-reference below feeds the same primitives one event at a time.  Both
-must produce identical wear maps, logs, totals, and sampler state.
+reference below feeds the per-write model, content included, one event
+at a time.  Both must produce identical wear maps, logs, totals, and
+sampler state.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,20 +34,22 @@ from nvmwear import (
     paired_run,
     replay,
 )
+import nvmwear
 from nvmwear import engine
 from nvmwear.coarse import CoarseWearLeveler
+from nvmwear.content import ContentSpace, relocate_content
 from nvmwear.engine import report_dict
 from nvmwear.errors import ConfigError
 from nvmwear.memspace import MemorySpace
 from nvmwear.metrics import endurance_improvement
-from nvmwear.stack import StackState, relocate_step, translate_stack
+from nvmwear.stack import StackState, translate_stack
 from nvmwear.trace import aggregate_linecounts
 
 
 def reference_replay(trace, config):
-    """Feed events one by one through the same primitives the engine uses."""
+    """Feed events one by one through the per-write model, content included."""
     layout = trace.layout
-    space = MemorySpace(layout)
+    space = ContentSpace(layout)
     stack_seg = layout.segment("stack")
     fine = config.enable_fine and stack_seg is not None
     coarse = config.enable_coarse
@@ -92,7 +100,7 @@ def reference_replay(trace, config):
         if fine:
             st.sp = cur_sp
             wraps_before = st.wraps
-            copied = relocate_step(st, space)
+            copied = relocate_content(st, space)
             stack_copy += copied
             reloc_log.append((w_count, st.shift, st.valid_bytes, copied,
                               1 if st.wraps > wraps_before else 0))
@@ -220,11 +228,25 @@ def test_payloads_change_no_run_output(kind, layout):
         assert got.totals == base.totals
 
 
-def test_leveled_replay_builds_no_content_image(layout):
-    trace = gen_workload("deepstack", 5000, layout, seed=2)
-    result = replay(trace, SimConfig(sample_interval_n=10, remap_threshold_t=2))
-    assert result.totals["relocations"] > 0 and result.totals["remaps"] > 0
-    assert result.space.words is None
+def test_leveled_replay_builds_no_content_image():
+    # a fresh interpreter: another test may have imported nvmwear.content
+    code = textwrap.dedent("""
+        import sys
+        import nvmwear.cli
+        from nvmwear import SimConfig, gen_workload, make_layout, replay
+        from nvmwear.memspace import MemorySpace
+        trace = gen_workload("deepstack", 5000, make_layout(), seed=2)
+        result = replay(trace, SimConfig(sample_interval_n=10,
+                                         remap_threshold_t=2))
+        assert result.totals["relocations"] > 0
+        assert result.totals["remaps"] > 0
+        assert "nvmwear.content" not in sys.modules
+        assert type(result.space) is MemorySpace
+        assert not hasattr(result.space, "words")
+    """)
+    src = Path(nvmwear.__file__).parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 101, 4096])

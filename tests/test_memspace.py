@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nvmwear import MemoryLayout, Segment, SimulationError, make_layout
+from nvmwear.content import ContentSpace
 from nvmwear.errors import UnmappedPageError
 from nvmwear.memspace import MemorySpace
 
@@ -117,10 +118,11 @@ def test_shadow_alias_full_page(space, layout):
                 == space.line_index(stack.start + k))
 
 
-def test_record_write_counts_and_payload(space, layout):
+def test_record_write_counts_and_payload(layout):
+    space = ContentSpace(layout)
     data = layout.segment("data")
     line = space.line_index(data.start)
-    assert space.words is None  # no image until the first write
+    assert not space.words.any()  # every line starts zeroed
     space.record_write(line, 0xAB)
     assert space.wear[line] == 1
     assert space.words[line] == 0xAB
@@ -129,7 +131,8 @@ def test_record_write_counts_and_payload(space, layout):
     assert space.words[line] == 0
 
 
-def test_shadow_and_real_hit_one_line(space, layout):
+def test_shadow_and_real_hit_one_line(layout):
+    space = ContentSpace(layout)
     stack = layout.segment("stack")
     off = 0x1040
     space.record_write(space.line_index(stack.start + off))
@@ -196,13 +199,13 @@ def test_copy_arithmetic(space, layout):
 
 
 def test_copy_without_an_image_charges_the_same_wear(layout):
-    plain, imaged = MemorySpace(layout), MemorySpace(layout)
-    imaged.words = np.arange(imaged.n_lines, dtype=np.uint64)
+    plain, imaged = MemorySpace(layout), ContentSpace(layout)
+    imaged.words[:] = np.arange(imaged.n_lines)
     rng = np.random.default_rng(3)
     for a, b in rng.choice(plain.pool_frames, (20, 2)).tolist():
         assert plain.copy_frame(a, b) == imaged.copy_frame(a, b)
     assert np.array_equal(plain.wear, imaged.wear)
-    assert plain.words is None
+    assert not hasattr(plain, "words")
 
 
 def test_three_way_swap_charges_192(space, layout):
@@ -219,7 +222,8 @@ def test_three_way_swap_charges_192(space, layout):
     assert space.wear[buf * 64:(buf + 1) * 64].sum() == 64
 
 
-def test_copy_moves_materialized_words(space, layout):
+def test_copy_moves_materialized_words(layout):
+    space = ContentSpace(layout)
     data = layout.segment("data")
     space.record_write(space.line_index(data.start + 128), 0x77)
     fa = frame_of(space, data.start)
@@ -263,8 +267,8 @@ def test_alias_equivalence_random_offsets(layout):
     stack = layout.segment("stack")
     rng = np.random.default_rng(1)
     offs = (rng.integers(0, stack.size // 64, 2000) * 64).tolist()
-    via_real = MemorySpace(layout)
-    via_shadow = MemorySpace(layout)
+    via_real = ContentSpace(layout)
+    via_shadow = ContentSpace(layout)
     for off in offs:
         via_real.record_write(via_real.line_index(stack.start + off))
         via_shadow.record_write(
@@ -272,7 +276,8 @@ def test_alias_equivalence_random_offsets(layout):
     assert np.array_equal(via_real.wear, via_shadow.wear)
 
 
-def test_wear_csv_format(space, layout):
+def test_wear_csv_format(layout):
+    space = ContentSpace(layout)
     data = layout.segment("data")
     line = space.line_index(data.start)
     space.record_write(line)

@@ -5,10 +5,11 @@ import pytest
 
 from nvmwear import MemoryLayout, Segment, SimulationError, make_layout
 from nvmwear.errors import ConfigError, StackOverflowError
+from nvmwear.content import (ContentSpace, adjust_inmemory_pointers,
+                             relocate_content)
 from nvmwear.memspace import MemorySpace
-from nvmwear.stack import (SmartPointer, StackState, adjust_inmemory_pointers,
-                           relocate_step, translate_after, translate_stack,
-                           wraparound_reset)
+from nvmwear.stack import (StackState, relocate_step, translate_after,
+                           translate_stack, wraparound_reset)
 
 BASE = 0x100010000
 S = 0x10000
@@ -19,9 +20,9 @@ def st_at(sp, shift=0, step=64):
                       shift=shift)
 
 
-def stack_space():
+def stack_space(space_type=MemorySpace):
     lay = MemoryLayout((Segment("stack", BASE, BASE + S),))
-    return MemorySpace(lay)
+    return space_type(lay)
 
 
 def test_translate_identity_at_zero_shift():
@@ -225,7 +226,7 @@ def test_adjust_exactly_in_window_words(seed=5):
 
 
 def test_content_preserved_across_relocations_and_wraps():
-    space = stack_space()
+    space = stack_space(ContentSpace)
     sp = BASE + S - 2048
     st = st_at(sp=sp)
     rng = np.random.default_rng(8)
@@ -236,7 +237,7 @@ def test_content_preserved_across_relocations_and_wraps():
         stored[addr] = val
     relocs = 2 * (S // 64) + 17  # two wraps and a bit more
     for _ in range(relocs):
-        relocate_step(st, space)
+        relocate_content(st, space)
         for addr, val in stored.items():
             line = space.line_index(translate_stack(addr, st))
             assert space.words[line] == val
@@ -245,7 +246,7 @@ def test_content_preserved_across_relocations_and_wraps():
 
 def test_pointer_words_stay_consistent_through_relocation():
     """A stored stack pointer keeps naming the same content after moves."""
-    space = stack_space()
+    space = stack_space(ContentSpace)
     sp = BASE + S - 1024
     st = st_at(sp=sp)
     target = sp + 256
@@ -253,7 +254,7 @@ def test_pointer_words_stay_consistent_through_relocation():
     space.record_write(space.line_index(target), 0xFEED)
     space.record_write(space.line_index(holder), target)
     for _ in range(5):
-        relocate_step(st, space)
+        relocate_content(st, space)
     holder_line = space.line_index(translate_stack(holder, st))
     stored_ptr = int(space.words[holder_line])
     assert stored_ptr == target - 5 * 64  # rewritten once per step
@@ -264,14 +265,14 @@ def test_pointer_words_stay_consistent_through_relocation():
 def test_pointer_word_stays_consistent_through_three_wraps():
     # a pointer stored at shift 0 leaves the next window at each reset
     # unless the reset moves it back up by S
-    space = stack_space()
+    space = stack_space(ContentSpace)
     sp = BASE + S - 1024
     st = st_at(sp=sp)
     target, holder = sp + 256, sp + 512
     space.record_write(space.line_index(target), 0xFEED)
     space.record_write(space.line_index(holder), target)
     while st.wraps < 3:
-        relocate_step(st, space)
+        relocate_content(st, space)
         ptr = int(space.words[space.line_index(translate_stack(holder, st))])
         assert ptr == translate_stack(target, st), (st.relocations, hex(ptr))
         assert space.words[space.line_index(ptr)] == 0xFEED
@@ -279,7 +280,7 @@ def test_pointer_word_stays_consistent_through_three_wraps():
 
 
 def test_wrap_moves_exactly_the_words_left_in_the_shadow_window():
-    space = stack_space()
+    space = stack_space(ContentSpace)
     st = st_at(sp=BASE + S - 1024, shift=S - 64)  # one step before a reset
     # after the step the window is [lo, hi), all shadow; the step itself
     # moves in-window words by -64 first
@@ -288,7 +289,7 @@ def test_wrap_moves_exactly_the_words_left_in_the_shadow_window():
     src = space.line_index(st.sp - st.shift)
     for i, word in enumerate(moves):
         space.record_write(src + i, word)
-    relocate_step(st, space)
+    relocate_content(st, space)
     assert st.wraps == 1 and st.shift == 0
     lines = space.line_index(np.arange(st.sp, st.top, 64))
     assert sorted(space.words[lines].tolist()) \
@@ -296,7 +297,8 @@ def test_wrap_moves_exactly_the_words_left_in_the_shadow_window():
 
 
 def spec_relocate_step(st, space):
-    """The per-line relocation step that `relocate_step` must equal.
+    """The per-line relocation step that `relocate_step` must equal in
+    wear and `relocate_content` in wear and words.
 
     One address per window line, `line_index` of every source and
     destination, a fancy-indexed charge of one write per copied line,
@@ -334,11 +336,13 @@ def test_relocate_step_matches_the_per_line_spec(line_size, step, image):
     lay = MemoryLayout((Segment("data", base, base + 4 * 4096), stack),
                        line_size=line_size)
     rng = np.random.default_rng(line_size + step + image)
-    got, want = MemorySpace(lay), MemorySpace(lay)
-    want.words = np.zeros(want.n_lines, dtype=np.uint64)
+    # without an image, the wear-only step runs on a plain MemorySpace
+    got = (ContentSpace if image else MemorySpace)(lay)
+    want = ContentSpace(lay)
+    relocate = relocate_content if image else relocate_step
     if image:
         want.words[:] = rng.integers(0, 1 << 32, want.n_lines)
-        got.words = want.words.copy()
+        got.words[:] = want.words
     st_got, st_want = (StackState(region_base=stack.start,
                                   region_size=stack.size, sp=stack.end - 512,
                                   step=step) for _ in range(2))
@@ -369,40 +373,39 @@ def test_relocate_step_matches_the_per_line_spec(line_size, step, image):
         straddles += st_want.sp - st_want.shift < stack.start \
             < stack.end - st_want.shift
         before = got.total_wear()
-        copied = relocate_step(st_got, got)
+        copied = relocate(st_got, got)
         assert copied == spec_relocate_step(st_want, want)
         assert got.total_wear() - before == copied
         assert st_got == st_want
         assert np.array_equal(got.wear, want.wear)
         if image:
             assert np.array_equal(got.words, want.words)
-        else:
-            assert got.words is None
 
 
-def test_smart_pointer_identity_and_full_cycle():
-    space = stack_space()
+def test_captured_address_identity_and_full_cycle():
+    # a captured logical address resolves through the live shift
+    space = stack_space(ContentSpace)
     sp = BASE + S - 4096
     st = st_at(sp=sp)
-    ptr = SmartPointer(sp + 128)
-    space.record_write(space.line_index(ptr.deref(st)), 0xBEEF)
-    line0 = space.line_index(ptr.deref(st))
+    ptr = sp + 128
+    space.record_write(space.line_index(translate_stack(ptr, st)), 0xBEEF)
+    line0 = space.line_index(translate_stack(ptr, st))
     for _ in range(S // 64):  # one full cycle, ends with a wrap
-        relocate_step(st, space)
+        relocate_content(st, space)
     assert st.shift == 0 and st.wraps == 1
-    assert space.line_index(ptr.deref(st)) == line0
-    assert space.words[space.line_index(ptr.deref(st))] == 0xBEEF
+    assert space.line_index(translate_stack(ptr, st)) == line0
+    assert space.words[space.line_index(translate_stack(ptr, st))] == 0xBEEF
 
 
-def test_smart_pointer_follows_content_between_wraps():
-    space = stack_space()
+def test_captured_address_follows_content_between_wraps():
+    space = stack_space(ContentSpace)
     sp = BASE + S - 512
     st = st_at(sp=sp)
-    ptr = SmartPointer(sp + 64)
-    space.record_write(space.line_index(ptr.deref(st)), 0xCAFE)
+    ptr = sp + 64
+    space.record_write(space.line_index(translate_stack(ptr, st)), 0xCAFE)
     for k in range(25):
-        relocate_step(st, space)
-        line = space.line_index(ptr.deref(st))
+        relocate_content(st, space)
+        line = space.line_index(translate_stack(ptr, st))
         assert space.words[line] == 0xCAFE
 
 

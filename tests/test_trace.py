@@ -189,7 +189,7 @@ def test_chunk_size_does_not_change_the_trace(monkeypatch, layout, size):
     for kind in WORKLOADS:
         tr = gen_workload(kind, 300, layout, 5)
         assert parse_trace(emit_trace(tr)) == tr
-    # CRLF lines, which only the line loop reads, between LF chunks
+    # CRLF lines between LF chunks
     tr = gen_workload("deepstack", 300, layout, 5)
     data = emit_trace(tr)
     a = data.index(b"\n", len(data) // 3) + 1
@@ -211,8 +211,9 @@ def test_errors_name_their_line_past_many_chunks(layout):
 
 def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
     """Past the header's first event line, every line of `emit_trace`
-    output is tokenized in chunks, and no chunk is left to the line loop
-    (a count that pins the fast path where a timing test would flake)."""
+    output, and of its CRLF form, is tokenized in chunks, and no chunk is
+    left to the line loop (a count that pins the fast path where a timing
+    test would flake)."""
     tokenized = []
     tokenize = trace_module._tokenize_chunk
 
@@ -223,10 +224,12 @@ def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
 
     monkeypatch.setattr(trace_module, "_tokenize_chunk", counting)
     for kind in WORKLOADS:
-        tokenized.clear()
-        tr = parse_trace(emit_trace(gen_workload(kind, 20_000, layout, 3)))
-        assert len(tokenized) > 1 and None not in tokenized
-        assert sum(tokenized) == tr.n_events - 1
+        data = emit_trace(gen_workload(kind, 20_000, layout, 3))
+        for text in (data, data.replace(b"\n", b"\r\n")):
+            tokenized.clear()
+            tr = parse_trace(text)
+            assert len(tokenized) > 1 and None not in tokenized
+            assert sum(tokenized) == tr.n_events - 1
 
 
 def _mutate(rng: random.Random, data: bytes, layout) -> bytes:
