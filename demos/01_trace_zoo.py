@@ -23,7 +23,7 @@ for kind in ("hotspot", "stream", "queue", "deepstack"):
                                            trace.n_writes))
     total = result.wear.sum()
     for seg in layout.segments:
-        counts = result.wear[result.space.region_lines(seg.name)]
+        counts = result.wear[result.space.region_slices(seg.name)[0]]
         share = counts.sum() / total
         bar = "#" * int(round(BAR * share))
         print("   %-6s %6.1f%%  %s" % (seg.name, 100 * share, bar))

@@ -8,8 +8,6 @@ Over whole cycles every line in the region hosts the hot window equally
 often.
 """
 
-import numpy as np
-
 from nvmwear import (SimConfig, SpUpdateEvent, Trace, WriteEvent,
                      achieved_endurance, make_layout, replay)
 
@@ -39,8 +37,9 @@ print("relocations: %d, wraparounds: %d, copy lines: %d (%.1f%% overhead)"
 print()
 
 for label, result in runs.items():
-    wear = result.wear[result.space.region_lines("stack")]
-    ae = achieved_endurance(result.wear[result.space.region_lines()])
+    wear = result.wear[result.space.region_slices("stack")[0]]
+    ae = achieved_endurance(*(result.wear[s]
+                              for s in result.space.region_slices()))
     print("%-20s stack max/mean %7.2f   AE %.3f"
           % (label, wear.max() / wear.mean(), ae))
     # wear profile over the stack region, 8 lines per bucket

@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, get_type_hints
 
+import numpy as np
+
 from . import engine, metrics
 from .errors import ConfigError, SimulationError
 from .memspace import MemorySpace
@@ -205,19 +207,19 @@ def cmd_report(args) -> int:
     space.load_wear_csv(run_dir / "leveled_wear.csv")
     names = [args.segment] if args.segment is not None \
         else [seg.name for seg in space.layout.segments]
-    regions = [(name, space.region_lines(name)) for name in names]
+    regions = [(name, space.region_slices(name)[0]) for name in names]
     out_dir = Path(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, lines in regions:
-        counts = space.wear[lines]
+    for name, region in regions:
+        counts = space.wear[region]
         if args.bins == "log2":
             payload = metrics.csv_bytes(
                 "bin,lines", ("%d,%d" % bin_lines for bin_lines
                               in metrics.log2_bins(counts).items()))
             path = out_dir / ("%s_log2.csv" % name)
         else:
-            payload = metrics.export_histogram(space.base_line + lines,
-                                               counts)
+            payload = metrics.export_histogram(
+                space.base_line + np.arange(region.start, region.stop), counts)
             path = out_dir / ("%s.csv" % name)
         write_atomic(path, payload)
         print("wrote %s" % path)

@@ -16,7 +16,7 @@ wear is only ever added to and nothing in the loop reads it.  A batch
 costs what its length does, not what the memory's size does.
 
 A replay models wear, sampling and the leveler logs only: it reads no
-write payloads (see `nvmwear.content`), and its copies charge wear alone.
+write payloads (see `nvmwear.spec`), and its copies charge wear alone.
 It is a pure function of (trace, config): identical inputs give
 identical wear maps, logs, and reports.
 """

@@ -12,7 +12,7 @@ circular stack addressing needs no extra page-table state.
 Wear counts are the simulation's ground truth.  Every line write from any
 source (application replay, remap copies, relocation copies) increments
 exactly one per-line counter here.  Copies charge wear alone; the
-content of lines is modelled by `nvmwear.content`.
+content of lines is modelled by `nvmwear.spec`.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ class MemorySpace:
     def copy_frame(self, src_frame: int, dst_frame: int) -> int:
         """Charge a frame copy to the destination's lines, one write each.
 
-        Returns the lines charged; `ContentSpace` also moves the content.
+        Returns the lines charged; `nvmwear.spec.ContentSpace` also moves
+        the content.
         """
         lpp = self.lines_per_page
         self.wear[dst_frame * lpp:(dst_frame + 1) * lpp] += 1
@@ -230,8 +231,3 @@ class MemorySpace:
             lo = self.buffer_frame * self.lines_per_page
             out.append(slice(lo, lo + self.lines_per_page))
         return out
-
-    def region_lines(self, segment: Optional[str] = None) -> np.ndarray:
-        """Dense line indices of `region_slices`, in order."""
-        return np.concatenate([np.arange(s.start, s.stop, dtype=np.int64)
-                               for s in self.region_slices(segment)])

@@ -10,8 +10,9 @@ region.  Addresses that slide below region_base land in the shadow range
 the whole valid window sits in the shadow exactly when the shift reaches
 S, and the shift then collapses to 0 with no copying.
 
-A relocation here charges wear alone; `nvmwear.content` models the
-content of the moved lines, in-memory pointers included.
+A relocation here charges wear alone; the per-write model in
+`nvmwear.spec` also moves the content of the lines, in-memory pointers
+included.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError, StackOverflowError
+from .errors import ConfigError, StackOverflowError
 from .memspace import MemorySpace
 
 
@@ -48,13 +49,6 @@ class StackState:
         return self.top - self.sp
 
 
-def translate_stack(addr: int, st: StackState) -> int:
-    """Logical stack address -> virtual address under the current shift."""
-    if not st.region_base <= addr < st.top:
-        raise SimulationError("address 0x%x outside the stack region" % addr)
-    return addr - st.shift
-
-
 def wraparound_reset(st: StackState) -> bool:
     """Collapse the shift to 0 once it reaches one region size.
 
@@ -74,14 +68,14 @@ def translate_after(addrs: np.ndarray, steps, st: StackState) -> np.ndarray:
     """Addresses translated after `steps` relocations from shift 0.
 
     `steps` is one count, or one per address.  Stack addresses move down
-    as `translate_stack` moves them; others pass through unchanged.
+    by the shift; others pass through unchanged.
     """
     shift = steps % (st.region_size // st.step) * st.step
     in_stack = (addrs >= st.region_base) & (addrs < st.top)
     return addrs - shift * in_stack
 
 
-def window_lines(st: StackState, line_size: int):
+def _window_lines(st: StackState, line_size: int):
     """Address of the valid window's first line and its line count."""
     lo = st.sp - st.shift
     lo -= lo % line_size
@@ -100,7 +94,7 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
         raise StackOverflowError(
             "valid stack of %d bytes leaves no room for a %d-byte step"
             % (st.valid_bytes, st.step))
-    src, n = window_lines(st, space.line_size)
+    src, n = _window_lines(st, space.line_size)
     for a, k in space.line_runs(src - st.step, n):
         space.wear[a:a + k] += 1
     st.shift += st.step

@@ -29,8 +29,7 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
-                    Union)
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -594,21 +593,6 @@ def save_trace(trace: Trace, path):
     """Write `emit_trace`'s bytes, each chunk as it is made."""
     with open(path, "wb") as fh:
         fh.writelines(_emit_chunks(trace))
-
-
-# ----------------------------------------------------------------------
-# aggregation oracle
-
-def aggregate_linecounts(trace: Trace) -> Dict[int, int]:
-    """Exact per-line write counts under identity translation.
-
-    Keys are absolute line indices (address // line_size).  Serves as the
-    ground-truth oracle that any leveling-off replay must reproduce.
-    """
-    w = trace.kinds == _KIND_WRITE
-    lines = trace.addrs[w] // trace.layout.line_size
-    uniq, counts = np.unique(lines, return_counts=True)
-    return dict(zip(uniq.tolist(), counts.tolist()))
 
 
 # ----------------------------------------------------------------------

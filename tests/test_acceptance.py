@@ -22,10 +22,11 @@ from nvmwear import (
     replay,
 )
 from nvmwear.cli import main as cli_main
-from nvmwear.content import (ContentSpace, adjust_inmemory_pointers,
-                             relocate_content)
 from nvmwear.metrics import normalized_endurance
-from nvmwear.stack import StackState, translate_stack
+from nvmwear.spec import (ContentSpace, adjust_inmemory_pointers,
+                          aggregate_linecounts, relocate_content,
+                          translate_stack)
+from nvmwear.stack import StackState
 
 from conftest import record_acceptance
 
@@ -170,7 +171,6 @@ def test_criterion_02_write_conservation():
 
 
 def test_criterion_03_oracle_equivalence():
-    from nvmwear.trace import aggregate_linecounts
     lay = make_layout()
     cfg = SimConfig(enable_coarse=False, enable_fine=False)
     ok_kinds = []
@@ -236,11 +236,11 @@ def test_criterion_06_fine_uniformity_and_combined_gain():
                                           remap_threshold_t=64,
                                           enable_fine=False))
     cycle = stack.size // both.stack_state.step
-    stack_wear = both.wear[both.space.region_lines("stack")]
+    stack_wear = both.wear[both.space.region_slices("stack")[0]]
     ratio = float(stack_wear.max() / stack_wear.mean())
-    ae_both = achieved_endurance(both.wear[both.space.region_lines()])
-    ae_coarse = achieved_endurance(
-        coarse_only.wear[coarse_only.space.region_lines()])
+    region = both.space.region_slices()
+    ae_both = achieved_endurance(*(both.wear[s] for s in region))
+    ae_coarse = achieved_endurance(*(coarse_only.wear[s] for s in region))
     elapsed = time.perf_counter() - start
     ok = (both.totals["relocations"] >= 3 * cycle
           and ratio <= 1.5 and ae_both > ae_coarse and elapsed < 10.0)

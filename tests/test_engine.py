@@ -1,9 +1,9 @@
 """Replay engine cross-checked against a one-event-at-a-time reference.
 
-The engine batches writes into whole sampling periods for speed; the
-reference below feeds the per-write model, content included, one event
-at a time.  Both must produce identical wear maps, logs, totals, and
-sampler state.
+The engine charges application writes in batches between remaps and
+runs a control loop per sampler tick; `nvmwear.spec.reference_replay`
+feeds the per-write model, content included, one event at a time.
+Both must produce identical wear maps, logs, totals, and sampler state.
 """
 
 import os
@@ -27,7 +27,6 @@ from nvmwear import (
     SpUpdateEvent,
     Trace,
     WriteEvent,
-    WriteSampler,
     achieved_endurance,
     gen_workload,
     make_layout,
@@ -36,86 +35,11 @@ from nvmwear import (
 )
 import nvmwear
 from nvmwear import engine
-from nvmwear.coarse import CoarseWearLeveler
-from nvmwear.content import ContentSpace, relocate_content
 from nvmwear.engine import report_dict
 from nvmwear.errors import ConfigError
 from nvmwear.memspace import MemorySpace
 from nvmwear.metrics import endurance_improvement
-from nvmwear.stack import StackState, translate_stack
-from nvmwear.trace import aggregate_linecounts
-
-
-def reference_replay(trace, config):
-    """Feed events one by one through the per-write model, content included."""
-    layout = trace.layout
-    space = ContentSpace(layout)
-    stack_seg = layout.segment("stack")
-    fine = config.enable_fine and stack_seg is not None
-    coarse = config.enable_coarse
-    sampling = coarse or fine
-    sampler = WriteSampler(config.sample_interval_n, space.n_pages) \
-        if sampling else None
-    leveler = CoarseWearLeveler(space, config.remap_threshold_t) \
-        if coarse else None
-    st = None
-    if fine:
-        if np.any(trace.kinds == 1):
-            sp0 = stack_seg.end
-        else:
-            sp0 = stack_seg.end - min(config.fixed_valid_stack,
-                                      stack_seg.size - config.stack_step)
-        st = StackState(region_base=stack_seg.start,
-                        region_size=stack_seg.size, sp=sp0,
-                        step=config.stack_step)
-    cur_sp = st.sp if fine else 0
-    sample_log, remap_log, reloc_log = [], [], []
-    stack_copy = 0
-    w_count = 0
-    for kind, addr, value in zip(trace.kinds.tolist(), trace.addrs.tolist(),
-                                 trace.values.tolist()):
-        if kind == 1:
-            cur_sp = addr
-            continue
-        w_count += 1
-        if fine and stack_seg.start <= addr < stack_seg.end:
-            v = translate_stack(addr, st)
-        else:
-            v = addr
-        line = space.line_index(v)
-        space.record_write(line, value)
-        if not sampling:
-            continue
-        frame = line // space.lines_per_page
-        got = sampler.observe_write(frame)
-        if got is None:
-            continue
-        sample_log.append((w_count, got))
-        if coarse:
-            request = leveler.on_sample(got)
-            if request is not None:
-                result = leveler.perform_remap(request)
-                if result is not None:
-                    remap_log.append((w_count,) + result)
-        if fine:
-            st.sp = cur_sp
-            wraps_before = st.wraps
-            copied = relocate_content(st, space)
-            stack_copy += copied
-            reloc_log.append((w_count, st.shift, st.valid_bytes, copied,
-                              1 if st.wraps > wraps_before else 0))
-    coarse_lines = leveler.copy_lines if coarse else 0
-    totals = {
-        "app_writes": w_count,
-        "coarse_copy_lines": coarse_lines,
-        "stack_copy_lines": stack_copy,
-        "total_writes": w_count + coarse_lines + stack_copy,
-        "samples": sampler.samples_taken if sampling else 0,
-        "remaps": leveler.remaps if coarse else 0,
-        "relocations": st.relocations if fine else 0,
-        "wraps": st.wraps if fine else 0,
-    }
-    return space, sampler, sample_log, remap_log, reloc_log, totals
+from nvmwear.spec import aggregate_linecounts, reference_replay
 
 
 def assert_matches_reference(trace, config):
@@ -228,24 +152,31 @@ def test_payloads_change_no_run_output(kind, layout):
         assert got.totals == base.totals
 
 
-def test_leveled_replay_builds_no_content_image():
-    # a fresh interpreter: another test may have imported nvmwear.content
+def test_leveled_replay_builds_no_content_image(tmp_path):
+    # a fresh interpreter; the content image exists only in nvmwear.spec
     code = textwrap.dedent("""
-        import sys
-        import nvmwear.cli
+        import json, pathlib, sys
         from nvmwear import SimConfig, gen_workload, make_layout, replay
+        from nvmwear.cli import main
         from nvmwear.memspace import MemorySpace
         trace = gen_workload("deepstack", 5000, make_layout(), seed=2)
         result = replay(trace, SimConfig(sample_interval_n=10,
                                          remap_threshold_t=2))
-        assert result.totals["relocations"] > 0
-        assert result.totals["remaps"] > 0
-        assert "nvmwear.content" not in sys.modules
         assert type(result.space) is MemorySpace
         assert not hasattr(result.space, "words")
+        out = sys.argv[1]
+        assert main(["gen", "--kind", "deepstack", "--writes", "5000",
+                     "--seed", "2", "--out", out + "/t"]) == 0
+        assert main(["run", "--trace", out + "/t", "--n", "10", "--t", "2",
+                     "--out", out + "/run"]) == 0
+        assert main(["report", "--run", out + "/run"]) == 0
+        report = pathlib.Path(out, "run", "report.json").read_text()
+        totals = json.loads(report)["totals"]
+        assert totals["remaps"] > 0 and totals["relocations"] > 0
+        assert "nvmwear.spec" not in sys.modules
     """)
     src = Path(nvmwear.__file__).parents[1]
-    subprocess.run([sys.executable, "-c", code], check=True,
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True,
                    env=dict(os.environ, PYTHONPATH=str(src)))
 
 
@@ -402,7 +333,7 @@ def test_uniform_trace_has_perfect_baseline_ae(layout):
     trace = gen_workload("stream", 5120, layout, seed=0)
     cfg = SimConfig(enable_coarse=False, enable_fine=False)
     result = replay(trace, cfg)
-    data_wear = result.wear[result.space.region_lines("data")]
+    data_wear = result.wear[result.space.region_slices("data")[0]]
     assert data_wear.min() == data_wear.max() == 10
 
 
@@ -547,13 +478,13 @@ def test_region_metrics_equal_the_gathered_ones(pages):
         trace = gen_workload(kind, 30000, layout, seed=4)
     cfg = SimConfig(sample_interval_n=20, remap_threshold_t=2)
     baseline, leveled, rep = paired_run(trace, cfg)
-    region = leveled.space.region_lines()
+    region = np.r_[tuple(leveled.space.region_slices())]  # gathered lines
     ae_base = achieved_endurance(baseline.wear[region])
     assert rep.ae == achieved_endurance(leveled.wear[region])
     assert rep.ei == endurance_improvement(rep.ae, ae_base)
     doc = report_dict(trace, cfg, baseline, leveled, rep)
     for seg in layout.segments:
-        counts = leveled.wear[leveled.space.region_lines(seg.name)]
+        counts = leveled.wear[leveled.space.region_slices(seg.name)[0]]
         peak = int(counts.max())
         assert doc["per_segment"][seg.name] == {
             "AE": None if peak == 0 else achieved_endurance(counts),

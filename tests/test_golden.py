@@ -17,10 +17,15 @@ over the whole of memory.  The deepstack run with `--no-coarse` and with
 `--no-fine` was pinned while replay still kept a list of per-period
 stack shifts.  Payload words reach no run artifact, so the
 deepstack trace that `gen` writes is pinned as well; its digest was taken
-while the generator still collected its events in Python lists.
+while the generator still collected its events in Python lists.  The
+demos' output was pinned while they still gathered regions into copies.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +125,15 @@ REPORTS = {
 }
 
 
+# stdout of each demo, run as `PYTHONPATH=src python -W error demos/NAME`
+DEMOS = {
+    "01_trace_zoo.py": "4d045a1f27aa534c6adab2daaefdc9c0af5ebca15c84c26e6dbebf3ce65cd64e",
+    "02_sampling_accuracy.py": "42d78e3697f14398bbcab6717366cbabfe009b4014622d1e2e8762edbef92893",
+    "03_coarse_rotation.py": "1eb948cf2c00c3767db44cb92d5f5a2445f67687bfde2753ddc300e1cb54e85e",
+    "04_stack_carousel.py": "fbac68926005c8aa0f3242dc556cda0d70498537a6d67378739be22440f3a704",
+}
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -168,3 +182,14 @@ def test_trace_round_trip_matches_the_deepstack_digests(tmp_path, capsys):
     want = {name: digest for name, digest in DIGESTS["deepstack"].items()
             if name != "report.json"}
     assert {name: sha256(out / name) for name in want} == want
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_output_matches_pinned_digest(demo):
+    root = Path(__file__).resolve().parents[1]
+    assert {p.name for p in (root / "demos").glob("*.py")} == set(DEMOS)
+    out = subprocess.run(
+        [sys.executable, "-W", "error", str(root / "demos" / demo)],
+        check=True, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src"))).stdout
+    assert hashlib.sha256(out).hexdigest() == DEMOS[demo]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nvmwear import MemoryLayout, Segment, SimulationError, make_layout
-from nvmwear.content import ContentSpace
 from nvmwear.errors import UnmappedPageError
 from nvmwear.memspace import MemorySpace
+from nvmwear.spec import ContentSpace
 
 
 @pytest.fixture
@@ -292,19 +292,19 @@ def test_wear_csv_format(layout):
 
 
 def test_region_lines_default_covers_segments_and_buffer(space, layout):
-    region = space.region_lines()
+    region = space.region_slices()
     total = sum(s.size for s in layout.segments) // 64 + 64
-    assert len(region) == total
+    assert sum(s.stop - s.start for s in region) == total
     buf0 = space.buffer_frame * 64
-    assert buf0 in region
+    assert region[-1] == slice(buf0, buf0 + 64)
 
 
 def test_region_lines_named_segment(space, layout):
     stack = layout.segment("stack")
-    region = space.region_lines("stack")
-    assert len(region) == stack.size // 64
+    (region,) = space.region_slices("stack")
+    assert region.stop - region.start == stack.size // 64
     with pytest.raises(SimulationError):
-        space.region_lines("heap")
+        space.region_slices("heap")
 
 
 def test_layout_without_stack_has_no_shadow():
@@ -326,7 +326,7 @@ def test_page_table_and_regions_match_per_page_construction(pages):
         p0 = (seg.start - space.base) // 4096
         p1 = (seg.end - space.base) // 4096
         frames[p0:p1] = np.arange(p0, p1)
-        regions[seg.name] = np.arange(p0 * 64, p1 * 64)
+        regions[seg.name] = slice(p0 * 64, p1 * 64)
     pool = np.flatnonzero(frames >= 0)
     assert np.array_equal(space.page_of_frame, frames)
     stack = layout.segment("stack")
@@ -336,10 +336,9 @@ def test_page_table_and_regions_match_per_page_construction(pages):
     assert np.array_equal(space.frames, frames)
     assert np.array_equal(space.pool_frames, pool)
     buf = space.buffer_frame * 64
-    assert np.array_equal(space.region_lines(), np.concatenate(
-        [*regions.values(), np.arange(buf, buf + 64)]))
+    assert space.region_slices() == [*regions.values(), slice(buf, buf + 64)]
     for name, lines in regions.items():
-        assert np.array_equal(space.region_lines(name), lines)
+        assert space.region_slices(name) == [lines]
 
 
 def test_wear_csv_round_trip(layout, tmp_path):

@@ -48,3 +48,25 @@ def test_readme_and_demos_import_only_exported_names():
     assert len(sources) >= 5  # four demos and the README's API example
     used = set().union(*(imported_names(src) for src in sources))
     assert used and used <= set(nvmwear.__all__)
+
+
+def imports_of(source: str):
+    """Modules and `module.name`s a source imports, relative ones resolved."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "nvmwear." * (node.level > 0) + (node.module or "")
+            yield module.rstrip(".")
+            yield from (module.rstrip(".") + "." + a.name for a in node.names)
+
+
+def test_only_the_spec_imports_the_spec():
+    # the engine must share no code with the model it is checked against
+    for form in ("from .spec import X", "from . import spec",
+                 "import nvmwear.spec"):
+        assert "nvmwear.spec" in imports_of(form)
+    modules = sorted(Path(nvmwear.__file__).parent.glob("*.py"))
+    assert "spec.py" in [p.name for p in modules]
+    assert [p.name for p in modules if "nvmwear.spec"
+            in imports_of(p.read_text(encoding="utf-8"))] == []

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from nvmwear import MemoryLayout, Segment, SimulationError, make_layout
+from nvmwear import (MemoryLayout, Segment, SimConfig, SimulationError,
+                     SpUpdateEvent, Trace, WriteEvent, make_layout)
 from nvmwear.errors import ConfigError, StackOverflowError
-from nvmwear.content import (ContentSpace, adjust_inmemory_pointers,
-                             relocate_content)
 from nvmwear.memspace import MemorySpace
+from nvmwear.spec import (ContentSpace, adjust_inmemory_pointers,
+                          reference_replay, relocate_content, translate_stack)
 from nvmwear.stack import (StackState, relocate_step, translate_after,
-                           translate_stack, wraparound_reset)
+                           wraparound_reset)
 
 BASE = 0x100010000
 S = 0x10000
@@ -296,53 +297,45 @@ def test_wrap_moves_exactly_the_words_left_in_the_shadow_window():
         == sorted([*moves.values()] + [0] * (len(lines) - len(moves)))
 
 
-def spec_relocate_step(st, space):
-    """The per-line relocation step that `relocate_step` must equal in
-    wear and `relocate_content` in wear and words.
+def hand_relocate(words, st, ls):
+    """One step's word moves, before `st` advances, by virtual address.
 
-    One address per window line, `line_index` of every source and
-    destination, a fancy-indexed charge of one write per copied line,
-    and a gather, pointer adjust and scatter of the words; at a reset,
-    the words of the new window that point into its shadow copy move up
-    by S.
+    `words` maps each line's base address to its word, a shadow address
+    standing for the stack line S above it; all sources are read first.
     """
-    ls = space.line_size
-    if st.valid_bytes > st.region_size - st.step:
-        raise StackOverflowError("no room for a step")
-    win_lo, win_hi = st.sp - st.shift, st.top - st.shift
-    src = np.arange(win_lo - win_lo % ls, win_hi, ls, dtype=np.int64)
-    dst_lines, src_lines = space.line_index(np.stack((src - st.step, src)))
-    np.add.at(space.wear, dst_lines, 1)
-    space.words[dst_lines] = adjust_inmemory_pointers(space.words[src_lines],
-                                                      st)
-    st.shift += st.step
-    st.relocations += 1
-    if wraparound_reset(st):
-        lo, hi = st.sp - st.shift, st.top - st.shift
-        lines = space.line_index(np.arange(lo - lo % ls, hi, ls,
-                                           dtype=np.int64))
-        w = space.words[lines]
-        shadow = (w >= lo - st.region_size) & (w < hi - st.region_size)
-        space.words[lines] = np.where(shadow, w + np.uint64(st.region_size), w)
-    return len(src)
+    S, rb = st.region_size, st.region_base
+    key = lambda a: a - a % ls + (S if rb - S <= a < rb else 0)
+    lo, hi = st.sp - st.shift, st.top - st.shift
+    old = dict(words)
+    for a in range(lo - lo % ls, hi, ls):
+        w = old[key(a)]
+        words[key(a - st.step)] = w - st.step if lo <= w < hi else w
+    if st.shift + st.step == S:  # the wrap: shadow pointers move up by S
+        for a in range(st.sp - st.sp % ls, st.top, ls):
+            words[a] += S if st.sp - S <= words[a] < rb else 0
 
 
 @pytest.mark.parametrize("image", [True, False])
 @pytest.mark.parametrize("line_size,step", [(64, 64), (64, 256), (128, 64),
                                             (256, 64), (256, 128)])
 def test_relocate_step_matches_the_per_line_spec(line_size, step, image):
+    # the engine's step charges a run of lines per page, the spec's line
+    # by line; with a content image, the spec's words also follow a model
+    # keyed by virtual address, which page exchanges leave as it is
     base = 1 << 32
+    data = Segment("data", base, base + 4 * 4096)
     stack = Segment("stack", base + 8 * 4096, base + 12 * 4096)
-    lay = MemoryLayout((Segment("data", base, base + 4 * 4096), stack),
-                       line_size=line_size)
+    lay = MemoryLayout((data, stack), line_size=line_size)
     rng = np.random.default_rng(line_size + step + image)
-    # without an image, the wear-only step runs on a plain MemorySpace
-    got = (ContentSpace if image else MemorySpace)(lay)
-    want = ContentSpace(lay)
-    relocate = relocate_content if image else relocate_step
-    if image:
-        want.words[:] = rng.integers(0, 1 << 32, want.n_lines)
-        got.words[:] = want.words
+    got, want = MemorySpace(lay), ContentSpace(lay)
+    lines = np.r_[np.arange(data.start, data.end, line_size),
+                  np.arange(stack.start, stack.end, line_size)]
+    if image:  # data words and pointers into the stack and its shadow
+        want.words[:] = np.where(
+            rng.random(want.n_lines) < 0.5, rng.integers(0, 1 << 32),
+            rng.integers(stack.start - stack.size, stack.end, want.n_lines))
+    model = dict(zip(lines.tolist(),
+                     want.words[want.line_index(lines)].tolist()))
     st_got, st_want = (StackState(region_base=stack.start,
                                   region_size=stack.size, sp=stack.end - 512,
                                   step=step) for _ in range(2))
@@ -351,35 +344,46 @@ def test_relocate_step_matches_the_per_line_spec(line_size, step, image):
     while st_want.wraps < 2 or straddles == 0:
         if rng.random() < 0.05:  # the coarse leveler's page exchanges
             a, b = (int(f) for f in rng.choice(pool, 2))
-            got.swap_frames(a, b)
-            want.swap_frames(a, b)
+            for space in (got, want):
+                buf = space.buffer_frame
+                for src, dst in ((a, buf), (b, a), (buf, b)):
+                    space.copy_frame(src, dst)
+                space.swap_frames(a, b)
         if rng.random() < 0.1:  # sp moves, up to the largest legal window
             sp = int(rng.choice([stack.start + step, stack.start + step + 8,
                                  stack.end - 8 * int(rng.integers(
                                      (stack.size - step) // 8 + 1))]))
             st_got.sp = st_want.sp = sp
-        if image and rng.random() < 0.3:
-            # pointers into the window and its shadow copy, 32-bit data,
-            # other stack addresses and zero lines
-            lo, hi = st_want.sp - st_want.shift, stack.end - st_want.shift
-            for _ in range(4):
-                a = int(rng.integers(lo, hi)) if hi > lo else lo
-                value = int(rng.choice([
-                    rng.integers(lo, hi + 1), rng.integers(lo, hi + 1)
-                    - stack.size, rng.integers(0, 1 << 32),
-                    rng.integers(stack.start - stack.size, stack.end), 0]))
-                for space in (got, want):
-                    space.record_write(space.line_index(a), value)
         straddles += st_want.sp - st_want.shift < stack.start \
             < stack.end - st_want.shift
         before = got.total_wear()
-        copied = relocate(st_got, got)
-        assert copied == spec_relocate_step(st_want, want)
+        if image:
+            hand_relocate(model, st_want, line_size)
+        copied = relocate_step(st_got, got)
+        assert copied == relocate_content(st_want, want)
         assert got.total_wear() - before == copied
         assert st_got == st_want
         assert np.array_equal(got.wear, want.wear)
-        if image:
-            assert np.array_equal(got.words, want.words)
+        assert want.words[want.line_index(lines)].tolist() \
+            == list(model.values())
+
+
+def test_pointer_stored_after_relocations_follows_its_target():
+    # the reference replay stores a payload that points into the stack
+    # as its translated address, which later relocations adjust
+    lay = MemoryLayout((Segment("stack", BASE, BASE + S),))
+    sp = BASE + S - 1024
+    target, holder = sp + 256, sp + 512
+    pair = [WriteEvent(sp)] * 2  # n=1: one relocation per two writes
+    events = [SpUpdateEvent(sp), *pair * 5, WriteEvent(target, 0xFEED),
+              WriteEvent(holder, target), *pair * 4]
+    cfg = SimConfig(sample_interval_n=1, enable_coarse=False)
+    space, *_, totals = reference_replay(Trace.from_events(lay, events), cfg)
+    assert (totals["relocations"], totals["wraps"]) == (10, 0)
+    shift = 10 * 64
+    ptr = int(space.words[space.line_index(holder - shift)])
+    assert ptr == target - shift
+    assert space.words[space.line_index(ptr)] == 0xFEED
 
 
 def test_captured_address_identity_and_full_cycle():
@@ -418,7 +422,7 @@ def test_circular_copy_wear_is_uniform_over_full_cycles():
     cycle = stack.size // st.step
     for _ in range(3 * cycle):
         relocate_step(st, space)
-    stack_wear = space.wear[space.region_lines("stack")]
+    stack_wear = space.wear[space.region_slices("stack")[0]]
     assert st.wraps == 3
     # every line is a copy destination exactly u/64 times per cycle
     assert stack_wear.min() == stack_wear.max() == 3 * (4096 // 64)

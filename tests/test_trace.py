@@ -17,12 +17,8 @@ from nvmwear import (
 )
 import nvmwear.trace as trace_module
 from nvmwear.errors import GeneratorError, LayoutError, TraceFormatError
-from nvmwear.trace import (
-    WORKLOADS,
-    aggregate_linecounts,
-    emit_trace,
-    parse_trace,
-)
+from nvmwear.spec import aggregate_linecounts
+from nvmwear.trace import WORKLOADS, emit_trace, parse_trace
 
 HEADER = "@segment stack 0x100010000 0x100020000\n"
 
