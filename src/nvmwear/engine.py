@@ -8,12 +8,17 @@ and is never sampled.  Remaps and relocations only happen between
 events, so within one sampling period the page table and the stack
 shift are constant.  The per-tick loop does the control work alone: it
 looks up the sampled write's frame in the live page table and drives
-the sampler and both levelers.  A write in period k sees the stack shift
-of k relocations, which `translate_after` computes in closed form.
-Application writes are charged before each remap changes the page table
-and at the end, `_CHARGE_BATCH` at a time.  Charging late is exact because
-wear is only ever added to and nothing in the loop reads it.  A batch
-costs what its length does, not what the memory's size does.
+the sampler and both levelers; one scan of the event columns finds each
+tick's sampled write and the sp in force there before the loop starts.
+A write in period k sees the stack shift of k relocations, which
+`translate_after` computes in closed form.  Application writes are
+charged by event range before each remap changes the page table and at
+the end, `_CHARGE_BATCH` events at a time, each write's period taken from
+a running write count.  Charging late is exact because wear is only ever
+added to and nothing in the loop reads it.  A batch costs what its length
+does, not what the memory's size does, and no array of the trace's
+length is made: besides the columns and the per-tick arrays and logs,
+replay holds O(batch) temporaries.
 
 A replay models wear, sampling and the leveler logs only: it reads no
 write payloads (see `nvmwear.spec`), and its copies charge wear alone.
@@ -39,8 +44,9 @@ from .sampler import WriteSampler
 from .stack import StackState, relocate_step, translate_after
 from .trace import MemoryLayout, Segment, Trace
 
-# application writes translated and charged at a time; translating a batch
-# makes several temporaries of its length, so a shorter one keeps them small
+# events scanned for ticks, and events charged, at a time; translating a
+# batch makes several temporaries of its length, so a shorter one keeps
+# them small
 _CHARGE_BATCH = 1 << 13
 
 
@@ -113,9 +119,12 @@ class RunResult:
 def replay(trace: Trace, config: SimConfig) -> RunResult:
     """Replay a trace under a config: its wear map, totals and logs.
 
-    A sampled write's frame is looked up in `space.frames` unchecked: a
-    `Trace` is valid by construction and the stack shift stays in
-    [0, S), so the page is mapped.  Its batch's `line_index` checks it.
+    The trace's columns are read a batch of events at a time, and no
+    copy of them is made: each write is charged with the other writes of
+    its event range.  A sampled write's frame is looked up in
+    `space.frames` unchecked: a `Trace` is valid by construction and the
+    stack shift stays in [0, S), so the page is mapped.  Its batch's
+    `line_index` checks it.
     """
     layout = trace.layout
     if config.pool_pages is not None and layout.total_pages > config.pool_pages:
@@ -128,43 +137,58 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
     sampling = coarse or fine
     period = config.sample_interval_n + 1
 
-    is_write = trace.kinds == 0
+    kinds, addrs = trace.kinds, trace.addrs
     sampler = WriteSampler(config.sample_interval_n, space.n_pages) \
         if sampling else None
     leveler = CoarseWearLeveler(space, config.remap_threshold_t) \
         if coarse else None
     st = None
     if fine:
-        sp_pos = np.flatnonzero(~is_write)
-        sp0 = stack_seg.end if len(sp_pos) else stack_seg.end - min(
+        sp = stack_seg.end if kinds.any() else stack_seg.end - min(
             config.fixed_valid_stack, stack_seg.size - config.stack_step)
         st = StackState(region_base=stack_seg.start,
-                        region_size=stack_seg.size, sp=sp0,
+                        region_size=stack_seg.size, sp=sp,
                         step=config.stack_step)
-        # the sp in force at each tick: the last update before its write
-        tick_sp = np.concatenate(([sp0], trace.addrs[sp_pos]))[np.searchsorted(
-            sp_pos, np.flatnonzero(is_write)[period - 1::period])]
 
-    addrs_w = trace.addrs[is_write]
-    n_writes = len(addrs_w)
-    charged = 0
+    # with a leveler on, one scan, a batch of events at a time, finds each
+    # tick's sampled write (its event index) and the sp in force there: the
+    # last update before that write
+    tick_ev, tick_sp = [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
+    writes = 0
+    for lo in range(0, trace.n_events if sampling else 0, _CHARGE_BATCH):
+        k = kinds[lo:lo + _CHARGE_BATCH]
+        w = np.flatnonzero(k == 0)
+        ev = lo + w[(-writes - 1) % period::period]
+        tick_ev.append(ev)
+        writes += len(w)
+        if fine:
+            upd = lo + np.flatnonzero(k)
+            tick_sp.append(np.append(sp, addrs[upd])[np.searchsorted(upd, ev)])
+            if len(upd):
+                sp = addrs[upd[-1]]
+    tick_ev, tick_sp = np.concatenate(tick_ev), np.concatenate(tick_sp)
+
+    charged = written = 0  # events charged, and the writes among them
 
     def charge(upto: int):
-        """Charge writes [charged, upto) under the current page table."""
-        nonlocal charged
+        """Charge the writes of events [charged, upto) under the current
+        page table; a write's period is its index over `period`."""
+        nonlocal charged, written
         for lo in range(charged, upto, _CHARGE_BATCH):
             hi = min(lo + _CHARGE_BATCH, upto)
-            a = addrs_w[lo:hi]
+            a = addrs[lo:hi][kinds[lo:hi] == 0]
             if fine:
-                a = translate_after(a, np.arange(lo, hi) // period, st)
+                a = translate_after(
+                    a, np.arange(written, written + len(a)) // period, st)
             np.add.at(space.wear, space.line_index(a), 1)
+            written += len(a)
         charged = upto
 
     sample_log: List[Tuple[int, int]] = []
     remap_log: List[Tuple[int, int, int, int, int]] = []
     reloc_log: List[Tuple[int, int, int, int, int]] = []
     if sampling:
-        sampled = addrs_w[period - 1::period]
+        sampled = addrs[tick_ev]
         if fine:  # tick k samples after k relocations
             sampled = translate_after(sampled, np.arange(len(sampled)), st)
         pages = (sampled - space.base) >> space.page_shift
@@ -174,7 +198,7 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             sampler.record_tick(frame)
             sample_log.append((end, frame))
             if coarse and leveler.on_sample(frame) is not None:
-                charge(end)
+                charge(int(tick_ev[tick]) + 1)
                 result = leveler.perform_remap(frame)
                 if result is not None:
                     remap_log.append((end,) + result)
@@ -184,15 +208,15 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
                 copied = relocate_step(st, space)
                 reloc_log.append((end, st.shift, st.valid_bytes, copied,
                                   st.wraps - wraps))
-    charge(n_writes)
+    charge(trace.n_events)
 
     coarse_lines = leveler.copy_lines if coarse else 0
     stack_copy_lines = sum(row[3] for row in reloc_log)
     totals = {
-        "app_writes": n_writes,
+        "app_writes": written,
         "coarse_copy_lines": coarse_lines,
         "stack_copy_lines": stack_copy_lines,
-        "total_writes": n_writes + coarse_lines + stack_copy_lines,
+        "total_writes": written + coarse_lines + stack_copy_lines,
         "samples": len(sample_log),
         "remaps": len(remap_log),
         "relocations": len(reloc_log),

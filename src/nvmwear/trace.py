@@ -44,7 +44,7 @@ SEGMENT_NAMES = ("text", "data", "bss", "stack")
 _KIND_WRITE = 0
 _KIND_SP = 1
 
-_VALIDATE_CHUNK = 1 << 16  # events `Trace.validate` checks at once
+_VALIDATE_CHUNK = 1 << 14  # events `Trace.validate` checks at once
 
 
 @dataclass(frozen=True)
@@ -647,7 +647,7 @@ def _need(layout: MemoryLayout, name: str, min_bytes: int, kind: str) -> Segment
     return seg
 
 
-_GEN_CHUNK = 1 << 16  # category floats `_gen_hotspot` draws at once
+_GEN_CHUNK = 1 << 16  # events each pass of `_gen_hotspot` draws for at once
 
 
 def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
@@ -665,40 +665,49 @@ def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
     all_values = np.zeros(total + 1, np.uint64)
     kinds[0], all_addrs[0] = _KIND_SP, sp0
     addrs, values = all_addrs[1:], all_values[1:]
+    chunks = [slice(lo, lo + _GEN_CHUNK) for lo in range(0, total, _GEN_CHUNK)]
 
-    # each write's category, from floats drawn a chunk at a time (the
-    # same stream as one draw)
-    hot, stk = np.empty(total, bool), np.empty(total, bool)
-    for lo in range(0, total, _GEN_CHUNK):
-        cat = rng.random(min(_GEN_CHUNK, total - lo))
-        np.less(cat, 0.75, out=hot[lo:lo + len(cat)])
-        np.less(cat, 0.95, out=stk[lo:lo + len(cat)])
-    stk &= ~hot
+    # each write's category from one float: 0 hot, 1 stack, 2 other.  Each
+    # pass below draws the same stream a chunk at a time as at once
+    cat = np.empty(total, np.uint8)
+    for part in chunks:
+        f = rng.random(len(cat[part]))
+        np.add(f >= 0.75, f >= 0.95, out=cat[part], dtype=np.uint8)
 
     # one of the data segment's first four lines, its address built in place
-    pick = rng.integers(0, 4, int(hot.sum()))
-    pick *= LINE_SIZE
-    pick += data.start
-    addrs[hot] = pick
-    del pick
+    for part in chunks:
+        hot = cat[part] == 0
+        pick = rng.integers(0, 4, int(hot.sum()))
+        pick *= LINE_SIZE
+        pick += data.start
+        addrs[part][hot] = pick
 
     # shallow LIFO sawtooth over the top eight stack lines
-    n_stk = int(stk.sum())
     tri = np.array([0, 1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1], dtype=np.int64)
-    depth = tri[np.arange(n_stk) % len(tri)]
-    addrs[stk] = stack.end - LINE_SIZE * (1 + depth)
-    values[stk] = rng.integers(0, 1 << 32, n_stk, dtype=np.uint64)
+    n_stk = 0
+    for part in chunks:
+        stk = cat[part] == 1
+        n = int(stk.sum())
+        depth = tri[np.arange(n_stk, n_stk + n) % len(tri)]
+        addrs[part][stk] = stack.end - LINE_SIZE * (1 + depth)
+        values[part][stk] = rng.integers(0, 1 << 32, n, dtype=np.uint64)
+        n_stk += n
 
-    rest = ~(hot | stk)
-    n_rest = int(rest.sum())
+    # any line of the data or bss segment: a segment's start, then a line
     spans = [(data.start, data.size // LINE_SIZE)]
     if bss is not None:
         spans.append((bss.start, bss.size // LINE_SIZE))
     starts = np.array([s for s, _ in spans], dtype=np.int64)
     sizes = np.array([n for _, n in spans], dtype=np.int64)
-    pick = rng.integers(0, len(spans), n_rest)
-    off = (rng.random(n_rest) * sizes[pick]).astype(np.int64)
-    addrs[rest] = starts[pick] + off * LINE_SIZE
+    for part in chunks:
+        rest = cat[part] == 2
+        addrs[part][rest] = starts[rng.integers(0, len(spans),
+                                                int(rest.sum()))]
+    for part in chunks:
+        rest = cat[part] == 2
+        a = addrs[part][rest]
+        off = rng.random(len(a)) * sizes[np.searchsorted(starts, a)]
+        addrs[part][rest] = a + off.astype(np.int64) * LINE_SIZE
 
     return Trace(layout, kinds, all_addrs, all_values)
 
@@ -729,8 +738,16 @@ def _gen_queue(total: int, layout: MemoryLayout, seed: int) -> Trace:
 def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     stack = _need(layout, "stack", 4 * PAGE_SIZE, "deepstack")
     rng = random.Random(seed)
-    draw, choice, randrange, getrandbits = (rng.random, rng.choice,
-                                            rng.randrange, rng.getrandbits)
+    draw, getrandbits = rng.random, rng.getrandbits
+
+    def below(n: int) -> int:
+        """`rng.randrange(n)`, drawing the same bits as CPython does."""
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     top = stack.end
     max_depth = stack.size // 2  # keeps relocation headroom at replay time
     shallow_depth = stack.size // 8
@@ -752,7 +769,7 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
         if frames and r < p_ret:
             sp += pop()
         elif (not frames) or r < p_ret + p_call:
-            size = choice(frame_sizes)
+            size = frame_sizes[below(len(frame_sizes))]
             if depth + size > max_depth:
                 sp += pop()
             else:
@@ -764,7 +781,7 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
         else:
             # rewrite a line of the newest frame; keeps the top hot
             size = frames[-1]
-            written = (sp + LINE_SIZE * randrange(size // LINE_SIZE),)
+            written = (sp + LINE_SIZE * below(size // LINE_SIZE),)
         if top - sp != depth:  # a call or a return moved sp
             add_kind(_KIND_SP)
             add_addr(sp)
@@ -772,7 +789,7 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
         for addr in written:
             # an occasional payload is a pointer into the current valid stack
             if sp < top and draw() < 0.02:
-                value = sp + 8 * randrange((top - sp) // 8)
+                value = sp + 8 * below((top - sp) // 8)
             else:
                 value = getrandbits(32)
             add_kind(_KIND_WRITE)

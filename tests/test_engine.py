@@ -225,6 +225,25 @@ def test_replay_holds_no_copy_of_the_translated_trace(layout):
     assert peak < 1.5 * trace.addrs.nbytes, peak
 
 
+@pytest.mark.parametrize("coarse,fine", [(True, True), (True, False),
+                                         (False, True), (False, False)])
+@pytest.mark.parametrize("kind", ["hotspot", "deepstack"])
+def test_replay_makes_no_whole_trace_copy(kind, coarse, fine, layout):
+    # the tick scan and the charge walk take the columns a batch of events
+    # at a time: a write mask, the writes' addresses or the sp positions
+    # of the whole trace would each take 1/8 to 1x the address column
+    trace = gen_workload(kind, 300000, layout, seed=3)
+    cfg = SimConfig(sample_interval_n=1000, enable_coarse=coarse,
+                    enable_fine=fine)
+    tracemalloc.start()
+    try:
+        replay(trace, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.35 * trace.addrs.nbytes, peak
+
+
 def test_levelers_off_wear_equals_trace_aggregation(layout):
     trace = gen_workload("hotspot", 30000, layout, seed=2)
     cfg = SimConfig(enable_coarse=False, enable_fine=False)

@@ -422,6 +422,34 @@ def test_generated_traces_validate(layout):
         gen_workload(kind, 3000, layout, 5).validate()
 
 
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_hotspot_chunking_draws_the_same_stream(monkeypatch, size):
+    """Each pass of the hotspot generator draws a chunk at a time; the
+    trace equals the default chunk's.  An odd chunk splits PCG64's
+    buffered 32-bit half between two draws of stack payloads."""
+    layouts = (make_layout(), make_layout(64, 4096, 1024, 64))
+    want = [gen_workload("hotspot", 3000, lay, seed)
+            for lay in layouts for seed in (0, 1)]
+    monkeypatch.setattr(trace_module, "_GEN_CHUNK", size)
+    got = [gen_workload("hotspot", 3000, lay, seed)
+           for lay in layouts for seed in (0, 1)]
+    assert got == want
+
+
+def test_hotspot_generation_peak_stays_near_the_columns(layout):
+    """The hotspot generator holds the columns, a category byte per write
+    and O(chunk) temporaries: drawing each pass for the whole trace at once
+    took 1.7x the columns."""
+    gen_workload("hotspot", 1000, layout, 0)  # lazy imports off the peak
+    tracemalloc.start()
+    try:
+        tr = gen_workload("hotspot", 300_000, layout, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (tr.kinds.nbytes + tr.addrs.nbytes + tr.values.nbytes)
+
+
 def test_unknown_kind(layout):
     with pytest.raises(GeneratorError):
         gen_workload("zigzag", 10, layout, 0)
