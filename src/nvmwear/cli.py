@@ -213,9 +213,9 @@ def cmd_report(args) -> int:
     for name, region in regions:
         counts = space.wear[region]
         if args.bins == "log2":
-            payload = metrics.csv_bytes(
-                "bin,lines", ("%d,%d" % bin_lines for bin_lines
-                              in metrics.log2_bins(counts).items()))
+            bins = metrics.log2_bins(counts)
+            payload = metrics.table_csv("bin,lines",
+                                        (list(bins), list(bins.values())))
             path = out_dir / ("%s_log2.csv" % name)
         else:
             payload = metrics.export_histogram(

@@ -18,7 +18,9 @@ a running write count.  Charging late is exact because wear is only ever
 added to and nothing in the loop reads it.  A batch costs what its length
 does, not what the memory's size does, and no array of the trace's
 length is made: besides the columns and the per-tick arrays and logs,
-replay holds O(batch) temporaries.
+replay holds O(batch) temporaries.  The logs are int64 columns: the loop
+stores each tick's sampled frame and relocation line count, and builds
+the event indices, shifts, valid bytes and wrap flags as vectors after.
 
 A replay models wear, sampling and the leveler logs only: it reads no
 write payloads (see `nvmwear.spec`), and its copies charge wear alone.
@@ -30,16 +32,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple, get_type_hints
+from typing import Dict, Optional, Tuple, get_type_hints
 
 import numpy as np
 
 from .coarse import CoarseWearLeveler
 from .errors import ConfigError, SimulationError
 from .memspace import MemorySpace
-from .metrics import (MetricsReport, achieved_endurance, csv_bytes,
+from .metrics import (MetricsReport, achieved_endurance,
                       endurance_improvement, lifetime_improvement,
-                      normalized_endurance, write_overhead)
+                      normalized_endurance, table_csv, write_overhead)
 from .sampler import WriteSampler
 from .stack import StackState, relocate_step, translate_after
 from .trace import MemoryLayout, Segment, Trace
@@ -97,6 +99,11 @@ class SimConfig:
 _FIELD_TYPES = get_type_hints(SimConfig)
 
 
+def _rows(width: int, rows=()) -> np.ndarray:
+    """A log of int64 rows of `width` columns, none by default."""
+    return np.array(rows, np.int64).reshape(-1, width)
+
+
 @dataclass
 class RunResult:
     """A replay's wear map (in `space`), totals and logs; no content image."""
@@ -104,9 +111,13 @@ class RunResult:
     space: MemorySpace
     config: SimConfig
     totals: Dict[str, int]
-    sample_log: List[Tuple[int, int]] = field(default_factory=list)
-    remap_log: List[Tuple[int, int, int, int, int]] = field(default_factory=list)
-    reloc_log: List[Tuple[int, int, int, int, int]] = field(default_factory=list)
+    # int64 rows with the columns of the log CSVs, frames dense:
+    # (event_index, frame); (event_index, hot_page, cold_page, hot_frame,
+    # cold_frame); and (event_index, shift, valid_bytes, copied_lines,
+    # wrapped)
+    sample_log: np.ndarray = field(default_factory=lambda: _rows(2))
+    remap_log: np.ndarray = field(default_factory=lambda: _rows(5))
+    reloc_log: np.ndarray = field(default_factory=lambda: _rows(5))
     sampler: Optional[WriteSampler] = None
     stack_state: Optional[StackState] = None
     coarse_leveler: Optional[CoarseWearLeveler] = None
@@ -184,34 +195,40 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             written += len(a)
         charged = upto
 
-    sample_log: List[Tuple[int, int]] = []
-    remap_log: List[Tuple[int, int, int, int, int]] = []
-    reloc_log: List[Tuple[int, int, int, int, int]] = []
+    # the loop stores what only it knows, each tick's sampled frame and
+    # the lines its relocation copied; the logs' other columns follow
+    # from the tick's number and sp
+    frame_col, copied_col = np.empty((2, len(tick_ev)), np.int64)
+    remaps = []
     if sampling:
         sampled = addrs[tick_ev]
         if fine:  # tick k samples after k relocations
             sampled = translate_after(sampled, np.arange(len(sampled)), st)
         pages = (sampled - space.base) >> space.page_shift
         for tick, page in enumerate(pages.tolist()):
-            end = (tick + 1) * period
             frame = int(space.frames[page])
             sampler.record_tick(frame)
-            sample_log.append((end, frame))
+            frame_col[tick] = frame
             if coarse and leveler.on_sample(frame) is not None:
                 charge(int(tick_ev[tick]) + 1)
                 result = leveler.perform_remap(frame)
                 if result is not None:
-                    remap_log.append((end,) + result)
+                    remaps.append(((tick + 1) * period,) + result)
             if fine:
                 st.sp = int(tick_sp[tick])
-                wraps = st.wraps
-                copied = relocate_step(st, space)
-                reloc_log.append((end, st.shift, st.valid_bytes, copied,
-                                  st.wraps - wraps))
+                copied_col[tick] = relocate_step(st, space)
     charge(trace.n_events)
 
+    ticks = np.arange(1, len(tick_ev) + 1)
+    sample_log = np.column_stack((ticks * period, frame_col))
+    remap_log, reloc_log = _rows(5, remaps), _rows(5)
+    if fine:  # tick k leaves the shift of k + 1 steps
+        steps = ticks % (st.region_size // st.step)
+        reloc_log = np.column_stack((sample_log[:, 0], steps * st.step,
+                                     st.top - tick_sp, copied_col,
+                                     steps == 0))
     coarse_lines = leveler.copy_lines if coarse else 0
-    stack_copy_lines = sum(row[3] for row in reloc_log)
+    stack_copy_lines = int(reloc_log[:, 3].sum())
     totals = {
         "app_writes": written,
         "coarse_copy_lines": coarse_lines,
@@ -310,29 +327,29 @@ def report_layout(path) -> MemoryLayout:
 
 
 def sample_log_csv(result: RunResult) -> bytes:
-    fbase = result.space.base_frame
-    return csv_bytes(
-        "event_index,frame",
-        ("%d,%d" % (idx, fbase + f) for idx, f in result.sample_log))
+    log = result.sample_log
+    return table_csv("event_index,frame",
+                     (log[:, 0], result.space.base_frame + log[:, 1]))
 
 
 def remap_log_csv(result: RunResult) -> bytes:
+    idx, hp, cp, hf, cf = result.remap_log.T
     fbase = result.space.base_frame
-    return csv_bytes(
+    return table_csv(
         "event_index,hot_page_hex,cold_page_hex,hot_frame,cold_frame",
-        ("%d,0x%x,0x%x,%d,%d" % (idx, hp, cp, fbase + hf, fbase + cf)
-         for idx, hp, cp, hf, cf in result.remap_log))
+        (idx, hp, cp, fbase + hf, fbase + cf))
 
 
 def relocation_log_csv(result: RunResult) -> bytes:
-    return csv_bytes(
+    return table_csv(
         "event_index,shift_delta,valid_bytes,copied_lines,wrapped",
-        ("%d,%d,%d,%d,%d" % row for row in result.reloc_log))
+        result.reloc_log.T)
 
 
 def estimates_csv(result: RunResult) -> bytes:
     """Sampled per-frame estimates of a leveled run, with a sample trailer."""
-    est, fbase = result.sampler.estimates, result.space.base_frame
-    rows = ["%d,%d" % (fbase + f, est[f]) for f in np.flatnonzero(est)]
-    rows.append("#samples,%d" % result.sampler.samples_taken)
-    return csv_bytes("frame,estimate", rows)
+    est = result.sampler.estimates
+    frames = np.flatnonzero(est)
+    return table_csv("frame,estimate",
+                     (result.space.base_frame + frames, est[frames]),
+                     "#samples,%d" % result.sampler.samples_taken)

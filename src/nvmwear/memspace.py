@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import SimulationError, UnmappedPageError
-from .metrics import csv_bytes
+from .metrics import table_csv
 from .trace import MemoryLayout
 
 _WEAR_HEADER = "line_index,physical_address_hex,count"
@@ -112,6 +112,11 @@ class MemorySpace:
         lpp = self.lines_per_page
         first = (vaddr - self.base) >> self.line_shift
         end = first + n
+        p = first // lpp
+        if 0 < n <= (p + 1) * lpp - first and 0 <= first < self.n_lines:
+            f = int(self.frames[p])  # one page, the common case
+            if f >= 0:
+                return [(f * lpp + first - p * lpp, n)]
         runs = []
         line = first
         if 0 <= first and end <= self.n_lines:
@@ -175,13 +180,11 @@ class MemorySpace:
 
     def wear_csv_bytes(self) -> bytes:
         """CSV rows line_index,physical_address_hex,count with a sum trailer."""
-        rows = []
-        for i in np.flatnonzero(self.wear):
-            idx = self.base_line + int(i)
-            rows.append("%d,0x%x,%d" % (idx, idx * self.line_size,
-                                        int(self.wear[i])))
-        rows.append("#total,%d" % self.total_wear())
-        return csv_bytes(_WEAR_HEADER, rows)
+        lines = np.flatnonzero(self.wear)
+        idx = self.base_line + lines
+        return table_csv(_WEAR_HEADER,
+                         (idx, idx * self.line_size, self.wear[lines]),
+                         "#total,%d" % self.total_wear())
 
     def load_wear_csv(self, path):
         """Replace the wear map with one `wear_csv_bytes` wrote to path.

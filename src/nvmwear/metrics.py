@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
 from .errors import MetricsError
+from .trace import _HEX_POWERS, _hex_columns
 
 
 def achieved_endurance(*parts) -> float:
@@ -76,14 +77,65 @@ def csv_bytes(header: str, rows: Iterable[str]) -> bytes:
     return "\n".join([header, *rows, ""]).encode("utf-8")
 
 
+# rows formatted at once, as `trace._EMIT_CHUNK` events are
+_CSV_CHUNK = 1 << 13
+# 10 ** 1 .. 10 ** 18; a number's decimal digit count is 1 + how many it
+# reaches
+_DEC_POWERS = np.int64(10) ** np.arange(1, 19, dtype=np.int64)
+
+
+def _dec_columns(col: np.ndarray, width: int) -> np.ndarray:
+    """(width, n) ASCII decimal of the low `width` digits of each
+    non-negative int64, most significant digit first."""
+    out = np.empty((width, len(col)), np.uint8)
+    for i in range(width - 1, -1, -1):
+        q = col // 10
+        out[i] = col - q * 10 + ord("0")
+        col = q
+    return out
+
+
+def table_csv(header: str, columns: Sequence, trailer: str = "") -> bytes:
+    """A header line, a line per row of `columns` (one sequence of
+    non-negative int64 per header field), then the trailer line if any.
+
+    A field named `*_hex` is written in 0x-prefixed lowercase hex, any
+    other in decimal.  As in `trace._emit_chunks`, a chunk's rows are the
+    rows of an (n, w) uint8 matrix stored column-major, each number
+    written at the chunk's widest digit count, and one keep mask drops
+    the leading zeros."""
+    hexes = [name.endswith("_hex") for name in header.split(",")]
+    cols = [np.asarray(c, np.int64) for c in columns]
+    parts = [header.encode() + b"\n"]
+    for lo in range(0, len(cols[0]), _CSV_CHUNK):
+        out, keep = [], []
+        for hexa, col in zip(hexes, cols):
+            col = col[lo:lo + _CSV_CHUNK].view(np.uint64 if hexa else np.int64)
+            digits = np.searchsorted(_HEX_POWERS if hexa else _DEC_POWERS,
+                                     col, "right") + 1
+            w, head = int(digits.max()), b"0x" if hexa else b""
+            out += [np.frombuffer(head, np.uint8)[:, None].repeat(len(col), 1),
+                    (_hex_columns if hexa else _dec_columns)(col, w),
+                    np.full((1, len(col)), ord(","), np.uint8)]
+            # the prefix and the comma are kept, and each number's digits
+            # from its first one on
+            rank = np.array([w] * len(head) + list(range(w + 1)))
+            keep.append(rank[:, None] >= w - digits)
+        out = np.concatenate(out)
+        out[-1] = ord("\n")
+        parts.append(out.T[np.concatenate(keep).T].tobytes())
+    if trailer:
+        parts.append(trailer.encode() + b"\n")
+    return b"".join(parts)
+
+
 def export_histogram(lines: np.ndarray, counts: np.ndarray) -> bytes:
     """Serialize per-line counts as CSV: one row per line index, in order.
 
     Header, a row per (line, count) pair, '#total' trailer.
     """
-    rows = ["%d,%d" % row for row in zip(lines.tolist(), counts.tolist())]
-    rows.append("#total,%d" % counts.sum())
-    return csv_bytes("line_index,count", rows)
+    return table_csv("line_index,count", (lines, counts),
+                     "#total,%d" % counts.sum())
 
 
 def log2_bins(counts) -> Dict[int, int]:

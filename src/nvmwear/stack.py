@@ -75,29 +75,33 @@ def translate_after(addrs: np.ndarray, steps, st: StackState) -> np.ndarray:
     return addrs - shift * in_stack
 
 
-def _window_lines(st: StackState, line_size: int):
-    """Address of the valid window's first line and its line count."""
-    lo = st.sp - st.shift
-    lo -= lo % line_size
-    return lo, -(-(st.top - st.shift - lo) // line_size)
-
-
 def relocate_step(st: StackState, space: MemorySpace) -> int:
     """Move the valid stack down by one step; returns lines copied.
 
     Charges ceil(u / line) line copies for a u-byte valid window, a slice
     per page the window touches, advances the shift and applies a due
-    wraparound reset.  A line-rounded window longer than S (lines wider
-    than the step) meets a line twice and charges it twice.
+    wraparound reset (as `wraparound_reset` does).  A line-rounded window
+    longer than S (lines wider than the step) meets a line twice and
+    charges it twice.
     """
-    if st.valid_bytes > st.region_size - st.step:
+    size, step, shift = st.region_size, st.step, st.shift
+    top = st.region_base + size
+    if top - st.sp > size - step:
         raise StackOverflowError(
             "valid stack of %d bytes leaves no room for a %d-byte step"
-            % (st.valid_bytes, st.step))
-    src, n = _window_lines(st, space.line_size)
-    for a, k in space.line_runs(src - st.step, n):
-        space.wear[a:a + k] += 1
-    st.shift += st.step
+            % (top - st.sp, step))
+    # the valid window's first line, and its line count
+    ls = space.line_size
+    lo = st.sp - shift
+    lo -= lo % ls
+    n = -(-(top - shift - lo) // ls)
+    wear = space.wear
+    for a, k in space.line_runs(lo - step, n):
+        wear[a:a + k] += 1
     st.relocations += 1
-    wraparound_reset(st)
+    shift += step
+    if shift == size:
+        shift = 0
+        st.wraps += 1
+    st.shift = shift
     return n

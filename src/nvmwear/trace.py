@@ -426,8 +426,10 @@ def _parse(blocks: Iterable[bytes], cap: int) -> Trace:
                     lim = min(pos + _PARSE_CHUNK, cut)
                     stop = (data.rfind(b"\n", pos, lim) + 1
                             or data.find(b"\n", pos, cut) + 1 or cut)
-                    chunk = _tokenize_chunk(
-                        data[pos:stop].replace(b"\r\n", b"\n"))
+                    chunk = data[pos:stop]
+                    if b"\r" in chunk:  # one memchr; most chunks have none
+                        chunk = chunk.replace(b"\r\n", b"\n")
+                    chunk = _tokenize_chunk(chunk)
                 if chunk is not None:
                     k = len(chunk[0])
                     kinds[n:n + k], addrs[n:n + k], values[n:n + k] = chunk
@@ -752,9 +754,12 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     max_depth = stack.size // 2  # keeps relocation headroom at replay time
     shallow_depth = stack.size // 8
     frame_sizes = (64, 128, 192, 256)
+    # a return below p_ret (0.20 near the top, 0.45 deeper down), else a
+    # call below p_ret + p_call, the same float sum at either depth
+    p_ret_call = 0.45 + 0.20
 
-    kinds, addrs, values = array("B"), array("q"), array("Q")
-    add_kind, add_addr, add_value = kinds.append, addrs.append, values.append
+    addrs, values, sp_events = array("q"), array("Q"), array("q")
+    add_addr, add_value = addrs.append, values.append
     sp = top
     frames: List[int] = []
     push, pop = frames.append, frames.pop
@@ -762,40 +767,44 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     while writes < total:
         depth = top - sp
         r = draw()
-        shallow = depth < shallow_depth
-        p_call = 0.45 if shallow else 0.20
-        p_ret = 0.20 if shallow else 0.45
-        written = ()
-        if frames and r < p_ret:
+        first = n = 0  # n lines written from `first` on
+        if frames and r < (0.20 if depth < shallow_depth else 0.45):
             sp += pop()
-        elif (not frames) or r < p_ret + p_call:
-            size = frame_sizes[below(len(frame_sizes))]
+        elif (not frames) or r < p_ret_call:
+            i = getrandbits(3)  # below(4)
+            while i >= 4:
+                i = getrandbits(3)
+            size = frame_sizes[i]
             if depth + size > max_depth:
                 sp += pop()
             else:
                 sp -= size
                 push(size)
                 # a call writes its new frame, up to the total
-                n = min(size // LINE_SIZE, total - writes)
-                written = range(sp, sp + n * LINE_SIZE, LINE_SIZE)
+                first, n = sp, min(size // LINE_SIZE, total - writes)
         else:
             # rewrite a line of the newest frame; keeps the top hot
-            size = frames[-1]
-            written = (sp + LINE_SIZE * below(size // LINE_SIZE),)
+            lines = frames[-1] // LINE_SIZE
+            k = lines.bit_length()  # below(lines)
+            i = getrandbits(k)
+            while i >= lines:
+                i = getrandbits(k)
+            first, n = sp + LINE_SIZE * i, 1
         if top - sp != depth:  # a call or a return moved sp
-            add_kind(_KIND_SP)
+            sp_events.append(len(addrs))
             add_addr(sp)
             add_value(0)
-        for addr in written:
-            # an occasional payload is a pointer into the current valid stack
-            if sp < top and draw() < 0.02:
-                value = sp + 8 * below((top - sp) // 8)
+        for addr in range(first, first + n * LINE_SIZE, LINE_SIZE):
+            # an occasional payload is a pointer into the current valid
+            # stack, which is not empty while a frame is written
+            if draw() < 0.02:
+                add_value(sp + 8 * below((top - sp) // 8))
             else:
-                value = getrandbits(32)
-            add_kind(_KIND_WRITE)
+                add_value(getrandbits(32))
             add_addr(addr)
-            add_value(value)
-        writes += len(written)
+        writes += n
+    kinds = np.zeros(len(addrs), np.uint8)
+    kinds[np.asarray(sp_events)] = _KIND_SP
     return Trace(layout, kinds, addrs, values)
 
 

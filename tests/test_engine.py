@@ -54,9 +54,12 @@ def assert_matches_reference(trace, config):
     for _, _, _, hot_frame, cold_frame in got.remap_log:
         rebuilt.swap_frames(hot_frame, cold_frame)
     assert np.array_equal(rebuilt.frames, got.space.frames)
-    assert got.sample_log == samples
-    assert got.remap_log == remaps
-    assert got.reloc_log == relocs
+    # the logs are int64 rows; the reference keeps them as lists of tuples
+    for log, ref, width in ((got.sample_log, samples, 2),
+                            (got.remap_log, remaps, 5),
+                            (got.reloc_log, relocs, 5)):
+        assert log.dtype == np.int64
+        assert np.array_equal(log, np.array(ref, np.int64).reshape(-1, width))
     assert got.totals == totals
     if sampler is not None:
         assert np.array_equal(got.sampler.estimates, sampler.estimates)
@@ -146,9 +149,9 @@ def test_payloads_change_no_run_output(kind, layout):
     assert base.totals["remaps"] > 0 and base.totals["relocations"] > 0
     for got in runs[1:]:
         assert np.array_equal(got.wear, base.wear)
-        assert got.sample_log == base.sample_log
-        assert got.remap_log == base.remap_log
-        assert got.reloc_log == base.reloc_log
+        assert np.array_equal(got.sample_log, base.sample_log)
+        assert np.array_equal(got.remap_log, base.remap_log)
+        assert np.array_equal(got.reloc_log, base.reloc_log)
         assert got.totals == base.totals
 
 
@@ -244,6 +247,22 @@ def test_replay_makes_no_whole_trace_copy(kind, coarse, fine, layout):
     assert peak < 0.35 * trace.addrs.nbytes, peak
 
 
+def test_replay_logs_keep_few_bytes_per_write(layout):
+    # at n=1 every second write is a tick with a sample row (2 columns)
+    # and a relocation row (5 columns): 28 bytes a write as int64 columns,
+    # where a tuple per row kept 123
+    trace = gen_workload("hotspot", 20000, layout, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = replay(trace, SimConfig(sample_interval_n=1))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.totals["relocations"] == trace.n_writes // 2
+    assert kept < 32 * trace.n_writes, kept / trace.n_writes
+
+
 def test_levelers_off_wear_equals_trace_aggregation(layout):
     trace = gen_workload("hotspot", 30000, layout, seed=2)
     cfg = SimConfig(enable_coarse=False, enable_fine=False)
@@ -254,7 +273,8 @@ def test_levelers_off_wear_equals_trace_aggregation(layout):
         expected[line - result.space.base // result.space.line_size] = c
     assert np.array_equal(result.wear, expected)
     assert result.totals["total_writes"] == trace.n_writes
-    assert result.sample_log == [] and result.remap_log == []
+    assert np.array_equal(result.sample_log, np.zeros((0, 2)))
+    assert np.array_equal(result.remap_log, np.zeros((0, 5)))
 
 
 def test_replay_is_deterministic(layout):
@@ -263,9 +283,9 @@ def test_replay_is_deterministic(layout):
     a = replay(trace, cfg)
     b = replay(trace, cfg)
     assert np.array_equal(a.wear, b.wear)
-    assert a.sample_log == b.sample_log
-    assert a.remap_log == b.remap_log
-    assert a.reloc_log == b.reloc_log
+    assert np.array_equal(a.sample_log, b.sample_log)
+    assert np.array_equal(a.remap_log, b.remap_log)
+    assert np.array_equal(a.reloc_log, b.reloc_log)
     assert a.totals == b.totals
 
 
