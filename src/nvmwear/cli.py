@@ -86,14 +86,20 @@ def _add_layout_flags(p):
 
 
 def _resolve_trace(args) -> tuple[Trace, Dict]:
+    """The trace to run, without payloads, which replay never reads, and
+    its report.json description."""
     if args.trace is not None:
-        return load_trace(args.trace), {"path": str(args.trace)}
+        # the values are still checked, so a bad one is a format error
+        return (load_trace(args.trace, payloads=False),
+                {"path": str(args.trace)})
     layout = _layout_from_args(args)
+    # the generator draws the payloads, so its random stream and events
+    # are those of `gen`
     trace = gen_workload(args.kind, args.writes, layout, args.seed)
     desc = {"kind": args.kind, "writes": args.writes, "seed": args.seed,
             "text_pages": args.text_pages, "data_pages": args.data_pages,
             "bss_pages": args.bss_pages, "stack_pages": args.stack_pages}
-    return trace, desc
+    return trace.without_payloads(), desc
 
 
 def _build_config(args, n: Optional[int], t: Optional[int]
@@ -132,13 +138,13 @@ def _report_csv_bytes(doc: Dict) -> bytes:
     return metrics.csv_bytes("section,key,value", rows)
 
 
-def _run_one(trace: Trace, config: engine.SimConfig,
-             baseline: engine.RunResult, out_dir: Path, fmt: str,
-             trace_desc: Dict) -> Dict:
-    leveled = engine.replay(trace, config)
+def _write_run(config: engine.SimConfig, baseline: engine.RunResult,
+               leveled: engine.RunResult, out_dir: Path, fmt: str,
+               trace_desc: Dict) -> Dict:
+    """Write one grid point's report, wear maps and logs; reads no trace."""
     paired = engine.compare_runs(baseline, leveled)
-    doc = engine.report_dict(trace, config, baseline, leveled, paired,
-                             trace_desc=trace_desc)
+    doc = engine.report_dict(leveled.space.layout, config, baseline, leveled,
+                             paired, trace_desc=trace_desc)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         write_atomic(out_dir / "report.csv", _report_csv_bytes(doc))
@@ -187,7 +193,8 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     baseline = None
     # an omitted flag leaves the config file's value in force
-    for n_val, t_val in itertools.product(args.n or [None], args.t or [None]):
+    points = list(itertools.product(args.n or [None], args.t or [None]))
+    for i, (n_val, t_val) in enumerate(points, 1):
         config = _build_config(args, n_val, t_val)
         run_dir = out_dir
         if args.sweep:
@@ -197,7 +204,11 @@ def cmd_run(args) -> int:
         if baseline is None:
             # the levelers-off replay reads neither n nor t
             baseline = engine.replay(trace, config.leveling_off())
-        _run_one(trace, config, baseline, run_dir, args.format, trace_desc)
+        leveled = engine.replay(trace, config)
+        if i == len(points):
+            trace = None  # the last replay is done: free the columns
+        _write_run(config, baseline, leveled, run_dir, args.format,
+                   trace_desc)
     return 0
 
 

@@ -18,9 +18,11 @@ a running write count.  Charging late is exact because wear is only ever
 added to and nothing in the loop reads it.  A batch costs what its length
 does, not what the memory's size does, and no array of the trace's
 length is made: besides the columns and the per-tick arrays and logs,
-replay holds O(batch) temporaries.  The logs are int64 columns: the loop
-stores each tick's sampled frame and relocation line count, and builds
-the event indices, shifts, valid bytes and wrap flags as vectors after.
+replay holds O(batch) temporaries.  The logs are int64 arrays, made
+before the loop: the loop stores each tick's sampled frame and
+relocation line count into them, a batch of ticks at a time, and the
+event indices, shifts, valid bytes and wrap flags are filled in as
+vectors after.
 
 A replay models wear, sampling and the leveler logs only: it reads no
 write payloads (see `nvmwear.spec`), and its copies charge wear alone.
@@ -195,17 +197,22 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             written += len(a)
         charged = upto
 
-    # the loop stores what only it knows, each tick's sampled frame and
-    # the lines its relocation copied; the logs' other columns follow
-    # from the tick's number and sp
-    frame_col, copied_col = np.empty((2, len(tick_ev)), np.int64)
+    # the logs are filled in place: the loop stores what only it knows,
+    # each tick's sampled frame and the lines its relocation copied, and
+    # the other columns follow from the tick's number and sp
+    n_ticks = len(tick_ev)
+    sample_log = np.empty((n_ticks, 2), np.int64)
+    reloc_log = np.empty((n_ticks if fine else 0, 5), np.int64)
+    frame_col, copied_col = sample_log[:, 1], reloc_log[:, 3]
     remaps = []
-    if sampling:
-        sampled = addrs[tick_ev]
+    # the sampled writes' pages are found a batch of ticks at a time
+    for lo in range(0, n_ticks, _CHARGE_BATCH):
+        sampled = addrs[tick_ev[lo:lo + _CHARGE_BATCH]]
         if fine:  # tick k samples after k relocations
-            sampled = translate_after(sampled, np.arange(len(sampled)), st)
-        pages = (sampled - space.base) >> space.page_shift
-        for tick, page in enumerate(pages.tolist()):
+            sampled = translate_after(
+                sampled, np.arange(lo, lo + len(sampled)), st)
+        pages = ((sampled - space.base) >> space.page_shift).tolist()
+        for tick, page in enumerate(pages, lo):
             frame = int(space.frames[page])
             sampler.record_tick(frame)
             frame_col[tick] = frame
@@ -217,18 +224,20 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
             if fine:
                 st.sp = int(tick_sp[tick])
                 copied_col[tick] = relocate_step(st, space)
+    del tick_ev  # the logs' other columns need only the tick numbers
     charge(trace.n_events)
 
-    ticks = np.arange(1, len(tick_ev) + 1)
-    sample_log = np.column_stack((ticks * period, frame_col))
-    remap_log, reloc_log = _rows(5, remaps), _rows(5)
+    ticks = np.arange(1, n_ticks + 1)
+    np.multiply(ticks, period, out=sample_log[:, 0])
     if fine:  # tick k leaves the shift of k + 1 steps
-        steps = ticks % (st.region_size // st.step)
-        reloc_log = np.column_stack((sample_log[:, 0], steps * st.step,
-                                     st.top - tick_sp, copied_col,
-                                     steps == 0))
+        steps = np.remainder(ticks, st.region_size // st.step, out=ticks)
+        reloc_log[:, 0] = sample_log[:, 0]
+        np.multiply(steps, st.step, out=reloc_log[:, 1])
+        np.subtract(st.top, tick_sp, out=reloc_log[:, 2])
+        np.equal(steps, 0, out=reloc_log[:, 4])
+    remap_log = _rows(5, remaps)
     coarse_lines = leveler.copy_lines if coarse else 0
-    stack_copy_lines = int(reloc_log[:, 3].sum())
+    stack_copy_lines = int(copied_col.sum())
     totals = {
         "app_writes": written,
         "coarse_copy_lines": coarse_lines,
@@ -272,11 +281,11 @@ def compare_runs(baseline: RunResult, leveled: RunResult) -> MetricsReport:
 # ----------------------------------------------------------------------
 # report document and log serialization
 
-def report_dict(trace: Trace, config: SimConfig, baseline: RunResult,
+def report_dict(layout: MemoryLayout, config: SimConfig, baseline: RunResult,
                 leveled: RunResult, paired: MetricsReport,
                 trace_desc: Optional[Dict] = None) -> Dict:
-    """Build the run report document written as report.json."""
-    layout = trace.layout
+    """Build the run report document written as report.json for runs of
+    a trace on `layout`; reads no event of the trace."""
     per_segment = {}
     for seg in layout.segments:
         counts = leveled.wear[leveled.space.region_slices(seg.name)[0]]

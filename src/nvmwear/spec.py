@@ -63,20 +63,24 @@ def adjust_inmemory_pointers(words: np.ndarray, st: StackState) -> np.ndarray:
 def relocate_content(st: StackState, space: ContentSpace) -> int:
     """Move the valid stack down one step, line by line; returns lines copied.
 
-    One address per line of the line-rounded window, `line_index` of
-    every source and destination, one write charged per destination
-    line, and a gather, pointer adjust and scatter of the words.  Then
-    the shift advances; at a wraparound reset, the words of the new
-    window that point into its shadow copy move up by S.
+    One address per line that holds a destination byte, in
+    [sp - shift - step, top - shift - step) rounded outward to lines;
+    each such line is charged one write and takes the word of the line
+    holding the byte `step` above its base.  The words are gathered, the
+    pointers adjusted and the words scattered, by `line_index` of every
+    source and destination.  Then the shift advances; at a wraparound
+    reset, the words of the new window that point into its shadow copy
+    move up by S.
     """
     ls = space.line_size
     if st.valid_bytes > st.region_size - st.step:
         raise StackOverflowError(
             "valid stack of %d bytes leaves no room for a %d-byte step"
             % (st.valid_bytes, st.step))
-    lo = st.sp - st.shift
-    src = np.arange(lo - lo % ls, st.top - st.shift, ls)
-    dst_lines, src_lines = space.line_index(np.stack((src - st.step, src)))
+    lo = st.sp - st.shift - st.step
+    dst = np.arange(lo - lo % ls, st.top - st.shift - st.step, ls) \
+        if st.valid_bytes else np.zeros(0, np.int64)
+    dst_lines, src_lines = space.line_index(np.stack((dst, dst + st.step)))
     np.add.at(space.wear, dst_lines, 1)
     space.words[dst_lines] = adjust_inmemory_pointers(space.words[src_lines],
                                                       st)
@@ -87,7 +91,7 @@ def relocate_content(st: StackState, space: ContentSpace) -> int:
         w = space.words[lines]
         shadow = (w >= st.sp - st.region_size) & (w < st.region_base)
         space.words[lines] = np.where(shadow, w + np.uint64(st.region_size), w)
-    return len(src)
+    return len(dst)
 
 
 def reference_replay(trace: Trace, config):

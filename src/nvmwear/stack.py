@@ -78,11 +78,13 @@ def translate_after(addrs: np.ndarray, steps, st: StackState) -> np.ndarray:
 def relocate_step(st: StackState, space: MemorySpace) -> int:
     """Move the valid stack down by one step; returns lines copied.
 
-    Charges ceil(u / line) line copies for a u-byte valid window, a slice
-    per page the window touches, advances the shift and applies a due
-    wraparound reset (as `wraparound_reset` does).  A line-rounded window
-    longer than S (lines wider than the step) meets a line twice and
-    charges it twice.
+    Charges one copy to each line that holds a destination byte: the
+    range [sp - shift - step, top - shift - step), rounded outward to
+    lines, which lies in the stack and its shadow.  A slice is charged
+    per page the range touches.  Then the shift advances and a due
+    wraparound reset applies (as `wraparound_reset` does).  A rounded
+    range longer than S (lines wider than the step) meets a line twice
+    and charges it twice.
     """
     size, step, shift = st.region_size, st.step, st.shift
     top = st.region_base + size
@@ -90,13 +92,13 @@ def relocate_step(st: StackState, space: MemorySpace) -> int:
         raise StackOverflowError(
             "valid stack of %d bytes leaves no room for a %d-byte step"
             % (top - st.sp, step))
-    # the valid window's first line, and its line count
+    # the destination's first line, and its line count
     ls = space.line_size
-    lo = st.sp - shift
+    lo, hi = st.sp - shift - step, top - shift - step
     lo -= lo % ls
-    n = -(-(top - shift - lo) // ls)
+    n = -(-(hi - lo) // ls) if st.sp < top else 0
     wear = space.wear
-    for a, k in space.line_runs(lo - step, n):
+    for a, k in space.line_runs(lo, n):
         wear[a:a + k] += 1
     st.relocations += 1
     shift += step

@@ -2,10 +2,14 @@
 
 import json
 import warnings
+import weakref
 
+import numpy as np
 import pytest
 
-from nvmwear import Trace, engine, load_trace
+import nvmwear.cli as cli_module
+from nvmwear import (Trace, engine, gen_workload, load_trace, make_layout,
+                     save_trace)
 from nvmwear.cli import main, parse_config_file
 from nvmwear.trace import WORKLOADS
 
@@ -258,6 +262,61 @@ def test_run_validates_the_trace_once(tmp_path, monkeypatch):
     assert run_cli("run", "--kind", "hotspot", "--writes", 2000, "--sweep",
                    "--n", "20,50", "--out", tmp_path / "b") == 0
     assert len(validated) == 1
+
+
+def test_a_trace_and_its_stripped_copy_run_alike(tmp_path):
+    # random payloads on every write, and the same events with none:
+    # every artifact is the same bytes but for the trace path
+    trace = gen_workload("deepstack", 5000, make_layout(), 3)
+    rng = np.random.default_rng(7)
+    values = np.where(trace.kinds == 0, rng.integers(
+        0, 1 << 64, trace.n_events, dtype=np.uint64), 0)
+    full = Trace(trace.layout, trace.kinds, trace.addrs, values)
+    outs = {}
+    for name, tr in (("full", full), ("bare", full.without_payloads())):
+        path = tmp_path / (name + ".trace")
+        save_trace(tr, path)
+        outs[name] = tmp_path / name, json.dumps(str(path)).encode()
+        assert run_cli("run", "--trace", path, "--n", 10, "--t", 2,
+                       "--format", "csv", "--out", outs[name][0]) == 0
+    records = [ln.split() for ln in
+               (tmp_path / "full.trace").read_bytes().splitlines()]
+    assert [len(r) for r in records if r[0] == b"W"] == [3] * trace.n_writes
+    names = sorted(p.name for p in outs["full"][0].iterdir())
+    assert names == sorted(p.name for p in outs["bare"][0].iterdir())
+    assert "report.csv" in names and "estimates.csv" in names
+    for name in names:
+        got = [(out / name).read_bytes().replace(quoted, b'"T"')
+               for out, quoted in outs.values()]
+        assert got[0] == got[1], name
+
+
+@pytest.mark.parametrize("source", ["trace", "kind"])
+def test_run_replays_no_payloads_and_frees_the_trace_first(
+        tmp_path, monkeypatch, source):
+    # replay gets a trace without a value column, and no trace is alive
+    # when the last grid point writes its artifacts
+    path = tmp_path / "t.trace"
+    run_cli("gen", "--kind", "deepstack", "--writes", 3000, "--out", path)
+    replayed, written = [], []
+
+    def recording_replay(trace, config):
+        assert trace.values.strides == (0,)
+        replayed.append(weakref.ref(trace))
+        return real_replay(trace, config)
+
+    def checking_write(out, data):
+        written.append(out)
+        assert all(ref() is None for ref in replayed)
+        real_write(out, data)
+
+    real_replay, real_write = engine.replay, cli_module.write_atomic
+    monkeypatch.setattr(engine, "replay", recording_replay)
+    monkeypatch.setattr(cli_module, "write_atomic", checking_write)
+    argv = ["--trace", path] if source == "trace" \
+        else ["--kind", "deepstack", "--writes", 3000]
+    assert run_cli("run", *argv, "--n", 10, "--out", tmp_path / "o") == 0
+    assert len(replayed) == 2 and len(written) == 7
 
 
 def test_report_emits_per_segment_histograms(tmp_path, capsys):

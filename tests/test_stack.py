@@ -307,12 +307,41 @@ def hand_relocate(words, st, ls):
     key = lambda a: a - a % ls + (S if rb - S <= a < rb else 0)
     lo, hi = st.sp - st.shift, st.top - st.shift
     old = dict(words)
-    for a in range(lo - lo % ls, hi, ls):
-        w = old[key(a)]
-        words[key(a - st.step)] = w - st.step if lo <= w < hi else w
+    # each line holding a destination byte takes the word of the line
+    # holding the byte `step` above its base
+    dst = lo - st.step
+    for a in range(dst - dst % ls, hi - st.step, ls) if lo < hi else ():
+        w = old[key(a + st.step)]
+        words[key(a)] = w - st.step if lo <= w < hi else w
     if st.shift + st.step == S:  # the wrap: shadow pointers move up by S
         for a in range(st.sp - st.sp % ls, st.top, ls):
             words[a] += S if st.sp - S <= words[a] < rb else 0
+
+
+@pytest.mark.parametrize("line_size", [64, 128, 256])
+def test_relocation_wear_lies_only_on_stack_frames(line_size):
+    # the data segment ends at the shadow base, and sp walks the deepest
+    # legal windows through two wraps: the lines holding the destination
+    # bytes are stack frames or their shadow aliases, for the engine's
+    # step and the spec's alike (the line-rounded source window moved
+    # down one step would reach the last data line with 256-byte lines)
+    base = 1 << 32
+    stack = Segment("stack", base + 8 * 4096, base + 12 * 4096)
+    lay = MemoryLayout((Segment("data", base, base + 4 * 4096), stack),
+                       line_size=line_size)
+    frames = MemorySpace(lay).region_slices("stack")[0]
+    for relocate, space_type in ((relocate_step, MemorySpace),
+                                 (relocate_content, ContentSpace)):
+        for step in (64, 128):
+            space = space_type(lay)
+            st = StackState(region_base=stack.start,
+                            region_size=stack.size, sp=stack.end, step=step)
+            copied = 0
+            for i in range(2 * stack.size // step):
+                st.sp = stack.start + step + 8 * (i % 3)
+                copied += relocate(st, space)
+            assert st.wraps == 2
+            assert space.wear[frames].sum() == space.total_wear() == copied
 
 
 @pytest.mark.parametrize("image", [True, False])

@@ -23,6 +23,22 @@ from nvmwear.trace import WORKLOADS, emit_trace, parse_trace
 HEADER = "@segment stack 0x100010000 0x100020000\n"
 
 
+def parse_both(data):
+    """`parse_trace(data)`, once it is checked that the payload-free parse
+    gives the same trace without its payloads, or the same error on the
+    same line: a bad value is a format error either way."""
+    try:
+        bare = parse_trace(data, payloads=False)
+    except TraceFormatError as exc:
+        with pytest.raises(TraceFormatError) as full:
+            parse_trace(data)
+        assert (str(full.value), full.value.line_no) == (str(exc), exc.line_no)
+        raise
+    tr = parse_trace(data)
+    assert bare == tr.without_payloads() and bare.values.strides == (0,)
+    return tr
+
+
 def test_parse_single_write():
     tr = parse_trace(HEADER + "W 0x100011000\n")
     assert tr == Trace.from_events(tr.layout, [WriteEvent(0x100011000)])
@@ -43,29 +59,29 @@ def test_parse_unaligned_address_rejected():
 def test_parse_reports_line_number():
     text = HEADER + "W 0x100011000\nW 0x100011001\n"
     with pytest.raises(TraceFormatError, match="line 3"):
-        parse_trace(text)
+        parse_both(text)
 
 
 def test_parse_reports_the_first_invalid_line():
     # an invalid event before a grammar error is the one reported
     with pytest.raises(TraceFormatError, match="line 4: .*8-byte"):
-        parse_trace(HEADER + "# c\n\nS 0x100011004\nW zz\n")
+        parse_both(HEADER + "# c\n\nS 0x100011004\nW zz\n")
     with pytest.raises(TraceFormatError, match="line 2: .*0x-prefixed"):
-        parse_trace(HEADER + "W zz\nS 0x100011004\n")
+        parse_both(HEADER + "W zz\nS 0x100011004\n")
     # a Trace holds addresses as int64
     with pytest.raises(TraceFormatError, match="line 2: .*63 bits"):
-        parse_trace(HEADER + "W 0x8000000000000000\n")
+        parse_both(HEADER + "W 0x8000000000000000\n")
 
 
 def test_parse_reports_the_first_bad_line_before_a_bad_byte():
     # a byte that is not UTF-8 on line 4 is no error until line 4
     tail = b"# ok\n\xff\n"
     with pytest.raises(TraceFormatError, match="^line 2: unaligned write"):
-        parse_trace(HEADER.encode() + b"W 0x100011001\n" + tail)
+        parse_both(HEADER.encode() + b"W 0x100011001\n" + tail)
     with pytest.raises(TraceFormatError, match="^line 2: .*0x-prefixed"):
-        parse_trace(HEADER.encode() + b"W zz\n" + tail)
+        parse_both(HEADER.encode() + b"W zz\n" + tail)
     with pytest.raises(TraceFormatError, match="^line 4: not UTF-8 text$"):
-        parse_trace(HEADER.encode() + b"W 0x100011000\n" + tail)
+        parse_both(HEADER.encode() + b"W 0x100011000\n" + tail)
 
 
 def test_parse_reads_a_str_as_its_utf8_bytes():
@@ -93,19 +109,19 @@ def test_parse_address_outside_segments():
 
 def test_parse_requires_hex_prefix():
     with pytest.raises(TraceFormatError, match="0x"):
-        parse_trace(HEADER + "W 4295040000\n")
+        parse_both(HEADER + "W 4295040000\n")
     with pytest.raises(TraceFormatError, match="line 2: bad hex"):
-        parse_trace(HEADER + "W 0xzz\n")
+        parse_both(HEADER + "W 0xzz\n")
     for tok in ("0x1_0001_1000", "0x10001100\u0661"):
         with pytest.raises(TraceFormatError, match="line 2: bad hex address"):
-            parse_trace(HEADER + "W %s\n" % tok)
+            parse_both(HEADER + "W %s\n" % tok)
     with pytest.raises(TraceFormatError, match="line 2: bad hex value"):
-        parse_trace(HEADER + "W 0x100011000 0x_5\n")
+        parse_both(HEADER + "W 0x100011000 0x_5\n")
 
 
 def test_parse_value_width_checked():
     with pytest.raises(TraceFormatError, match="64 bits"):
-        parse_trace(HEADER + "W 0x100011000 0x10000000000000000\n")
+        parse_both(HEADER + "W 0x100011000 0x10000000000000000\n")
 
 
 @pytest.mark.parametrize("breaker", ["\x0c", "\x85", "\u2028"])
@@ -116,7 +132,7 @@ def test_only_newline_ends_a_line(breaker):
     for data in (text, text.encode()):
         with pytest.raises(TraceFormatError,
                            match="^line 3: bad hex address '0xzz'$"):
-            parse_trace(data)
+            parse_both(data)
 
 
 def test_parse_header_after_events_rejected():
@@ -145,14 +161,14 @@ def test_parse_sp_alignment_and_range():
 
 def test_parse_unknown_record():
     with pytest.raises(TraceFormatError, match="unrecognized"):
-        parse_trace(HEADER + "R 0x100011000\n")
+        parse_both(HEADER + "R 0x100011000\n")
     with pytest.raises(TraceFormatError,
                        match="line 1: malformed @segment record"):
-        parse_trace("@segment data 0x1\n")
+        parse_both("@segment data 0x1\n")
     for record in ("W a b c", "S"):
         with pytest.raises(TraceFormatError,
                            match="line 2: malformed %s record" % record[0]):
-            parse_trace(HEADER + record + "\n")
+            parse_both(HEADER + record + "\n")
 
 
 def test_emit_empty_trace_is_header_only(layout):
@@ -198,23 +214,24 @@ def test_errors_name_their_line_past_many_chunks(layout):
     lines = emit_trace(gen_workload("stream", 100_000, layout, 0)).split(b"\n")
     lines[70_000] = b"W 0x%x" % (int(lines[70_000][2:], 16) + 8)
     with pytest.raises(TraceFormatError, match="^line 70001: unaligned write"):
-        parse_trace(b"\n".join(lines))
+        parse_both(b"\n".join(lines))
     # a grammar error on a later line does not hide it
     lines[90_000] = b"W zz"
     with pytest.raises(TraceFormatError, match="^line 70001: unaligned write"):
-        parse_trace(b"\n".join(lines))
+        parse_both(b"\n".join(lines))
 
 
 def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
     """Past the header's first event line, every line of `emit_trace`
-    output, and of its CRLF form, is tokenized in chunks, and no chunk is
+    output, and of its CRLF form, is tokenized in chunks, with payloads
+    or without, and no chunk is
     left to the line loop (a count that pins the fast path where a timing
     test would flake)."""
     tokenized = []
     tokenize = trace_module._tokenize_chunk
 
-    def counting(chunk):
-        cols = tokenize(chunk)
+    def counting(chunk, payloads):
+        cols = tokenize(chunk, payloads)
         tokenized.append(None if cols is None else len(cols[0]))
         return cols
 
@@ -222,10 +239,11 @@ def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
     for kind in WORKLOADS:
         data = emit_trace(gen_workload(kind, 20_000, layout, 3))
         for text in (data, data.replace(b"\n", b"\r\n")):
-            tokenized.clear()
-            tr = parse_trace(text)
-            assert len(tokenized) > 1 and None not in tokenized
-            assert sum(tokenized) == tr.n_events - 1
+            for payloads in (True, False):
+                tokenized.clear()
+                tr = parse_trace(text, payloads=payloads)
+                assert len(tokenized) > 1 and None not in tokenized
+                assert sum(tokenized) == tr.n_events - 1
 
 
 def _mutate(rng: random.Random, data: bytes, layout) -> bytes:
@@ -266,16 +284,17 @@ def _mutate(rng: random.Random, data: bytes, layout) -> bytes:
 
 def test_parser_fuzz_agrees_with_the_line_loop(monkeypatch, layout):
     """Mutated `emit_trace` text parses as the line loop alone parses it:
-    to an equal Trace, or to the same error on the same line."""
+    to an equal Trace, or to the same error on the same line; and so
+    without payloads, to that Trace without them, or to the same error."""
     rng = random.Random(15)
     texts = [emit_trace(gen_workload(kind, 40, layout, 1))
              for kind in WORKLOADS]
     tokenize = trace_module._tokenize_chunk
 
-    def parse(data, tokenizer):
+    def parse(data, tokenizer, payloads=True):
         monkeypatch.setattr(trace_module, "_tokenize_chunk", tokenizer)
         try:
-            return parse_trace(data)
+            return parse_trace(data, payloads=payloads)
         except TraceFormatError as exc:
             assert exc.line_no is not None
             return str(exc)
@@ -286,7 +305,10 @@ def test_parser_fuzz_agrees_with_the_line_loop(monkeypatch, layout):
                             rng.choice((1, 7, 64)))
         data = _mutate(rng, rng.choice(texts), layout)
         fast = parse(data, tokenize)
-        assert fast == parse(data, lambda chunk: None), data
+        assert fast == parse(data, lambda *args: None), data
+        bare = fast if isinstance(fast, str) else fast.without_payloads()
+        assert bare == parse(data, tokenize, False) \
+            == parse(data, lambda *args: None, False), data
         if isinstance(fast, str):
             errors.add(fast)
         else:
@@ -760,7 +782,7 @@ def test_validation_chunk_does_not_change_errors(monkeypatch, layout, size):
                         [(i, "outside"), (i + 70, "unaligned")],
                         [(i, "payload"), (i + 1, "kind")])]
     edges = [_edge_case(layout, bad) for bad in bads]
-    cases = [lambda t=t: parse_trace(t) for t in _BAD_TEXTS] \
+    cases = [lambda t=t: parse_both(t) for t in _BAD_TEXTS] \
         + _bad_constructions(layout) \
         + [lambda c=c: Trace(layout, *c) for c, _ in edges]
     # a kind of 2 and an sp payload have no text form
@@ -806,13 +828,16 @@ def _load_cases(layout):
 def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
                                               block):
     """Read in blocks, a file gives the trace, or the error and line, that
-    parsing its bytes at once gives."""
+    parsing its bytes at once gives, with payloads or without."""
     monkeypatch.setattr(trace_module, "_READ_BLOCK", block)
     path = tmp_path / "t.trace"
     good = _load_cases(layout)
     for data in good:
         path.write_bytes(data)
-        assert trace_module.load_trace(path) == parse_trace(data)
+        tr = parse_both(data)
+        assert trace_module.load_trace(path) == tr
+        assert trace_module.load_trace(path, payloads=False) \
+            == tr.without_payloads()
     lines = good[-1].split(b"\n")
     bad = [b"\n".join(lines[:i] + [edit] + lines[i + 1:])
            for i, edit in ((100, b"W zz"), (150, b"W 0x100000004"),
@@ -820,10 +845,12 @@ def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
     bad += [good[-2][:-1] + b"\xc3", good[-5] + b"W 0x4"]
     for data in bad:
         path.write_bytes(data)
-        msg, _, line = _error(lambda: parse_trace(data))
+        msg, _, line = _error(lambda: parse_both(data))
         assert line is not None
-        assert _error(lambda: trace_module.load_trace(path)) == (
-            "%s: %s" % (path, msg), None, line)
+        for payloads in (True, False):
+            assert _error(lambda: trace_module.load_trace(
+                path, payloads=payloads)) == ("%s: %s" % (path, msg), None,
+                                              line)
 
 
 def test_load_peak_stays_near_the_final_columns(tmp_path, layout):
@@ -844,3 +871,23 @@ def test_load_peak_stays_near_the_final_columns(tmp_path, layout):
     assert loaded == tr
     cols = tr.kinds.nbytes + tr.addrs.nbytes + tr.values.nbytes
     assert peak < 1.3 * cols + 4 * block
+
+
+def test_payload_free_load_holds_no_value_column(tmp_path, layout):
+    """Without payloads a load keeps 9 bytes an event, the kinds and the
+    addresses, where a value column would add 8; its payloads are a
+    zero-stride column of the word 0."""
+    block = trace_module._READ_BLOCK
+    tr = gen_workload("hotspot", 300_000, layout, 1)
+    path = tmp_path / "t.trace"
+    trace_module.save_trace(tr, path)
+    tracemalloc.start()
+    try:
+        loaded = trace_module.load_trace(path, payloads=False)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == tr.without_payloads() and loaded.values.strides == (0,)
+    assert not loaded.values.flags.writeable
+    assert kept < 9.1 * loaded.n_events, kept / loaded.n_events
+    assert peak < 1.3 * (tr.kinds.nbytes + tr.addrs.nbytes) + 4 * block
