@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, get_type_hints
@@ -20,16 +19,13 @@ from . import engine, metrics
 from .errors import ConfigError, SimulationError
 from .memspace import MemorySpace
 from .trace import (WORKLOADS, Trace, gen_workload, load_trace, make_layout,
-                    save_trace)
+                    open_atomic, save_trace)
 
 
 def write_atomic(path: Path, data: bytes):
     """Write via a temp file plus rename; readers never see partial files."""
-    path = Path(path)
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with open_atomic(path) as fh:
         fh.write(data)
-    os.replace(tmp, path)
 
 
 def parse_config_file(path) -> Dict:
@@ -167,12 +163,13 @@ def _write_run(config: engine.SimConfig, baseline: engine.RunResult,
 
 def cmd_gen(args) -> int:
     layout = _layout_from_args(args)
-    trace = gen_workload(args.kind, args.writes, layout, args.seed)
+    chunks = gen_workload(args.kind, args.writes, layout, args.seed,
+                          chunked=True)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_trace(trace, out)
+    n_events, n_writes = save_trace(chunks, out)
     print("wrote %s: %d events (%d writes), %d segments"
-          % (out, trace.n_events, trace.n_writes, len(layout.segments)))
+          % (out, n_events, n_writes, len(layout.segments)))
     return 0
 
 

@@ -102,7 +102,7 @@ def table_csv(header: str, columns: Sequence, trailer: str = "") -> bytes:
     non-negative int64 per header field), then the trailer line if any.
 
     A field named `*_hex` is written in 0x-prefixed lowercase hex, any
-    other in decimal.  As in `trace._emit_chunks`, a chunk's rows are the
+    other in decimal.  As in `trace._emit_records`, a chunk's rows are the
     rows of an (n, w) uint8 matrix stored column-major, each number
     written at the chunk's widest digit count, and one keep mask drops
     the leading zeros."""

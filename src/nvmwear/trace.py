@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import copy
 import io
+import itertools
+import os
 import random
 from array import array
 from bisect import bisect_right
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -285,7 +288,7 @@ class Trace:
 # file format
 
 _PARSE_CHUNK = 1 << 16  # bytes tokenized at once; bounds the temporaries
-_READ_BLOCK = 1 << 20  # bytes `load_trace` reads at once
+_READ_BLOCK = 1 << 18  # bytes `load_trace` reads at once
 
 # each byte's hex digit value, or 16 for a byte that is not a hex digit
 _NIBBLE = bytes(int(chr(c), 16) if chr(c) in "0123456789abcdefABCDEF" else 16
@@ -556,8 +559,13 @@ def _hex_columns(col: np.ndarray, width: int) -> np.ndarray:
     return nibbles + np.uint8(48) + (nibbles > 9) * np.uint8(39)
 
 
-def _emit_chunks(trace: Trace) -> Iterator[bytes]:
-    """The trace's text: the header, then one part per `_EMIT_CHUNK` events.
+def _emit_header(layout: MemoryLayout) -> bytes:
+    return "".join("@segment %s 0x%x 0x%x\n" % (seg.name, seg.start, seg.end)
+                   for seg in layout.segments).encode()
+
+
+def _emit_records(trace: Trace) -> Iterator[bytes]:
+    """The trace's event lines, one part per `_EMIT_CHUNK` events.
 
     A chunk's records are the rows of an (n, w) uint8 matrix, stored
     column-major so that each numpy pass runs along the events: the tag,
@@ -565,8 +573,6 @@ def _emit_chunks(trace: Trace) -> Iterator[bytes]:
     number is written at the chunk's widest digit count, and one keep
     mask drops its leading zeros and the value field of every record
     whose value is 0."""
-    yield "".join("@segment %s 0x%x 0x%x\n" % (seg.name, seg.start, seg.end)
-                  for seg in trace.layout.segments).encode()
     for start in range(0, trace.n_events, _EMIT_CHUNK):
         part = slice(start, start + _EMIT_CHUNK)
         addrs = trace.addrs[part].view(np.uint64)
@@ -598,7 +604,7 @@ def emit_trace(trace: Trace) -> bytes:
     Each record is its tag, a space and the 0x-prefixed lowercase hex
     address without leading zeros; a write's value follows the same way
     only when it is nonzero."""
-    return b"".join(_emit_chunks(trace))
+    return b"".join([_emit_header(trace.layout), *_emit_records(trace)])
 
 
 def load_trace(path, payloads: bool = True) -> Trace:
@@ -623,10 +629,43 @@ def load_trace(path, payloads: bool = True) -> Trace:
             raise
 
 
-def save_trace(trace: Trace, path):
-    """Write `emit_trace`'s bytes, each chunk as it is made."""
-    with open(path, "wb") as fh:
-        fh.writelines(_emit_chunks(trace))
+@contextmanager
+def open_atomic(path):
+    """A binary file that replaces `path` when the block ends, written as
+    `path` + ".tmp" and renamed; if the block raises, it is removed, so
+    readers never see a partial file."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def save_trace(trace: Union[Trace, Iterable[Trace]], path) -> Tuple[int, int]:
+    """Write `emit_trace`'s bytes of a trace, or of the consecutive chunk
+    traces of an iterable on one layout, such as `gen_workload` yields
+    with `chunked=True`: the header once, then each chunk's records as it
+    arrives, so no more than a chunk is held.  The file appears whole
+    (see `open_atomic`).  Returns the events and writes saved."""
+    chunks = [trace] if isinstance(trace, Trace) else trace
+    layout, n_events, n_writes = None, 0, 0
+    with open_atomic(path) as fh:
+        for chunk in chunks:
+            if layout is None:
+                layout = chunk.layout
+                fh.write(_emit_header(layout))
+            elif chunk.layout != layout:
+                raise TraceFormatError("trace chunks disagree in layout")
+            fh.writelines(_emit_records(chunk))
+            n_events += chunk.n_events
+            n_writes += chunk.n_writes
+        if layout is None:
+            raise TraceFormatError("no trace chunk to save")
+    return n_events, n_writes
 
 
 # ----------------------------------------------------------------------
@@ -657,19 +696,54 @@ def make_layout(text_pages: int = 2, data_pages: int = 8, bss_pages: int = 4,
 # synthetic workloads
 
 def gen_workload(kind: str, total_writes: int, layout: MemoryLayout,
-                 seed: int) -> Trace:
+                 seed: int, chunked: bool = False
+                 ) -> Union[Trace, Iterator[Trace]]:
     """Generate a deterministic synthetic workload.
 
     Kinds: hotspot (few very hot data lines plus shallow stack traffic),
     stream (sequential cycling over the data segment), deepstack (LIFO
     call/return activity with sp updates and pointer payloads), queue
     (skewed ring over the bss segment).
+
+    Each generator draws its events a chunk at a time and yields each
+    chunk as a `Trace` of at most `_GEN_CHUNK` events, at least one
+    chunk.  With `chunked` those chunks are returned as an iterator, for
+    `save_trace` to write as they come; otherwise they are joined into
+    one `Trace`.  Either way the events do not depend on the chunk size,
+    and a generator's own errors are raised here, not from the iterator.
     """
     if total_writes < 0:
         raise GeneratorError("total_writes must be non-negative")
     if kind not in WORKLOADS:
         raise GeneratorError("unknown workload kind %r" % kind)
-    return WORKLOADS[kind](total_writes, layout, seed)
+    chunks = WORKLOADS[kind](total_writes, layout, seed)
+    chunks = itertools.chain([next(chunks)], chunks)
+    return chunks if chunked else _join(chunks)
+
+
+def _join(chunks: Iterable[Trace]) -> Trace:
+    """One trace of consecutive chunks on one layout, their columns
+    copied into arrays that grow in place.  The value column starts at
+    the first nonzero payload; with none the trace has no value column.
+
+    Every event rule holds per event, and each chunk was checked when it
+    was built, so the joined trace is not checked again."""
+    kinds, addrs, values = array("B"), array("q"), None
+    for chunk in chunks:
+        if values is None and chunk.values.any():
+            values = array("Q", [0]) * len(kinds)
+        kinds.frombytes(chunk.kinds)
+        addrs.frombytes(chunk.addrs.view(np.uint8))
+        if values is not None:
+            values.frombytes(np.ascontiguousarray(chunk.values).view(np.uint8))
+    out = copy.copy(chunk)
+    out.kinds = np.frombuffer(kinds, np.uint8)
+    out.addrs = np.frombuffer(addrs, np.int64)
+    out.values = _no_payloads(len(kinds)) if values is None \
+        else np.frombuffer(values, np.uint64)
+    for arr in (out.kinds, out.addrs, out.values):
+        arr.flags.writeable = False
+    return out
 
 
 def _need(layout: MemoryLayout, name: str, min_bytes: int, kind: str) -> Segment:
@@ -681,93 +755,116 @@ def _need(layout: MemoryLayout, name: str, min_bytes: int, kind: str) -> Segment
     return seg
 
 
-_GEN_CHUNK = 1 << 16  # events each pass of `_gen_hotspot` draws for at once
+# events a generator draws for and yields at once; a `gen` child's peak
+# holds a chunk, and at 1 << 16 it was about 3 MB higher
+_GEN_CHUNK = 1 << 13
 
 
-def _gen_hotspot(total: int, layout: MemoryLayout, seed: int) -> Trace:
+def _bounds(total: int) -> Iterator[Tuple[int, int]]:
+    """`(lo, hi)` of each chunk of `total` events; one empty one for 0."""
+    for lo in range(0, max(total, 1), _GEN_CHUNK):
+        yield lo, min(lo + _GEN_CHUNK, total)
+
+
+def _gen_hotspot(total: int, layout: MemoryLayout, seed: int
+                 ) -> Iterator[Trace]:
     data = _need(layout, "data", PAGE_SIZE, "hotspot")
     bss = layout.segment("bss")
     stack = _need(layout, "stack", 1024, "hotspot")
-    rng = np.random.default_rng(seed)
-
-    window = 512  # shallow valid stack below the top
-    sp0 = stack.end - window
-
-    # the trace's columns: an sp update, then the writes, filled in place
-    kinds = np.zeros(total + 1, np.uint8)
-    all_addrs = np.empty(total + 1, np.int64)
-    all_values = np.zeros(total + 1, np.uint64)
-    kinds[0], all_addrs[0] = _KIND_SP, sp0
-    addrs, values = all_addrs[1:], all_values[1:]
-    chunks = [slice(lo, lo + _GEN_CHUNK) for lo in range(0, total, _GEN_CHUNK)]
-
-    # each write's category from one float: 0 hot, 1 stack, 2 other.  Each
-    # pass below draws the same stream a chunk at a time as at once
-    cat = np.empty(total, np.uint8)
-    for part in chunks:
-        f = rng.random(len(cat[part]))
-        np.add(f >= 0.75, f >= 0.95, out=cat[part], dtype=np.uint8)
-
-    # one of the data segment's first four lines, its address built in place
-    for part in chunks:
-        hot = cat[part] == 0
-        pick = rng.integers(0, 4, int(hot.sum()))
-        pick *= LINE_SIZE
-        pick += data.start
-        addrs[part][hot] = pick
-
-    # shallow LIFO sawtooth over the top eight stack lines
-    tri = np.array([0, 1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1], dtype=np.int64)
-    n_stk = 0
-    for part in chunks:
-        stk = cat[part] == 1
-        n = int(stk.sum())
-        depth = tri[np.arange(n_stk, n_stk + n) % len(tri)]
-        addrs[part][stk] = stack.end - LINE_SIZE * (1 + depth)
-        values[part][stk] = rng.integers(0, 1 << 32, n, dtype=np.uint64)
-        n_stk += n
-
     # any line of the data or bss segment: a segment's start, then a line
     spans = [(data.start, data.size // LINE_SIZE)]
     if bss is not None:
         spans.append((bss.start, bss.size // LINE_SIZE))
     starts = np.array([s for s, _ in spans], dtype=np.int64)
     sizes = np.array([n for _, n in spans], dtype=np.int64)
-    for part in chunks:
-        rest = cat[part] == 2
-        addrs[part][rest] = starts[rng.integers(0, len(spans),
-                                                int(rest.sum()))]
-    for part in chunks:
-        rest = cat[part] == 2
-        a = addrs[part][rest]
-        off = rng.random(len(a)) * sizes[np.searchsorted(starts, a)]
-        addrs[part][rest] = a + off.astype(np.int64) * LINE_SIZE
 
-    return Trace(layout, kinds, all_addrs, all_values)
+    # Five passes draw one PCG64 stream in turn, each for the whole trace:
+    # every write's category from a float (hot, stack or other), the
+    # hot writes' lines, the stack writes' payloads, the other writes'
+    # segments, then their lines.  A pass draws the same numbers a chunk
+    # at a time as at once.  So a counting pass draws the first four,
+    # keeping only the category totals, and notes where each pass starts
+    # in the stream; then five generators set to those states draw the
+    # passes side by side, one chunk at a time.
+    rng = np.random.default_rng(seed)
+
+    def category(g: np.random.Generator, n: int):
+        """Masks of the hot, stack and other writes among the next n."""
+        f = g.random(n)
+        hot, rest = f < 0.75, f >= 0.95
+        return hot, ~(hot | rest), rest
+
+    draws = (lambda g, n: g.integers(0, 4, n),
+             lambda g, n: g.integers(0, 1 << 32, n, dtype=np.uint64),
+             lambda g, n: g.integers(0, len(spans), n))
+    states, counts = [rng.bit_generator.state], np.zeros(3, np.int64)
+    for lo, hi in _bounds(total):
+        counts += [np.count_nonzero(m) for m in category(rng, hi - lo)]
+    states.append(rng.bit_generator.state)
+    for draw, n in zip(draws, counts):
+        for lo, hi in _bounds(n):
+            draw(rng, hi - lo)
+        states.append(rng.bit_generator.state)
+    gens = [np.random.Generator(np.random.PCG64()) for _ in states]
+    for g, state in zip(gens, states):
+        g.bit_generator.state = state
+    cat_rng, hot_rng, stk_rng, seg_rng, line_rng = gens
+
+    # shallow LIFO sawtooth over the top eight stack lines
+    tri = np.array([0, 1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1], dtype=np.int64)
+    window = 512  # shallow valid stack below the top
+    n_stk = 0
+    for lo, hi in _bounds(total + 1):
+        kinds = np.zeros(hi - lo, np.uint8)
+        all_addrs = np.empty(hi - lo, np.int64)
+        all_values = np.zeros(hi - lo, np.uint64)
+        # event 0 is an sp update, and event i > 0 is write i - 1
+        skip = int(lo == 0)
+        if skip:
+            kinds[0], all_addrs[0] = _KIND_SP, stack.end - window
+        addrs, values = all_addrs[skip:], all_values[skip:]
+        hot, stk, rest = category(cat_rng, len(addrs))
+        # one of the data segment's first four lines
+        addrs[hot] = data.start + LINE_SIZE * draws[0](
+            hot_rng, np.count_nonzero(hot))
+        n = np.count_nonzero(stk)
+        depth = tri[np.arange(n_stk, n_stk + n) % len(tri)]
+        addrs[stk] = stack.end - LINE_SIZE * (1 + depth)
+        values[stk] = draws[1](stk_rng, n)
+        n_stk += n
+        seg = draws[2](seg_rng, np.count_nonzero(rest))
+        off = line_rng.random(len(seg)) * sizes[seg]
+        addrs[rest] = starts[seg] + off.astype(np.int64) * LINE_SIZE
+        yield Trace(layout, kinds, all_addrs, all_values)
 
 
-def _gen_stream(total: int, layout: MemoryLayout, seed: int) -> Trace:
+def _gen_stream(total: int, layout: MemoryLayout, seed: int
+                ) -> Iterator[Trace]:
     data = _need(layout, "data", PAGE_SIZE, "stream")
     n_lines = data.size // LINE_SIZE
-    idx = np.arange(total, dtype=np.int64) % n_lines
-    addrs = data.start + idx * LINE_SIZE
-    return Trace(layout, np.zeros(total, np.uint8), addrs)
+    for lo, hi in _bounds(total):
+        idx = np.arange(lo, hi, dtype=np.int64) % n_lines
+        yield Trace(layout, np.zeros(hi - lo, np.uint8),
+                    data.start + idx * LINE_SIZE)
 
 
-def _gen_queue(total: int, layout: MemoryLayout, seed: int) -> Trace:
+def _gen_queue(total: int, layout: MemoryLayout, seed: int
+               ) -> Iterator[Trace]:
     bss = _need(layout, "bss", PAGE_SIZE, "queue")
     rng = np.random.default_rng(seed)
     ring = bss.size // LINE_SIZE
     # slow drift of the ring head plus a geometric reach back over recent
     # slots; front slots are revisited far more often than the tail
-    drift = np.arange(total, dtype=np.int64) // 16
-    reach = rng.geometric(0.08, total).astype(np.int64) - 1
-    line = (drift + np.minimum(reach, ring - 1)) % ring
-    addrs = bss.start + line * LINE_SIZE
-    return Trace(layout, np.zeros(total, np.uint8), addrs)
+    for lo, hi in _bounds(total):
+        drift = np.arange(lo, hi, dtype=np.int64) // 16
+        reach = rng.geometric(0.08, hi - lo).astype(np.int64) - 1
+        line = (drift + np.minimum(reach, ring - 1)) % ring
+        yield Trace(layout, np.zeros(hi - lo, np.uint8),
+                    bss.start + line * LINE_SIZE)
 
 
-def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
+def _gen_deepstack(total: int, layout: MemoryLayout, seed: int
+                   ) -> Iterator[Trace]:
     stack = _need(layout, "stack", 4 * PAGE_SIZE, "deepstack")
     rng = random.Random(seed)
     draw, getrandbits = rng.random, rng.getrandbits
@@ -788,54 +885,63 @@ def _gen_deepstack(total: int, layout: MemoryLayout, seed: int) -> Trace:
     # call below p_ret + p_call, the same float sum at either depth
     p_ret_call = 0.45 + 0.20
 
+    # the pending events, and the positions of the sp updates among them
     addrs, values, sp_events = array("q"), array("Q"), array("q")
-    add_addr, add_value = addrs.append, values.append
     sp = top
     frames: List[int] = []
     push, pop = frames.append, frames.pop
     writes = 0
-    while writes < total:
-        depth = top - sp
-        r = draw()
-        first = n = 0  # n lines written from `first` on
-        if frames and r < (0.20 if depth < shallow_depth else 0.45):
-            sp += pop()
-        elif (not frames) or r < p_ret_call:
-            i = getrandbits(3)  # below(4)
-            while i >= 4:
-                i = getrandbits(3)
-            size = frame_sizes[i]
-            if depth + size > max_depth:
+    chunk = _GEN_CHUNK
+    while True:
+        add_addr, add_value = addrs.append, values.append
+        while writes < total and len(addrs) < chunk:
+            depth = top - sp
+            r = draw()
+            first = n = 0  # n lines written from `first` on
+            if frames and r < (0.20 if depth < shallow_depth else 0.45):
                 sp += pop()
+            elif (not frames) or r < p_ret_call:
+                i = getrandbits(3)  # below(4)
+                while i >= 4:
+                    i = getrandbits(3)
+                size = frame_sizes[i]
+                if depth + size > max_depth:
+                    sp += pop()
+                else:
+                    sp -= size
+                    push(size)
+                    # a call writes its new frame, up to the total
+                    first, n = sp, min(size // LINE_SIZE, total - writes)
             else:
-                sp -= size
-                push(size)
-                # a call writes its new frame, up to the total
-                first, n = sp, min(size // LINE_SIZE, total - writes)
-        else:
-            # rewrite a line of the newest frame; keeps the top hot
-            lines = frames[-1] // LINE_SIZE
-            k = lines.bit_length()  # below(lines)
-            i = getrandbits(k)
-            while i >= lines:
+                # rewrite a line of the newest frame; keeps the top hot
+                lines = frames[-1] // LINE_SIZE
+                k = lines.bit_length()  # below(lines)
                 i = getrandbits(k)
-            first, n = sp + LINE_SIZE * i, 1
-        if top - sp != depth:  # a call or a return moved sp
-            sp_events.append(len(addrs))
-            add_addr(sp)
-            add_value(0)
-        for addr in range(first, first + n * LINE_SIZE, LINE_SIZE):
-            # an occasional payload is a pointer into the current valid
-            # stack, which is not empty while a frame is written
-            if draw() < 0.02:
-                add_value(sp + 8 * below((top - sp) // 8))
-            else:
-                add_value(getrandbits(32))
-            add_addr(addr)
-        writes += n
-    kinds = np.zeros(len(addrs), np.uint8)
-    kinds[np.asarray(sp_events)] = _KIND_SP
-    return Trace(layout, kinds, addrs, values)
+                while i >= lines:
+                    i = getrandbits(k)
+                first, n = sp + LINE_SIZE * i, 1
+            if top - sp != depth:  # a call or a return moved sp
+                sp_events.append(len(addrs))
+                add_addr(sp)
+                add_value(0)
+            for addr in range(first, first + n * LINE_SIZE, LINE_SIZE):
+                # an occasional payload is a pointer into the current valid
+                # stack, which is not empty while a frame is written
+                if draw() < 0.02:
+                    add_value(sp + 8 * below((top - sp) // 8))
+                else:
+                    add_value(getrandbits(32))
+                add_addr(addr)
+            writes += n
+        # yield a chunk and carry the rest into the next: only writes, as
+        # a step's sp update comes first, at a position below the chunk
+        k = min(len(addrs), chunk)
+        kinds = np.zeros(k, np.uint8)
+        kinds[np.asarray(sp_events, np.intp)] = _KIND_SP
+        yield Trace(layout, kinds, addrs[:k], values[:k])
+        addrs, values, sp_events = addrs[k:], values[k:], array("q")
+        if writes >= total and not addrs:
+            return
 
 
 # workload kind -> generator, in the order the CLI lists them

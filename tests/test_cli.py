@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import nvmwear.cli as cli_module
+import nvmwear.trace as trace_module
 from nvmwear import (Trace, engine, gen_workload, load_trace, make_layout,
                      save_trace)
 from nvmwear.cli import main, parse_config_file
-from nvmwear.trace import WORKLOADS
+from nvmwear.trace import WORKLOADS, emit_trace
 
 
 def run_cli(*argv):
@@ -44,6 +45,37 @@ def test_gen_requires_kind(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("gen", "--writes", 10, "--out", tmp_path / "x")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("size", [1, 7, None])
+@pytest.mark.parametrize("kind", sorted(WORKLOADS))
+def test_gen_file_does_not_depend_on_the_chunk(tmp_path, monkeypatch, capsys,
+                                               kind, size):
+    """`gen` writes a generator's chunks as they are drawn; at any chunk
+    size, for lengths that are not chunk multiples and for no writes, the
+    file is the trace `gen_workload` joins at the default chunk."""
+    layout = make_layout()
+    lengths = (0, 300) if size else (0, 2 * trace_module._GEN_CHUNK + 5)
+    want = [emit_trace(gen_workload(kind, n, layout, 3)) for n in lengths]
+    if size:
+        monkeypatch.setattr(trace_module, "_GEN_CHUNK", size)
+    for n, text in zip(lengths, want):
+        out = tmp_path / ("%d.trace" % n)
+        assert run_cli("gen", "--kind", kind, "--writes", n, "--seed", 3,
+                       "--out", out) == 0
+        assert out.read_bytes() == text
+    # no writes: the header, and the hotspot trace's one sp update
+    events = want[0].decode().splitlines()[len(layout.segments):]
+    assert [e.split()[0] for e in events] == (["S"] if kind == "hotspot"
+                                              else [])
+
+
+def test_gen_error_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "t.trace"
+    assert run_cli("gen", "--kind", "hotspot", "--writes", 100,
+                   "--data-pages", 0, "--out", out) == 1
+    assert "hotspot workload needs a data segment" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_reports_missing_trace_file(tmp_path, capsys):

@@ -109,6 +109,12 @@ GEN_DEEPSTACK = \
 GEN_HOTSPOT = \
     "1b54f4e5634c3e35054e28e7fa56e16c4f6aabb637488c5a0d8e8c6cb5fac13b"
 
+# `gen` of the other streamed kinds, 200,003 writes (not a chunk multiple)
+GEN_STREAMED = {
+    "stream": "91f722c0b4f3c43bb77029530ba5ce1ca45d729acd17e52d3e0cc46282a3faf7",
+    "queue": "3df8e29dc9331495a3c3263081f2e947b9e1743a863832af39221d4e35eece1d",
+}
+
 REPORT_CSV = "f30bb0eb357d24ad572b0c7a04f26e98cbb0451bdde800cece4bff287cc65ba5"
 
 # `report` flags -> digest of every file it writes for the deepstack run
@@ -170,6 +176,14 @@ def test_generated_hotspot_trace_matches_pinned_digest(tmp_path, capsys):
     assert main(["gen", "--kind", "hotspot", "--writes", "200003",
                  "--seed", "3", "--out", str(out)]) == 0
     assert sha256(out) == GEN_HOTSPOT
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_STREAMED))
+def test_generated_trace_matches_pinned_digest(kind, tmp_path, capsys):
+    out = tmp_path / (kind + ".trace")
+    assert main(["gen", "--kind", kind, "--writes", "200003",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert sha256(out) == GEN_STREAMED[kind]
 
 
 def test_trace_round_trip_matches_the_deepstack_digests(tmp_path, capsys):

@@ -426,6 +426,56 @@ def test_save_peak_does_not_grow_with_the_trace(tmp_path, layout):
     assert peaks[1] < 1.5 * peaks[0]
 
 
+@pytest.mark.parametrize("kind, n", [("hotspot", 50_000), ("stream", 50_000),
+                                     ("queue", 50_000), ("deepstack", 5_000)])
+def test_streamed_gen_peak_does_not_grow_with_the_trace(tmp_path, layout,
+                                                        kind, n):
+    """Saving a generator's chunks as they are drawn holds one chunk, so
+    the peak does not grow with the trace; a joined trace would grow it
+    about 4x from n to 4n events (deepstack's Python loop is slow under
+    tracemalloc, hence its smaller n)."""
+    path = tmp_path / "t.trace"
+    trace_module.save_trace(gen_workload(kind, 100, layout, 0, chunked=True),
+                            path)  # lazy imports off the peak
+    peaks = []
+    for writes in (n, 4 * n):
+        tracemalloc.start()
+        try:
+            trace_module.save_trace(
+                gen_workload(kind, writes, layout, 1, chunked=True), path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_save_of_chunks_writes_the_whole_file_or_none(tmp_path, layout):
+    """Chunks are saved as one trace, and the file is renamed into place
+    only once all are written: a failure leaves an older file as it was
+    and no temp file."""
+    path, tmp = tmp_path / "t.trace", tmp_path / "t.trace.tmp"
+    tr = gen_workload("hotspot", 3 * trace_module._GEN_CHUNK + 5, layout, 1)
+    chunks = list(gen_workload("hotspot", 3 * trace_module._GEN_CHUNK + 5,
+                               layout, 1, chunked=True))
+    assert len(chunks) == 4
+    assert trace_module.save_trace(iter(chunks), path) \
+        == (tr.n_events, tr.n_writes)
+    assert path.read_bytes() == emit_trace(tr) and not tmp.exists()
+
+    def failing():
+        yield chunks[0]
+        raise GeneratorError("drawing failed")
+
+    other = gen_workload("stream", 10, make_layout(data_pages=9), 0)
+    for bad, error, msg in (
+            (failing(), GeneratorError, "drawing failed"),
+            ([chunks[0], other], TraceFormatError, "disagree in layout"),
+            ([], TraceFormatError, "no trace chunk")):
+        with pytest.raises(error, match=msg):
+            trace_module.save_trace(bad, path)
+        assert path.read_bytes() == emit_trace(tr) and not tmp.exists()
+
+
 @pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack", "queue"])
 def test_generator_deterministic(kind, layout):
     a = gen_workload(kind, 1000, layout, 7)
@@ -445,17 +495,25 @@ def test_generated_traces_validate(layout):
 
 
 @pytest.mark.parametrize("size", [1, 7, 4096])
-def test_hotspot_chunking_draws_the_same_stream(monkeypatch, size):
-    """Each pass of the hotspot generator draws a chunk at a time; the
-    trace equals the default chunk's.  An odd chunk splits PCG64's
-    buffered 32-bit half between two draws of stack payloads."""
+def test_generator_chunking_draws_the_same_stream(monkeypatch, size):
+    """Each generator draws a chunk at a time, in chunks of at most
+    `_GEN_CHUNK` events; the trace equals the default chunk's.  An odd
+    chunk splits PCG64's buffered 32-bit half between two draws of
+    hotspot stack payloads.  A chunk of one event costs a `Trace` per
+    event, hence the shorter traces there."""
+    n = 500 if size == 1 else 3000
     layouts = (make_layout(), make_layout(64, 4096, 1024, 64))
-    want = [gen_workload("hotspot", 3000, lay, seed)
-            for lay in layouts for seed in (0, 1)]
+    cases = [(kind, lay, seed) for kind in WORKLOADS for lay in layouts
+             for seed in (0, 1)]
+    want = [gen_workload(kind, n, lay, seed) for kind, lay, seed in cases]
     monkeypatch.setattr(trace_module, "_GEN_CHUNK", size)
-    got = [gen_workload("hotspot", 3000, lay, seed)
-           for lay in layouts for seed in (0, 1)]
+    got = [gen_workload(kind, n, lay, seed) for kind, lay, seed in cases]
     assert got == want
+    for (kind, lay, seed), tr in list(zip(cases, want))[::4]:  # each kind
+        sizes = [c.n_events for c in
+                 gen_workload(kind, n, lay, seed, chunked=True)]
+        assert 0 < min(sizes) and max(sizes) <= size
+        assert sum(sizes) == tr.n_events
 
 
 def test_hotspot_generation_peak_stays_near_the_columns(layout):
