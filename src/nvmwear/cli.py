@@ -11,7 +11,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, get_type_hints
+from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import engine, metrics
 from .errors import ConfigError, SimulationError
 from .memspace import MemorySpace
 from .trace import (WORKLOADS, Trace, gen_workload, load_trace, make_layout,
-                    open_atomic, save_trace)
+                    open_atomic, save_trace, spill)
 
 
 def write_atomic(path: Path, data: bytes):
@@ -81,21 +81,22 @@ def _add_layout_flags(p):
     p.add_argument("--stack-pages", type=int, default=4)
 
 
-def _resolve_trace(args) -> tuple[Trace, Dict]:
-    """The trace to run, without payloads, which replay never reads, and
-    its report.json description."""
+def _resolve_trace(args) -> Tuple[Iterator[Trace], Dict]:
+    """The chunks of the trace to run, and its report.json description."""
     if args.trace is not None:
-        # the values are still checked, so a bad one is a format error
-        return (load_trace(args.trace, payloads=False),
+        # replay reads no payloads, but they are still checked, so a bad
+        # one is a format error
+        return (load_trace(args.trace, payloads=False, chunked=True),
                 {"path": str(args.trace)})
     layout = _layout_from_args(args)
     # the generator draws the payloads, so its random stream and events
     # are those of `gen`
-    trace = gen_workload(args.kind, args.writes, layout, args.seed)
+    chunks = gen_workload(args.kind, args.writes, layout, args.seed,
+                          chunked=True)
     desc = {"kind": args.kind, "writes": args.writes, "seed": args.seed,
             "text_pages": args.text_pages, "data_pages": args.data_pages,
             "bss_pages": args.bss_pages, "stack_pages": args.stack_pages}
-    return trace.without_payloads(), desc
+    return chunks, desc
 
 
 def _build_config(args, n: Optional[int], t: Optional[int]
@@ -186,26 +187,34 @@ def _int_list(text: str) -> List[int]:
 
 
 def cmd_run(args) -> int:
-    trace, trace_desc = _resolve_trace(args)
+    chunks, trace_desc = _resolve_trace(args)
     out_dir = Path(args.out)
-    baseline = None
-    # an omitted flag leaves the config file's value in force
-    points = list(itertools.product(args.n or [None], args.t or [None]))
-    for i, (n_val, t_val) in enumerate(points, 1):
-        config = _build_config(args, n_val, t_val)
+    baseline = done = None
+
+    def write(config: engine.SimConfig, leveled: engine.RunResult):
         run_dir = out_dir
         if args.sweep:
             n, t = config.sample_interval_n, config.remap_threshold_t
             print("config n=%d t=%d:" % (n, t), end=" ")
             run_dir = out_dir / ("n%d_t%d" % (n, t))
-        if baseline is None:
-            # the levelers-off replay reads neither n nor t
-            baseline = engine.replay(trace, config.leveling_off())
-        leveled = engine.replay(trace, config)
-        if i == len(points):
-            trace = None  # the last replay is done: free the columns
         _write_run(config, baseline, leveled, run_dir, args.format,
                    trace_desc)
+
+    # the trace goes to a temporary file as it is read or generated, and
+    # each replay reads it back a chunk at a time; a grid point is written
+    # before the next one's replay, and the last after the file is closed.
+    # An omitted flag leaves the config file's value in force
+    with spill(chunks) as trace:
+        for n_val, t_val in itertools.product(args.n or [None],
+                                              args.t or [None]):
+            if done is not None:
+                write(*done)
+            config = _build_config(args, n_val, t_val)
+            if baseline is None:
+                # the levelers-off replay reads neither n nor t
+                baseline = engine.replay(trace, config.leveling_off())
+            done = config, engine.replay(trace, config)
+    write(*done)
     return 0
 
 

@@ -6,23 +6,27 @@ coarse leveler sees the sampled frame first, then the fine leveler runs
 one relocation step.  Leveler copy traffic goes straight to the wear map
 and is never sampled.  Remaps and relocations only happen between
 events, so within one sampling period the page table and the stack
-shift are constant.  The per-tick loop does the control work alone: it
-looks up the sampled write's frame in the live page table and drives
-the sampler and both levelers; one scan of the event columns finds each
-tick's sampled write and the sp in force there before the loop starts.
-A write in period k sees the stack shift of k relocations, which
-`translate_after` computes in closed form.  Application writes are
-charged by event range before each remap changes the page table and at
-the end, `_CHARGE_BATCH` events at a time, each write's period taken from
-a running write count.  Charging late is exact because wear is only ever
-added to and nothing in the loop reads it.  A batch costs what its length
-does, not what the memory's size does, and no array of the trace's
-length is made: besides the columns and the per-tick arrays and logs,
-replay holds O(batch) temporaries.  The logs are int64 arrays, made
-before the loop: the loop stores each tick's sampled frame and
-relocation line count into them, a batch of ticks at a time, and the
-event indices, shifts, valid bytes and wrap flags are filled in as
-vectors after.
+shift are constant.
+
+Replay walks the trace once, `_CHARGE_BATCH` events at a time, through
+`trace.chunks`, so a `Trace` in memory and one spilled to temporary
+files (`nvmwear.trace.spill`) replay alike.  For each chunk it finds the
+chunk's ticks, each tick's sampled write and the sp in force there (the
+last update before that write), carrying the write count and the sp
+from chunk to chunk.  The per-tick loop then does the control work
+alone: it looks up the sampled write's frame in the live page table and
+drives the sampler and both levelers.  A write in period k sees the
+stack shift of k relocations, which `translate_after` computes in closed
+form.  The chunk's application writes are charged up to each remap,
+before it changes the page table, and the rest at the chunk's end.
+Charging late is exact because wear is only ever added to and nothing
+in the loop reads it.  A chunk costs what its length does, not what the
+memory's size does, and no array of the trace's length is made: besides
+the per-tick logs, replay holds O(chunk) temporaries.  The loop keeps
+each tick's sampled frame and relocation line count, and the sp in force,
+a chunk at a time; the int64 logs are built from those pieces at the
+end, and their event indices, shifts and wrap flags follow from the
+tick numbers as vectors.
 
 A replay models wear, sampling and the leveler logs only: it reads no
 write payloads (see `nvmwear.spec`), and its copies charge wear alone.
@@ -34,23 +38,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Optional, Tuple, get_type_hints
+from typing import Dict, Optional, Tuple, Union, get_type_hints
 
 import numpy as np
 
 from .coarse import CoarseWearLeveler
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, StackOverflowError
 from .memspace import MemorySpace
 from .metrics import (MetricsReport, achieved_endurance,
                       endurance_improvement, lifetime_improvement,
                       normalized_endurance, table_csv, write_overhead)
 from .sampler import WriteSampler
 from .stack import StackState, relocate_step, translate_after
-from .trace import MemoryLayout, Segment, Trace
+from .trace import MemoryLayout, Segment, SpilledTrace, Trace
 
-# events scanned for ticks, and events charged, at a time; translating a
-# batch makes several temporaries of its length, so a shorter one keeps
-# them small
+# events replayed at a time, their ticks found and their writes charged;
+# translating a chunk makes several temporaries of its length, so a
+# shorter one keeps them small
 _CHARGE_BATCH = 1 << 13
 
 
@@ -129,15 +133,18 @@ class RunResult:
         return self.space.wear
 
 
-def replay(trace: Trace, config: SimConfig) -> RunResult:
+def replay(trace: Union[Trace, SpilledTrace], config: SimConfig
+           ) -> RunResult:
     """Replay a trace under a config: its wear map, totals and logs.
 
-    The trace's columns are read a batch of events at a time, and no
-    copy of them is made: each write is charged with the other writes of
-    its event range.  A sampled write's frame is looked up in
-    `space.frames` unchecked: a `Trace` is valid by construction and the
-    stack shift stays in [0, S), so the page is mapped.  Its batch's
-    `line_index` checks it.
+    The trace is read once, `_CHARGE_BATCH` events at a time, through
+    `trace.chunks`: a `Trace`'s columns or a spilled trace's files give
+    the same result.  Each write is charged with the other writes of its
+    event range.  A sampled write's frame is looked up in `space.frames`
+    unchecked: a `Trace` is valid by construction and the stack shift
+    stays in [0, S), so the page is mapped.  Its range's `line_index`
+    checks it.  A stack overflow names the stack-pointer update in force
+    at its tick.
     """
     layout = trace.layout
     if config.pool_pages is not None and layout.total_pages > config.pool_pages:
@@ -150,94 +157,103 @@ def replay(trace: Trace, config: SimConfig) -> RunResult:
     sampling = coarse or fine
     period = config.sample_interval_n + 1
 
-    kinds, addrs = trace.kinds, trace.addrs
     sampler = WriteSampler(config.sample_interval_n, space.n_pages) \
         if sampling else None
     leveler = CoarseWearLeveler(space, config.remap_threshold_t) \
         if coarse else None
     st = None
+    sp, sp_event = 0, None  # the sp in force, and the event that set it
     if fine:
-        sp = stack_seg.end if kinds.any() else stack_seg.end - min(
+        sp = stack_seg.end if trace.has_sp_updates else stack_seg.end - min(
             config.fixed_valid_stack, stack_seg.size - config.stack_step)
         st = StackState(region_base=stack_seg.start,
                         region_size=stack_seg.size, sp=sp,
                         step=config.stack_step)
 
-    # with a leveler on, one scan, a batch of events at a time, finds each
-    # tick's sampled write (its event index) and the sp in force there: the
-    # last update before that write
-    tick_ev, tick_sp = [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
-    writes = 0
-    for lo in range(0, trace.n_events if sampling else 0, _CHARGE_BATCH):
-        k = kinds[lo:lo + _CHARGE_BATCH]
-        w = np.flatnonzero(k == 0)
-        ev = lo + w[(-writes - 1) % period::period]
-        tick_ev.append(ev)
-        writes += len(w)
+    def charge(addrs: np.ndarray, first: int):
+        """Charge writes under the current page table; `first` is the
+        number of writes before them, and a write's period is its number
+        over `period`."""
+        if not len(addrs):
+            return
         if fine:
-            upd = lo + np.flatnonzero(k)
-            tick_sp.append(np.append(sp, addrs[upd])[np.searchsorted(upd, ev)])
-            if len(upd):
-                sp = addrs[upd[-1]]
-    tick_ev, tick_sp = np.concatenate(tick_ev), np.concatenate(tick_sp)
+            addrs = translate_after(
+                addrs, np.arange(first, first + len(addrs)) // period, st)
+        np.add.at(space.wear, space.line_index(addrs), 1)
 
-    charged = written = 0  # events charged, and the writes among them
-
-    def charge(upto: int):
-        """Charge the writes of events [charged, upto) under the current
-        page table; a write's period is its index over `period`."""
-        nonlocal charged, written
-        for lo in range(charged, upto, _CHARGE_BATCH):
-            hi = min(lo + _CHARGE_BATCH, upto)
-            a = addrs[lo:hi][kinds[lo:hi] == 0]
-            if fine:
-                a = translate_after(
-                    a, np.arange(written, written + len(a)) // period, st)
-            np.add.at(space.wear, space.line_index(a), 1)
-            written += len(a)
-        charged = upto
-
-    # the logs are filled in place: the loop stores what only it knows,
-    # each tick's sampled frame and the lines its relocation copied, and
-    # the other columns follow from the tick's number and sp
-    n_ticks = len(tick_ev)
-    sample_log = np.empty((n_ticks, 2), np.int64)
-    reloc_log = np.empty((n_ticks if fine else 0, 5), np.int64)
-    frame_col, copied_col = sample_log[:, 1], reloc_log[:, 3]
+    # what only the tick loop knows, each tick's sampled frame and the lines
+    # its relocation copied, and the sp in force at each tick, kept a chunk
+    # at a time; the logs' other columns follow from the tick's number
+    frame_cols, copied_cols, sp_cols = ([np.zeros(0, np.int64)]
+                                        for _ in range(3))
     remaps = []
-    # the sampled writes' pages are found a batch of ticks at a time
-    for lo in range(0, n_ticks, _CHARGE_BATCH):
-        sampled = addrs[tick_ev[lo:lo + _CHARGE_BATCH]]
-        if fine:  # tick k samples after k relocations
-            sampled = translate_after(
-                sampled, np.arange(lo, lo + len(sampled)), st)
-        pages = ((sampled - space.base) >> space.page_shift).tolist()
-        for tick, page in enumerate(pages, lo):
-            frame = int(space.frames[page])
-            sampler.record_tick(frame)
-            frame_col[tick] = frame
-            if coarse and leveler.on_sample(frame) is not None:
-                charge(int(tick_ev[tick]) + 1)
-                result = leveler.perform_remap(frame)
-                if result is not None:
-                    remaps.append(((tick + 1) * period,) + result)
-            if fine:
-                st.sp = int(tick_sp[tick])
-                copied_col[tick] = relocate_step(st, space)
-    del tick_ev  # the logs' other columns need only the tick numbers
-    charge(trace.n_events)
+    lo = written = n_ticks = 0  # events, writes and ticks before the chunk
+    for kinds, addrs in trace.chunks(_CHARGE_BATCH):
+        is_write = kinds == 0
+        writes = addrs[is_write]
+        done = 0  # the chunk's writes charged
+        if sampling:
+            # the chunk's ticks: each sampled write, and with fine leveling
+            # the sp in force there, the last update before that write
+            first = (-written - 1) % period
+            sampled = writes[first::period]
+            if fine:  # tick k samples after k relocations
+                sampled = translate_after(sampled, np.arange(
+                    n_ticks, n_ticks + len(sampled)), st)
+                upd = np.flatnonzero(kinds)
+                at = np.searchsorted(
+                    upd, np.flatnonzero(is_write)[first::period])
+                sp_cols.append(np.append(sp, addrs[upd])[at])
+                tick_sp = sp_cols[-1].tolist()
+            pages = ((sampled - space.base) >> space.page_shift).tolist()
+            frames, copied = [], []
+            try:
+                for i, page in enumerate(pages):
+                    frame = int(space.frames[page])
+                    sampler.record_tick(frame)
+                    frames.append(frame)
+                    if coarse and leveler.on_sample(frame) is not None:
+                        upto = first + i * period + 1
+                        charge(writes[done:upto], written + done)
+                        done = upto
+                        result = leveler.perform_remap(frame)
+                        if result is not None:
+                            remaps.append(((n_ticks + i + 1) * period,)
+                                          + result)
+                    if fine:
+                        st.sp = tick_sp[i]
+                        copied.append(relocate_step(st, space))
+            except StackOverflowError as exc:
+                j = int(at[i])
+                raise StackOverflowError(
+                    str(exc), lo + int(upd[j - 1]) if j else sp_event
+                ) from None
+            frame_cols.append(np.array(frames, np.int64))
+            copied_cols.append(np.array(copied, np.int64))
+            n_ticks += len(pages)
+            if fine and len(upd):
+                sp, sp_event = addrs[upd[-1]], lo + int(upd[-1])
+        charge(writes[done:], written + done)
+        written += len(writes)
+        lo += len(kinds)
 
+    sample_log = np.empty((n_ticks, 2), np.int64)
     ticks = np.arange(1, n_ticks + 1)
     np.multiply(ticks, period, out=sample_log[:, 0])
+    np.concatenate(frame_cols, out=sample_log[:, 1])
+    del frame_cols
+    reloc_log = np.empty((n_ticks if fine else 0, 5), np.int64)
     if fine:  # tick k leaves the shift of k + 1 steps
         steps = np.remainder(ticks, st.region_size // st.step, out=ticks)
         reloc_log[:, 0] = sample_log[:, 0]
         np.multiply(steps, st.step, out=reloc_log[:, 1])
-        np.subtract(st.top, tick_sp, out=reloc_log[:, 2])
+        np.concatenate(sp_cols, out=reloc_log[:, 2])
+        np.subtract(st.top, reloc_log[:, 2], out=reloc_log[:, 2])
+        np.concatenate(copied_cols, out=reloc_log[:, 3])
         np.equal(steps, 0, out=reloc_log[:, 4])
     remap_log = _rows(5, remaps)
     coarse_lines = leveler.copy_lines if coarse else 0
-    stack_copy_lines = int(copied_col.sum())
+    stack_copy_lines = int(reloc_log[:, 3].sum())
     totals = {
         "app_writes": written,
         "coarse_copy_lines": coarse_lines,

@@ -29,7 +29,16 @@ class UnmappedPageError(SimulationError):
 
 
 class StackOverflowError(SimulationError):
-    """The valid stack exceeds the room required for one relocation step."""
+    """The valid stack exceeds the room required for one relocation step.
+
+    `event_index`, when known, is the 0-based index of the trace's
+    stack-pointer update that set that stack."""
+
+    def __init__(self, message, event_index=None):
+        if event_index is not None:
+            message = "stack pointer of event %d: %s" % (event_index, message)
+        super().__init__(message)
+        self.event_index = event_index
 
 
 class MetricsError(SimulationError):

@@ -29,6 +29,7 @@ import io
 import itertools
 import os
 import random
+import tempfile
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager, suppress
@@ -209,6 +210,17 @@ class Trace:
                 raise TraceFormatError("unknown event %r" % (ev,))
         return cls(layout, kinds, addrs, values)
 
+    def chunks(self, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Views of the kinds and addresses of each `n` consecutive events,
+        as a trace spilled by `spill` yields them."""
+        for lo in range(0, self.n_events, n):
+            yield self.kinds[lo:lo + n], self.addrs[lo:lo + n]
+
+    @property
+    def has_sp_updates(self) -> bool:
+        """Whether any event is a stack-pointer update."""
+        return bool(self.kinds.any())
+
     def without_payloads(self) -> "Trace":
         """This trace with every payload the word 0, sharing its other
         columns; a zero payload breaks no event rule, so none is checked."""
@@ -289,6 +301,7 @@ class Trace:
 
 _PARSE_CHUNK = 1 << 16  # bytes tokenized at once; bounds the temporaries
 _READ_BLOCK = 1 << 18  # bytes `load_trace` reads at once
+_LOAD_CHUNK = 1 << 14  # events, at least, of each chunk trace `_parse` builds
 
 # each byte's hex digit value, or 16 for a byte that is not a hex digit
 _NIBBLE = bytes(int(chr(c), 16) if chr(c) in "0123456789abcdefABCDEF" else 16
@@ -355,7 +368,7 @@ def _tokenize_chunk(chunk: bytes, payloads: bool = True
     addrs = _hex_field(nibbles, mid, addr_digits).view(np.int64)
     if np.any(addrs < 0):  # at or above 2^63
         return None
-    kinds = np.where(tags == ord("S"), _KIND_SP, _KIND_WRITE)
+    kinds = np.where(tags == ord("S"), _KIND_SP, _KIND_WRITE).astype(np.uint8)
     if not payloads:
         return kinds, addrs, None
     values = np.zeros(len(ends), np.uint64)
@@ -376,35 +389,38 @@ def _pieces(blocks: Iterable[bytes]) -> Iterator[Tuple[bytes, int]]:
     yield carry, len(carry)
 
 
-def _parse(blocks: Iterable[bytes], cap: int, payloads: bool = True) -> Trace:
-    """Parse trace text given as consecutive blocks of bytes holding at
-    most `cap` events; errors carry the 1-based line number.
+def _parse(blocks: Iterable[bytes], payloads: bool = True
+           ) -> Iterator[Trace]:
+    """Parse trace text given as consecutive blocks of bytes into checked
+    chunk traces, each of at least `_LOAD_CHUNK` events but the last, and
+    at least one; errors carry the 1-based line number.
 
     Canonical event lines (see `_tokenize_chunk`), CRLF folded to LF, are
     tokenized with numpy a chunk at a time.  Every other chunk, and the
     header up to its first event line, is read line by line over UTF-8.
     That loop checks the record grammar and words every grammar error.
     An event's line is kept in a table of runs of consecutive event
-    lines, for the `Trace` constructor's event rules.  An error names the
-    first bad line, a line that is not UTF-8 included.
+    lines, for the `Trace` constructor's event rules.  A chunk trace is
+    checked when it is built, before a later line is read, so an error
+    names the first bad line, a line that is not UTF-8 included.
 
     Without `payloads` every value is checked as above but none is
     stored: no value column is made, and the Trace's payloads are all 0.
     """
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None
-    # columns for at most one event a line, which the Trace takes as
-    # slices without a copy
-    kinds, addrs = np.empty(cap, np.uint8), np.empty(cap, np.int64)
-    values = np.empty(cap, np.uint64) if payloads else None
-    # the line loop stores through memoryviews, which take plain ints fast
-    k_col, a_col = memoryview(kinds), memoryview(addrs)
-    v_col = memoryview(values) if payloads else None
-    # event run_ev[j] is on line run_ln[j], and each next event on the next
-    # line, up to the next run
-    run_ev, run_ln = array("q"), array("q")
-    n = 0  # events stored
-    next_line = 0  # the line after the last event's
+    yielded = False
+
+    def new_chunk():
+        """Empty columns of a chunk, which grow in place and which its
+        Trace takes without a copy; and its table of runs: event run_ev[j]
+        is on line run_ln[j], and each next event on the next line, up to
+        the next run."""
+        return (array("B"), array("q"), array("Q") if payloads else None,
+                array("q"), array("q"))
+
+    kinds, addrs, values, run_ev, run_ln = new_chunk()
+    next_line = 0  # the line after the chunk's last event's
 
     def parse_hex(tok: str, line_no: int, what: str, bits: int = 64) -> int:
         if not tok.lower().startswith("0x"):
@@ -429,10 +445,11 @@ def _parse(blocks: Iterable[bytes], cap: int, payloads: bool = True) -> Trace:
             raise TraceFormatError(str(exc), line_no)
 
     def build() -> Trace:
-        """A Trace of the events so far, naming a bad event by its line."""
+        """A Trace of the chunk's events, naming a bad event by its line."""
         try:
-            return Trace(layout, kinds[:n], addrs[:n],
-                         values[:n] if payloads else None)
+            return Trace(layout, np.frombuffer(kinds, np.uint8),
+                         np.frombuffer(addrs, np.int64),
+                         np.frombuffer(values, np.uint64) if payloads else None)
         except TraceFormatError as exc:
             i = exc.event_index
             if i is None:
@@ -446,6 +463,12 @@ def _parse(blocks: Iterable[bytes], cap: int, payloads: bool = True) -> Trace:
         for data, cut in _pieces(blocks):
             pos = 0
             while pos < cut:
+                if len(kinds) >= _LOAD_CHUNK:
+                    full = build()
+                    kinds, addrs, values, run_ev, run_ln = new_chunk()
+                    next_line = 0
+                    yield full
+                    yielded = True
                 if layout is None:  # the header, up to its first event line
                     stop = data.find(b"\n", pos, cut) + 1 or cut
                     chunk = None
@@ -460,13 +483,14 @@ def _parse(blocks: Iterable[bytes], cap: int, payloads: bool = True) -> Trace:
                     chunk = _tokenize_chunk(chunk, payloads)
                 if chunk is not None:
                     k = len(chunk[0])
-                    kinds[n:n + k], addrs[n:n + k] = chunk[:2]
-                    if payloads:
-                        values[n:n + k] = chunk[2]
                     if line_no + 1 != next_line:
-                        run_ev.append(n)
+                        run_ev.append(len(kinds))
                         run_ln.append(line_no + 1)
-                    n, line_no, pos = n + k, line_no + k, stop
+                    kinds.frombytes(chunk[0])
+                    addrs.frombytes(chunk[1].view(np.uint8))
+                    if payloads:
+                        values.frombytes(chunk[2].view(np.uint8))
+                    line_no, pos = line_no + k, stop
                     next_line = line_no + 1
                     continue
                 # bytes split at b"\n" alone; a trailing "\r" is stripped
@@ -510,13 +534,13 @@ def _parse(blocks: Iterable[bytes], cap: int, payloads: bool = True) -> Trace:
                     else:
                         raise TraceFormatError("unrecognized record %r" % tag,
                                                line_no)
-                    k_col[n], a_col[n] = kind, addr
-                    if payloads:
-                        v_col[n] = value
                     if line_no != next_line:
-                        run_ev.append(n)
+                        run_ev.append(len(kinds))
                         run_ln.append(line_no)
-                    n += 1
+                    kinds.append(kind)
+                    addrs.append(addr)
+                    if payloads:
+                        values.append(value)
                     next_line = line_no + 1
     except TraceFormatError:
         if layout is not None:
@@ -525,7 +549,8 @@ def _parse(blocks: Iterable[bytes], cap: int, payloads: bool = True) -> Trace:
 
     if layout is None:
         layout = finish_header(line_no + 1)
-    return build()
+    if kinds or not yielded:
+        yield build()
 
 
 def parse_trace(data: Union[bytes, str], payloads: bool = True) -> Trace:
@@ -534,7 +559,7 @@ def parse_trace(data: Union[bytes, str], payloads: bool = True) -> Trace:
     if isinstance(data, str):
         # a lone surrogate is kept, and then fails to decode at its line
         data = data.encode("utf-8", "surrogatepass")
-    return _parse([data], data.count(b"\n") + 1, payloads)
+    return _join(_parse([data], payloads))
 
 
 # events formatted at once: at 1 << 13 a chunk's temporaries are small
@@ -607,26 +632,83 @@ def emit_trace(trace: Trace) -> bytes:
     return b"".join([_emit_header(trace.layout), *_emit_records(trace)])
 
 
-def load_trace(path, payloads: bool = True) -> Trace:
+def load_trace(path, payloads: bool = True, chunked: bool = False
+               ) -> Union[Trace, Iterator[Trace]]:
     """Parse a trace file; a TraceFormatError names the file.
 
-    The file is read in blocks, never whole: once to count its lines,
-    which bounds its events, then up to the same size to parse it.
-    Without `payloads` the values are checked but none is kept (see
-    `_parse`), which saves 8 of the 17 bytes an event takes; the trace
-    then equals the file's trace only if all its payloads are 0."""
+    The file is read once, in blocks, never whole, and parsed into
+    checked chunk traces as it is read (see `_parse`).  With `chunked`
+    those chunks are returned as an iterator, as `gen_workload` returns
+    them, which holds the file open until it is used up; otherwise they
+    are joined into one `Trace`.  Either way an error in the header or
+    the first chunk is raised here.  Without `payloads` the values are
+    checked but none is kept, which saves 8 of the 17 bytes an event
+    takes; the trace then equals the file's trace only if all its
+    payloads are 0."""
+    return _deliver(_load_chunks(path, payloads), chunked)
+
+
+def _load_chunks(path, payloads: bool) -> Iterator[Trace]:
     with open(path, "rb") as fh:
-        size = lines = 0
-        for block in iter(lambda: fh.read(_READ_BLOCK), b""):
-            size, lines = size + len(block), lines + block.count(b"\n")
-        fh.seek(0)
-        blocks = iter(lambda: fh.read(min(_READ_BLOCK, size - fh.tell())),
-                      b"")
         try:
-            return _parse(blocks, lines + 1, payloads)
+            yield from _parse(iter(lambda: fh.read(_READ_BLOCK), b""),
+                              payloads)
         except TraceFormatError as exc:
             exc.args = ("%s: %s" % (path, exc),)
             raise
+
+
+class SpilledTrace:
+    """What `replay` reads of a trace, its layout and its kinds and
+    addresses a chunk at a time, with the columns in two unlinked
+    temporary files that `spill` writes and closes."""
+
+    def __init__(self, layout: MemoryLayout, has_sp_updates: bool,
+                 kinds_file, addrs_file):
+        self.layout = layout
+        self.has_sp_updates = has_sp_updates
+        self.files = kinds_file, addrs_file
+
+    def chunks(self, n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The kinds and addresses of each `n` consecutive events, read
+        from the files with `np.fromfile`; one walk at a time.  A memory
+        map would do, but the pages it touches count as resident."""
+        kinds_file, addrs_file = self.files
+        for fh in self.files:
+            fh.seek(0)
+        while True:
+            kinds = np.fromfile(kinds_file, np.uint8, n)
+            if not len(kinds):
+                return
+            yield kinds, np.fromfile(addrs_file, np.int64, len(kinds))
+
+
+@contextmanager
+def spill(chunks: Iterable[Trace]) -> Iterator[SpilledTrace]:
+    """The consecutive chunk traces of one layout, as `gen_workload` and
+    `load_trace` yield them with `chunked=True`, written to temporary
+    files as each arrives, 9 bytes an event, and read back for each
+    replay; the files are gone when the block ends.  Payloads are not
+    kept: replay reads none."""
+    with tempfile.TemporaryFile() as kinds_file, \
+            tempfile.TemporaryFile() as addrs_file:
+        layout, has_sp = None, False
+        for chunk in chunks:
+            layout = _same_layout(layout, chunk)
+            kinds_file.write(chunk.kinds)
+            addrs_file.write(chunk.addrs)
+            has_sp = has_sp or chunk.has_sp_updates
+        if layout is None:
+            raise TraceFormatError("no trace chunk to spill")
+        yield SpilledTrace(layout, has_sp, kinds_file, addrs_file)
+
+
+def _same_layout(layout: Optional[MemoryLayout], chunk: Trace
+                 ) -> MemoryLayout:
+    """The chunk's layout, which must be `layout` if that is not None."""
+    if layout is not None and chunk.layout != layout:
+        raise TraceFormatError("trace chunks disagree in layout")
+    return chunk.layout
 
 
 @contextmanager
@@ -656,10 +738,8 @@ def save_trace(trace: Union[Trace, Iterable[Trace]], path) -> Tuple[int, int]:
     with open_atomic(path) as fh:
         for chunk in chunks:
             if layout is None:
-                layout = chunk.layout
-                fh.write(_emit_header(layout))
-            elif chunk.layout != layout:
-                raise TraceFormatError("trace chunks disagree in layout")
+                fh.write(_emit_header(chunk.layout))
+            layout = _same_layout(layout, chunk)
             fh.writelines(_emit_records(chunk))
             n_events += chunk.n_events
             n_writes += chunk.n_writes
@@ -716,7 +796,13 @@ def gen_workload(kind: str, total_writes: int, layout: MemoryLayout,
         raise GeneratorError("total_writes must be non-negative")
     if kind not in WORKLOADS:
         raise GeneratorError("unknown workload kind %r" % kind)
-    chunks = WORKLOADS[kind](total_writes, layout, seed)
+    return _deliver(WORKLOADS[kind](total_writes, layout, seed), chunked)
+
+
+def _deliver(chunks: Iterator[Trace], chunked: bool
+             ) -> Union[Trace, Iterator[Trace]]:
+    """The chunks as an iterator, with the first taken now so that its
+    errors are raised at the call, or joined into one `Trace`."""
     chunks = itertools.chain([next(chunks)], chunks)
     return chunks if chunked else _join(chunks)
 

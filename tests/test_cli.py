@@ -1,8 +1,8 @@
 """End-to-end command-line checks driving main() in process."""
 
 import json
+import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -326,20 +326,22 @@ def test_a_trace_and_its_stripped_copy_run_alike(tmp_path):
 @pytest.mark.parametrize("source", ["trace", "kind"])
 def test_run_replays_no_payloads_and_frees_the_trace_first(
         tmp_path, monkeypatch, source):
-    # replay gets a trace without a value column, and no trace is alive
-    # when the last grid point writes its artifacts
+    # both replays read one spilled trace, which holds no event column,
+    # and the spill is closed when the last grid point writes its artifacts
     path = tmp_path / "t.trace"
     run_cli("gen", "--kind", "deepstack", "--writes", 3000, "--out", path)
     replayed, written = [], []
 
     def recording_replay(trace, config):
-        assert trace.values.strides == (0,)
-        replayed.append(weakref.ref(trace))
+        assert not any(isinstance(v, (np.ndarray, Trace))
+                       for v in vars(trace).values())
+        assert not any(fh.closed for fh in trace.files)
+        replayed.append(trace)
         return real_replay(trace, config)
 
     def checking_write(out, data):
         written.append(out)
-        assert all(ref() is None for ref in replayed)
+        assert all(fh.closed for trace in replayed for fh in trace.files)
         real_write(out, data)
 
     real_replay, real_write = engine.replay, cli_module.write_atomic
@@ -348,7 +350,45 @@ def test_run_replays_no_payloads_and_frees_the_trace_first(
     argv = ["--trace", path] if source == "trace" \
         else ["--kind", "deepstack", "--writes", 3000]
     assert run_cli("run", *argv, "--n", 10, "--out", tmp_path / "o") == 0
-    assert len(replayed) == 2 and len(written) == 7
+    assert len(replayed) == 2 and replayed[0] is replayed[1]
+    assert len(written) == 7
+
+
+def test_run_names_the_sp_update_of_a_stack_overflow(tmp_path, capsys):
+    # the S record on line 8 puts sp at the stack base: a relocation has
+    # no room for its step, and the error names that event
+    layout = make_layout()
+    data, stack = layout.segment("data").start, layout.segment("stack")
+    path = tmp_path / "t.trace"
+    path.write_bytes(emit_trace(Trace(layout, [0] * 3 + [1] + [0] * 30,
+                                      [data] * 3 + [stack.start]
+                                      + [data] * 30)))
+    assert run_cli("run", "--trace", path, "--n", 10,
+                   "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == (
+        "error: stack pointer of event 3: valid stack of %d bytes leaves no "
+        "room for a 64-byte step\n" % stack.size)
+
+
+@pytest.mark.parametrize("source", ["trace", "kind"])
+def test_run_peak_does_not_grow_with_the_trace(tmp_path, capsys, source):
+    """A run holds no column of the trace: from 50k to 200k writes its
+    peak grows by far less than the 1.35 MB the 150k more events would
+    take at 9 bytes each."""
+    peaks = []
+    for writes in (50_000, 200_000):
+        argv = ["--kind", "hotspot", "--writes", writes]
+        if source == "trace":
+            path = tmp_path / ("%d.trace" % writes)
+            assert run_cli("gen", *argv, "--out", path) == 0
+            argv = ["--trace", path]
+        tracemalloc.start()
+        try:
+            assert run_cli("run", *argv, "--out", tmp_path / "o") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.3 * peaks[0], peaks
 
 
 def test_report_emits_per_segment_histograms(tmp_path, capsys):

@@ -35,11 +35,13 @@ from nvmwear import (
 )
 import nvmwear
 from nvmwear import engine
+import nvmwear.trace as trace_module
 from nvmwear.engine import report_dict
-from nvmwear.errors import ConfigError
+from nvmwear.errors import ConfigError, StackOverflowError
 from nvmwear.memspace import MemorySpace
 from nvmwear.metrics import endurance_improvement
 from nvmwear.spec import aggregate_linecounts, reference_replay
+from nvmwear.trace import spill
 
 
 def assert_matches_reference(trace, config):
@@ -183,19 +185,69 @@ def test_leveled_replay_builds_no_content_image(tmp_path):
                    env=dict(os.environ, PYTHONPATH=str(src)))
 
 
+def assert_same_run(got, want):
+    """Two replays with the same wear, page table, logs, totals and
+    estimates."""
+    assert np.array_equal(got.wear, want.wear)
+    assert np.array_equal(got.space.frames, want.space.frames)
+    for log in ("sample_log", "remap_log", "reloc_log"):
+        assert np.array_equal(getattr(got, log), getattr(want, log)), log
+    assert got.totals == want.totals
+    if want.sampler is not None:
+        assert np.array_equal(got.sampler.estimates, want.sampler.estimates)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 101, 4096])
 @pytest.mark.parametrize("coarse,fine", [(True, True), (True, False),
                                          (False, True), (False, False)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_wear_is_exact_across_flush_boundaries(kind, coarse, fine, chunk,
-                                               layout, monkeypatch):
+                                               layout, big_layout,
+                                               monkeypatch):
     # writes are charged before each remap and at the end, `_CHARGE_BATCH`
-    # at a time; at 4096, more than the trace holds, each charge is one batch
+    # at a time; at 4096, more than the trace holds, each charge is one
+    # batch, as at the default
     monkeypatch.setattr(engine, "_CHARGE_BATCH", chunk)
     trace = gen_workload(kind, 2000, layout, seed=8)
     cfg = SimConfig(sample_interval_n=10, remap_threshold_t=2,
                     enable_coarse=coarse, enable_fine=fine)
     assert_matches_reference(trace, cfg)
+    # a spill of the generator's chunks, which end where no batch does,
+    # replays as the joined trace does, on either layout and at n = 1
+    monkeypatch.setattr(trace_module, "_GEN_CHUNK", 150)
+    for lay in (layout, big_layout):
+        for n in (1, 10):
+            cfg = replace(cfg, sample_interval_n=n)
+            want = replay(gen_workload(kind, 500, lay, seed=8), cfg)
+            with spill(gen_workload(kind, 500, lay, seed=8,
+                                    chunked=True)) as spilled:
+                assert_same_run(replay(spilled, cfg), want)
+
+
+def test_stack_overflow_names_the_sp_update_in_force(layout, monkeypatch):
+    """A relocation without room for its step names the S record that set
+    the stack, whether it is in the tick's batch or an earlier one, and
+    whether the trace is held or spilled."""
+    stack = layout.segment("stack")
+    data = layout.segment("data").start
+    events = [WriteEvent(data)] * 5 + [SpUpdateEvent(stack.start)] \
+        + [WriteEvent(data)] * 30
+    trace = Trace.from_events(layout, events)
+    cfg = SimConfig(sample_interval_n=10)
+    for chunk in (3, 7, 4096):  # the first tick is event 11
+        monkeypatch.setattr(engine, "_CHARGE_BATCH", chunk)
+        for source in ("trace", "spill"):
+            with spill([trace]) as spilled, \
+                    pytest.raises(StackOverflowError) as exc:
+                replay(trace if source == "trace" else spilled, cfg)
+            assert exc.value.event_index == 5
+            assert str(exc.value).startswith(
+                "stack pointer of event 5: valid stack of %d bytes"
+                % stack.size)
+    # a later update that leaves room is not blamed for an earlier one
+    events[20] = SpUpdateEvent(stack.end - 64)
+    with pytest.raises(StackOverflowError, match="^stack pointer of event 5:"):
+        replay(Trace.from_events(layout, events), cfg)
 
 
 def test_replay_time_does_not_grow_with_memory_size():

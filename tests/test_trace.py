@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,20 +24,39 @@ from nvmwear.trace import WORKLOADS, emit_trace, parse_trace
 HEADER = "@segment stack 0x100010000 0x100020000\n"
 
 
+def _parse_chunked(data, payloads=True):
+    """`parse_trace(data, payloads)`, parsed into chunk traces of about a
+    sixteenth of its lines each, at least one event, and joined."""
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    with mock.patch.object(trace_module, "_LOAD_CHUNK",
+                           max(1, data.count(b"\n") // 16)):
+        return trace_module._join(trace_module._parse([data], payloads))
+
+
+def _outcome(parse, data, payloads):
+    """The Trace `parse` gives, or its error's message and line."""
+    try:
+        return parse(data, payloads=payloads)
+    except TraceFormatError as exc:
+        return str(exc), exc.line_no
+
+
 def parse_both(data):
     """`parse_trace(data)`, once it is checked that the payload-free parse
     gives the same trace without its payloads, or the same error on the
-    same line: a bad value is a format error either way."""
-    try:
-        bare = parse_trace(data, payloads=False)
-    except TraceFormatError as exc:
-        with pytest.raises(TraceFormatError) as full:
-            parse_trace(data)
-        assert (str(full.value), full.value.line_no) == (str(exc), exc.line_no)
-        raise
-    tr = parse_trace(data)
-    assert bare == tr.without_payloads() and bare.values.strides == (0,)
-    return tr
+    same line: a bad value is a format error either way; and that a parse
+    into many chunk traces gives the same as each."""
+    (bare, bare_chunked), (full, full_chunked) = (
+        [_outcome(parse, data, payloads)
+         for parse in (parse_trace, _parse_chunked)]
+        for payloads in (False, True))
+    assert bare_chunked == bare and full_chunked == full
+    if isinstance(full, Trace):
+        assert bare == full.without_payloads() and bare.values.strides == (0,)
+    else:
+        assert bare == full
+    return parse_trace(data)
 
 
 def test_parse_single_write():
@@ -896,6 +916,11 @@ def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
         assert trace_module.load_trace(path) == tr
         assert trace_module.load_trace(path, payloads=False) \
             == tr.without_payloads()
+        # in chunk traces of 7 events or more, each checked on its own
+        with mock.patch.object(trace_module, "_LOAD_CHUNK", 7):
+            chunks = list(trace_module.load_trace(path, chunked=True))
+        assert all(c.n_events >= 7 for c in chunks[:-1]) and len(chunks) > 1
+        assert trace_module._join(chunks) == tr
     lines = good[-1].split(b"\n")
     bad = [b"\n".join(lines[:i] + [edit] + lines[i + 1:])
            for i, edit in ((100, b"W zz"), (150, b"W 0x100000004"),
@@ -909,6 +934,10 @@ def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
             assert _error(lambda: trace_module.load_trace(
                 path, payloads=payloads)) == ("%s: %s" % (path, msg), None,
                                               line)
+        with mock.patch.object(trace_module, "_LOAD_CHUNK", 7):
+            assert _error(lambda: list(trace_module.load_trace(
+                path, payloads=False, chunked=True))) \
+                == ("%s: %s" % (path, msg), None, line)
 
 
 def test_load_peak_stays_near_the_final_columns(tmp_path, layout):
