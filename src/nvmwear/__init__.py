@@ -10,8 +10,9 @@ from .engine import SimConfig, paired_run, replay
 from .errors import SimulationError
 from .metrics import achieved_endurance
 from .sampler import WriteSampler
-from .trace import (MemoryLayout, Segment, SpUpdateEvent, Trace, WriteEvent,
-                    gen_workload, load_trace, make_layout, save_trace)
+from .trace import MemoryLayout, Segment, SpUpdateEvent, Trace, WriteEvent
+from .tracefile import load_trace, save_trace
+from .workloads import gen_workload, make_layout
 
 __version__ = "0.1.0"
 

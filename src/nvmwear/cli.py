@@ -18,8 +18,9 @@ import numpy as np
 from . import engine, metrics
 from .errors import ConfigError, SimulationError
 from .memspace import MemorySpace
-from .trace import (WORKLOADS, Trace, gen_workload, load_trace, make_layout,
-                    open_atomic, save_trace, spill)
+from .trace import Trace, spill
+from .tracefile import load_trace, open_atomic, save_trace
+from .workloads import WORKLOADS, gen_workload, make_layout
 
 
 def write_atomic(path: Path, data: bytes):

@@ -21,7 +21,6 @@ from typing import Dict, Iterable, Sequence
 import numpy as np
 
 from .errors import MetricsError
-from .trace import _HEX_POWERS, _hex_columns
 
 
 def achieved_endurance(*parts) -> float:
@@ -70,62 +69,102 @@ class MetricsReport:
 
 
 # ----------------------------------------------------------------------
-# CSV export
+# text rows: CSV export and trace records
 
 def csv_bytes(header: str, rows: Iterable[str]) -> bytes:
     """A header line and one line per row, each ending in a newline."""
     return "\n".join([header, *rows, ""]).encode("utf-8")
 
 
+def _hex_digits(col: np.ndarray, width: int) -> np.ndarray:
+    """(width, n) values of the low `width` hex digits of each uint64,
+    most significant first."""
+    octets = np.ascontiguousarray(  # the low (width + 1) // 2 bytes
+        col.astype(">u8").view(np.uint8).reshape(-1, 8).T[8 - (width + 1) // 2:])
+    nibbles = np.empty((2 * len(octets), len(col)), np.uint8)
+    np.right_shift(octets, 4, out=nibbles[0::2])
+    np.bitwise_and(octets, 15, out=nibbles[1::2])
+    return nibbles[len(nibbles) - width:]
+
+
+def _dec_digits(col: np.ndarray, width: int) -> np.ndarray:
+    """(width, n) values of the low `width` decimal digits of each uint64,
+    most significant first."""
+    out = np.empty((width, len(col)), np.uint8)
+    for i in range(width - 1, -1, -1):
+        q = col // 10
+        out[i] = col - q * 10
+        col = q
+    return out
+
+
+def format_rows(fields: Sequence, n: int) -> bytes:
+    """n lines of text, each its `fields` in order: `bytes`, the same on
+    every line; a uint8 array of one byte a line; or a number field
+    `(col, base)`, each uint64 of `col` in lowercase base 10 or 16 without
+    leading zeros.  In a field `(col, base, lead)` a 0 is written as
+    nothing, and any other number after `lead`.
+
+    The lines are the rows of an (n, w) uint8 matrix, stored column-major
+    so that each numpy pass runs along the lines.  A field's numbers are
+    written at the widest one's digit count, and a keep mask drops the
+    zeros that lead each."""
+    blocks = []  # text rows, the lines they fill, and which of them to keep
+    for f in fields:
+        if not isinstance(f, tuple):
+            blocks.append((np.frombuffer(f, np.uint8)[:, None]
+                           if isinstance(f, bytes) else f[None],
+                           slice(None), True))
+            continue
+        col, base, *lead = f
+        # a field with a lead is written only at its nonzero lines
+        lines = np.flatnonzero(col) if lead else slice(None)
+        col = col[lines]
+        top = int(col.max(initial=0))
+        digits = (_hex_digits if base == 16 else _dec_digits)(
+            col, len(("%x" if base == 16 else "%d") % top))
+        # a number's digits from its first nonzero one, and its last
+        kept = digits != 0
+        for i in range(1, len(kept)):
+            kept[i] |= kept[i - 1]
+        kept[-1] = True
+        if lead:
+            blocks.append((np.frombuffer(lead[0], np.uint8)[:, None],
+                           lines, True))
+        # "0"-"9" are 48-57 and "a"-"f" 97-102
+        blocks.append((digits + np.uint8(48) + (digits > 9) * np.uint8(39),
+                       lines, kept))
+    out = np.empty((sum(len(text) for text, _, _ in blocks), n), np.uint8)
+    keep = np.zeros(out.shape, bool)
+    row = 0
+    for text, lines, kept in blocks:
+        out[row:row + len(text), lines] = text
+        keep[row:row + len(text), lines] = kept
+        row += len(text)
+    return out.T[keep.T].tobytes()
+
+
 # rows formatted at once: a chunk's temporaries are several times its
 # output, and at 1 << 11 they stay small beside a wear CSV of 10k rows
 # and more, for about 15% more time than at 1 << 13
 _CSV_CHUNK = 1 << 11
-# 10 ** 1 .. 10 ** 18; a number's decimal digit count is 1 + how many it
-# reaches
-_DEC_POWERS = np.int64(10) ** np.arange(1, 19, dtype=np.int64)
-
-
-def _dec_columns(col: np.ndarray, width: int) -> np.ndarray:
-    """(width, n) ASCII decimal of the low `width` digits of each
-    non-negative int64, most significant digit first."""
-    out = np.empty((width, len(col)), np.uint8)
-    for i in range(width - 1, -1, -1):
-        q = col // 10
-        out[i] = col - q * 10 + ord("0")
-        col = q
-    return out
 
 
 def table_csv(header: str, columns: Sequence, trailer: str = "") -> bytes:
     """A header line, a line per row of `columns` (one sequence of
     non-negative int64 per header field), then the trailer line if any.
-
     A field named `*_hex` is written in 0x-prefixed lowercase hex, any
-    other in decimal.  As in `trace._emit_records`, a chunk's rows are the
-    rows of an (n, w) uint8 matrix stored column-major, each number
-    written at the chunk's widest digit count, and one keep mask drops
-    the leading zeros."""
+    other in decimal."""
     hexes = [name.endswith("_hex") for name in header.split(",")]
-    cols = [np.asarray(c, np.int64) for c in columns]
+    cols = [np.asarray(c, np.int64).view(np.uint64) for c in columns]
     parts = [header.encode() + b"\n"]
     for lo in range(0, len(cols[0]), _CSV_CHUNK):
-        out, keep = [], []
+        fields = []
         for hexa, col in zip(hexes, cols):
-            col = col[lo:lo + _CSV_CHUNK].view(np.uint64 if hexa else np.int64)
-            digits = np.searchsorted(_HEX_POWERS if hexa else _DEC_POWERS,
-                                     col, "right") + 1
-            w, head = int(digits.max()), b"0x" if hexa else b""
-            out += [np.frombuffer(head, np.uint8)[:, None].repeat(len(col), 1),
-                    (_hex_columns if hexa else _dec_columns)(col, w),
-                    np.full((1, len(col)), ord(","), np.uint8)]
-            # the prefix and the comma are kept, and each number's digits
-            # from its first one on
-            rank = np.array([w] * len(head) + list(range(w + 1)))
-            keep.append(rank[:, None] >= w - digits)
-        out = np.concatenate(out)
-        out[-1] = ord("\n")
-        parts.append(out.T[np.concatenate(keep).T].tobytes())
+            col = col[lo:lo + _CSV_CHUNK]
+            fields += [b"0x", (col, 16), b","] if hexa else [(col, 10), b","]
+        fields[-1] = b"\n"
+        parts.append(format_rows(fields, len(col)))
     if trailer:
         parts.append(trailer.encode() + b"\n")
     return b"".join(parts)

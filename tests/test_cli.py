@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import nvmwear.cli as cli_module
-import nvmwear.trace as trace_module
+import nvmwear.workloads as workloads_module
 from nvmwear import (Trace, engine, gen_workload, load_trace, make_layout,
                      save_trace)
 from nvmwear.cli import main, parse_config_file
-from nvmwear.trace import WORKLOADS, emit_trace
+from nvmwear.tracefile import emit_trace
+from nvmwear.workloads import WORKLOADS
 
 
 def run_cli(*argv):
@@ -55,10 +56,10 @@ def test_gen_file_does_not_depend_on_the_chunk(tmp_path, monkeypatch, capsys,
     size, for lengths that are not chunk multiples and for no writes, the
     file is the trace `gen_workload` joins at the default chunk."""
     layout = make_layout()
-    lengths = (0, 300) if size else (0, 2 * trace_module._GEN_CHUNK + 5)
+    lengths = (0, 300) if size else (0, 2 * workloads_module._GEN_CHUNK + 5)
     want = [emit_trace(gen_workload(kind, n, layout, 3)) for n in lengths]
     if size:
-        monkeypatch.setattr(trace_module, "_GEN_CHUNK", size)
+        monkeypatch.setattr(workloads_module, "_GEN_CHUNK", size)
     for n, text in zip(lengths, want):
         out = tmp_path / ("%d.trace" % n)
         assert run_cli("gen", "--kind", kind, "--writes", n, "--seed", 3,
@@ -304,8 +305,9 @@ def test_a_trace_and_its_stripped_copy_run_alike(tmp_path):
     values = np.where(trace.kinds == 0, rng.integers(
         0, 1 << 64, trace.n_events, dtype=np.uint64), 0)
     full = Trace(trace.layout, trace.kinds, trace.addrs, values)
+    bare = Trace(full.layout, full.kinds, full.addrs)
     outs = {}
-    for name, tr in (("full", full), ("bare", full.without_payloads())):
+    for name, tr in (("full", full), ("bare", bare)):
         path = tmp_path / (name + ".trace")
         save_trace(tr, path)
         outs[name] = tmp_path / name, json.dumps(str(path)).encode()

@@ -35,7 +35,7 @@ from nvmwear import (
 )
 import nvmwear
 from nvmwear import engine
-import nvmwear.trace as trace_module
+import nvmwear.workloads as workloads_module
 from nvmwear.engine import report_dict
 from nvmwear.errors import ConfigError, StackOverflowError
 from nvmwear.memspace import MemorySpace
@@ -214,7 +214,7 @@ def test_wear_is_exact_across_flush_boundaries(kind, coarse, fine, chunk,
     assert_matches_reference(trace, cfg)
     # a spill of the generator's chunks, which end where no batch does,
     # replays as the joined trace does, on either layout and at n = 1
-    monkeypatch.setattr(trace_module, "_GEN_CHUNK", 150)
+    monkeypatch.setattr(workloads_module, "_GEN_CHUNK", 150)
     for lay in (layout, big_layout):
         for n in (1, 10):
             cfg = replace(cfg, sample_interval_n=n)

@@ -50,9 +50,11 @@ def test_readme_and_demos_import_only_exported_names():
     assert used and used <= set(nvmwear.__all__)
 
 
-def imports_of(source: str):
-    """Modules and `module.name`s a source imports, relative ones resolved."""
-    for node in ast.walk(ast.parse(source)):
+def imports_of(source: str, top_level: bool = False):
+    """Modules and `module.name`s a source imports, relative ones resolved;
+    with `top_level`, only by statements at module level."""
+    tree = ast.parse(source)
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -70,3 +72,23 @@ def test_only_the_spec_imports_the_spec():
     assert "spec.py" in [p.name for p in modules]
     assert [p.name for p in modules if "nvmwear.spec"
             in imports_of(p.read_text(encoding="utf-8"))] == []
+
+
+def test_modules_share_no_private_name_and_the_model_loads_alone():
+    # a name two modules share is public in the module that defines it
+    assert "nvmwear.trace._join" in imports_of("from .trace import _join")
+    modules = sorted(Path(nvmwear.__file__).parent.glob("*.py"))
+    private = [(p.name, name) for p in modules
+               for name in imports_of(p.read_text(encoding="utf-8"))
+               if name.startswith("nvmwear.")
+               and name.rsplit(".", 1)[1].startswith("_")]
+    assert private == []
+    # the trace model imports its text format and generators, if at all,
+    # inside a function, so loading it loads neither
+    inner = "def f():\n    from .tracefile import emit_trace\n"
+    assert "nvmwear.tracefile" in imports_of(inner)
+    assert list(imports_of(inner, top_level=True)) == []
+    source = (Path(nvmwear.__file__).parent / "trace.py").read_text(
+        encoding="utf-8")
+    assert {"nvmwear.tracefile", "nvmwear.workloads"}.isdisjoint(
+        imports_of(source, top_level=True))

@@ -17,9 +17,12 @@ from nvmwear import (
     make_layout,
 )
 import nvmwear.trace as trace_module
+import nvmwear.tracefile as tracefile_module
+import nvmwear.workloads as workloads_module
 from nvmwear.errors import GeneratorError, LayoutError, TraceFormatError
 from nvmwear.spec import aggregate_linecounts
-from nvmwear.trace import WORKLOADS, emit_trace, parse_trace
+from nvmwear.tracefile import emit_trace, parse_trace
+from nvmwear.workloads import WORKLOADS
 
 HEADER = "@segment stack 0x100010000 0x100020000\n"
 
@@ -29,9 +32,10 @@ def _parse_chunked(data, payloads=True):
     sixteenth of its lines each, at least one event, and joined."""
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    with mock.patch.object(trace_module, "_LOAD_CHUNK",
+    with mock.patch.object(tracefile_module, "_LOAD_CHUNK",
                            max(1, data.count(b"\n") // 16)):
-        return trace_module._join(trace_module._parse([data], payloads))
+        return trace_module.join_chunks(
+            tracefile_module._parse([data], payloads))
 
 
 def _outcome(parse, data, payloads):
@@ -53,7 +57,8 @@ def parse_both(data):
         for payloads in (False, True))
     assert bare_chunked == bare and full_chunked == full
     if isinstance(full, Trace):
-        assert bare == full.without_payloads() and bare.values.strides == (0,)
+        assert bare == Trace(full.layout, full.kinds, full.addrs) \
+            and bare.values.strides == (0,)
     else:
         assert bare == full
     return parse_trace(data)
@@ -217,7 +222,7 @@ def test_round_trip_generated(kind, layout):
 
 @pytest.mark.parametrize("size", [1, 7, 64, 4096])
 def test_chunk_size_does_not_change_the_trace(monkeypatch, layout, size):
-    monkeypatch.setattr(trace_module, "_PARSE_CHUNK", size)
+    monkeypatch.setattr(tracefile_module, "_PARSE_CHUNK", size)
     for kind in WORKLOADS:
         tr = gen_workload(kind, 300, layout, 5)
         assert parse_trace(emit_trace(tr)) == tr
@@ -248,14 +253,14 @@ def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
     left to the line loop (a count that pins the fast path where a timing
     test would flake)."""
     tokenized = []
-    tokenize = trace_module._tokenize_chunk
+    tokenize = tracefile_module._tokenize_chunk
 
     def counting(chunk, payloads):
         cols = tokenize(chunk, payloads)
         tokenized.append(None if cols is None else len(cols[0]))
         return cols
 
-    monkeypatch.setattr(trace_module, "_tokenize_chunk", counting)
+    monkeypatch.setattr(tracefile_module, "_tokenize_chunk", counting)
     for kind in WORKLOADS:
         data = emit_trace(gen_workload(kind, 20_000, layout, 3))
         for text in (data, data.replace(b"\n", b"\r\n")):
@@ -309,10 +314,10 @@ def test_parser_fuzz_agrees_with_the_line_loop(monkeypatch, layout):
     rng = random.Random(15)
     texts = [emit_trace(gen_workload(kind, 40, layout, 1))
              for kind in WORKLOADS]
-    tokenize = trace_module._tokenize_chunk
+    tokenize = tracefile_module._tokenize_chunk
 
     def parse(data, tokenizer, payloads=True):
-        monkeypatch.setattr(trace_module, "_tokenize_chunk", tokenizer)
+        monkeypatch.setattr(tracefile_module, "_tokenize_chunk", tokenizer)
         try:
             return parse_trace(data, payloads=payloads)
         except TraceFormatError as exc:
@@ -321,12 +326,13 @@ def test_parser_fuzz_agrees_with_the_line_loop(monkeypatch, layout):
 
     traces, errors = 0, set()
     for _ in range(300):
-        monkeypatch.setattr(trace_module, "_PARSE_CHUNK",
+        monkeypatch.setattr(tracefile_module, "_PARSE_CHUNK",
                             rng.choice((1, 7, 64)))
         data = _mutate(rng, rng.choice(texts), layout)
         fast = parse(data, tokenize)
         assert fast == parse(data, lambda *args: None), data
-        bare = fast if isinstance(fast, str) else fast.without_payloads()
+        bare = fast if isinstance(fast, str) \
+            else Trace(fast.layout, fast.kinds, fast.addrs)
         assert bare == parse(data, tokenize, False) \
             == parse(data, lambda *args: None, False), data
         if isinstance(fast, str):
@@ -373,7 +379,7 @@ def spec_emit(trace: Trace) -> bytes:
                      for seg in trace.layout.segments)]
     for k, a, v in zip(trace.kinds.tolist(), trace.addrs.tolist(),
                        trace.values.tolist()):
-        if k == trace_module._KIND_WRITE:
+        if k == trace_module.KIND_WRITE:
             if v:
                 parts.append("W 0x%x 0x%x\n" % (a, v))
             else:
@@ -402,8 +408,8 @@ def test_emit_matches_the_spec(monkeypatch, layout, size):
     payloads, of an empty trace and of chunks with no nonzero value,
     emits the spec's bytes; so does `repr`, which emits a 4-event head."""
     if size is not None:
-        monkeypatch.setattr(trace_module, "_EMIT_CHUNK", size)
-    n = 300 if size else 3 * trace_module._EMIT_CHUNK
+        monkeypatch.setattr(tracefile_module, "_EMIT_CHUNK", size)
+    n = 300 if size else 3 * tracefile_module._EMIT_CHUNK
     traces = [gen_workload(kind, n, layout, seed)
               for kind in WORKLOADS for seed in (0, 1)]
     edge = _edge_trace()
@@ -426,7 +432,7 @@ def test_emit_matches_the_spec(monkeypatch, layout, size):
 @pytest.mark.parametrize("kind", ["hotspot", "stream", "deepstack", "queue"])
 def test_save_writes_the_emitted_bytes(tmp_path, layout, kind):
     tr = gen_workload(kind, 20_000, layout, 1)
-    trace_module.save_trace(tr, tmp_path / "t.trace")
+    tracefile_module.save_trace(tr, tmp_path / "t.trace")
     assert (tmp_path / "t.trace").read_bytes() == emit_trace(tr)
 
 
@@ -439,7 +445,7 @@ def test_save_peak_does_not_grow_with_the_trace(tmp_path, layout):
         tr = gen_workload("hotspot", n, layout, 1)
         tracemalloc.start()
         try:
-            trace_module.save_trace(tr, tmp_path / "t.trace")
+            tracefile_module.save_trace(tr, tmp_path / "t.trace")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -455,13 +461,14 @@ def test_streamed_gen_peak_does_not_grow_with_the_trace(tmp_path, layout,
     about 4x from n to 4n events (deepstack's Python loop is slow under
     tracemalloc, hence its smaller n)."""
     path = tmp_path / "t.trace"
-    trace_module.save_trace(gen_workload(kind, 100, layout, 0, chunked=True),
-                            path)  # lazy imports off the peak
+    tracefile_module.save_trace(
+        gen_workload(kind, 100, layout, 0, chunked=True),
+        path)  # lazy imports off the peak
     peaks = []
     for writes in (n, 4 * n):
         tracemalloc.start()
         try:
-            trace_module.save_trace(
+            tracefile_module.save_trace(
                 gen_workload(kind, writes, layout, 1, chunked=True), path)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -474,11 +481,11 @@ def test_save_of_chunks_writes_the_whole_file_or_none(tmp_path, layout):
     only once all are written: a failure leaves an older file as it was
     and no temp file."""
     path, tmp = tmp_path / "t.trace", tmp_path / "t.trace.tmp"
-    tr = gen_workload("hotspot", 3 * trace_module._GEN_CHUNK + 5, layout, 1)
-    chunks = list(gen_workload("hotspot", 3 * trace_module._GEN_CHUNK + 5,
+    tr = gen_workload("hotspot", 3 * workloads_module._GEN_CHUNK + 5, layout, 1)
+    chunks = list(gen_workload("hotspot", 3 * workloads_module._GEN_CHUNK + 5,
                                layout, 1, chunked=True))
     assert len(chunks) == 4
-    assert trace_module.save_trace(iter(chunks), path) \
+    assert tracefile_module.save_trace(iter(chunks), path) \
         == (tr.n_events, tr.n_writes)
     assert path.read_bytes() == emit_trace(tr) and not tmp.exists()
 
@@ -492,7 +499,7 @@ def test_save_of_chunks_writes_the_whole_file_or_none(tmp_path, layout):
             ([chunks[0], other], TraceFormatError, "disagree in layout"),
             ([], TraceFormatError, "no trace chunk")):
         with pytest.raises(error, match=msg):
-            trace_module.save_trace(bad, path)
+            tracefile_module.save_trace(bad, path)
         assert path.read_bytes() == emit_trace(tr) and not tmp.exists()
 
 
@@ -526,7 +533,7 @@ def test_generator_chunking_draws_the_same_stream(monkeypatch, size):
     cases = [(kind, lay, seed) for kind in WORKLOADS for lay in layouts
              for seed in (0, 1)]
     want = [gen_workload(kind, n, lay, seed) for kind, lay, seed in cases]
-    monkeypatch.setattr(trace_module, "_GEN_CHUNK", size)
+    monkeypatch.setattr(workloads_module, "_GEN_CHUNK", size)
     got = [gen_workload(kind, n, lay, seed) for kind, lay, seed in cases]
     assert got == want
     for (kind, lay, seed), tr in list(zip(cases, want))[::4]:  # each kind
@@ -907,20 +914,20 @@ def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
                                               block):
     """Read in blocks, a file gives the trace, or the error and line, that
     parsing its bytes at once gives, with payloads or without."""
-    monkeypatch.setattr(trace_module, "_READ_BLOCK", block)
+    monkeypatch.setattr(tracefile_module, "_READ_BLOCK", block)
     path = tmp_path / "t.trace"
     good = _load_cases(layout)
     for data in good:
         path.write_bytes(data)
         tr = parse_both(data)
-        assert trace_module.load_trace(path) == tr
-        assert trace_module.load_trace(path, payloads=False) \
-            == tr.without_payloads()
+        assert tracefile_module.load_trace(path) == tr
+        assert tracefile_module.load_trace(path, payloads=False) \
+            == Trace(tr.layout, tr.kinds, tr.addrs)
         # in chunk traces of 7 events or more, each checked on its own
-        with mock.patch.object(trace_module, "_LOAD_CHUNK", 7):
-            chunks = list(trace_module.load_trace(path, chunked=True))
+        with mock.patch.object(tracefile_module, "_LOAD_CHUNK", 7):
+            chunks = list(tracefile_module.load_trace(path, chunked=True))
         assert all(c.n_events >= 7 for c in chunks[:-1]) and len(chunks) > 1
-        assert trace_module._join(chunks) == tr
+        assert trace_module.join_chunks(chunks) == tr
     lines = good[-1].split(b"\n")
     bad = [b"\n".join(lines[:i] + [edit] + lines[i + 1:])
            for i, edit in ((100, b"W zz"), (150, b"W 0x100000004"),
@@ -931,11 +938,11 @@ def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
         msg, _, line = _error(lambda: parse_both(data))
         assert line is not None
         for payloads in (True, False):
-            assert _error(lambda: trace_module.load_trace(
+            assert _error(lambda: tracefile_module.load_trace(
                 path, payloads=payloads)) == ("%s: %s" % (path, msg), None,
                                               line)
-        with mock.patch.object(trace_module, "_LOAD_CHUNK", 7):
-            assert _error(lambda: list(trace_module.load_trace(
+        with mock.patch.object(tracefile_module, "_LOAD_CHUNK", 7):
+            assert _error(lambda: list(tracefile_module.load_trace(
                 path, payloads=False, chunked=True))) \
                 == ("%s: %s" % (path, msg), None, line)
 
@@ -944,14 +951,14 @@ def test_load_peak_stays_near_the_final_columns(tmp_path, layout):
     """A file of several blocks loads within its final columns plus
     O(block) scratch: neither the whole file nor a per-event line number
     is held."""
-    block = trace_module._READ_BLOCK
+    block = tracefile_module._READ_BLOCK
     tr = gen_workload("hotspot", 300_000, layout, 1)
     path = tmp_path / "t.trace"
-    trace_module.save_trace(tr, path)
+    tracefile_module.save_trace(tr, path)
     assert path.stat().st_size >= 4 * block
     tracemalloc.start()
     try:
-        loaded = trace_module.load_trace(path)
+        loaded = tracefile_module.load_trace(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -964,17 +971,33 @@ def test_payload_free_load_holds_no_value_column(tmp_path, layout):
     """Without payloads a load keeps 9 bytes an event, the kinds and the
     addresses, where a value column would add 8; its payloads are a
     zero-stride column of the word 0."""
-    block = trace_module._READ_BLOCK
+    block = tracefile_module._READ_BLOCK
     tr = gen_workload("hotspot", 300_000, layout, 1)
     path = tmp_path / "t.trace"
-    trace_module.save_trace(tr, path)
+    tracefile_module.save_trace(tr, path)
     tracemalloc.start()
     try:
-        loaded = trace_module.load_trace(path, payloads=False)
+        loaded = tracefile_module.load_trace(path, payloads=False)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert loaded == tr.without_payloads() and loaded.values.strides == (0,)
+    assert loaded == Trace(tr.layout, tr.kinds, tr.addrs) \
+        and loaded.values.strides == (0,)
     assert not loaded.values.flags.writeable
     assert kept < 9.1 * loaded.n_events, kept / loaded.n_events
     assert peak < 1.3 * (tr.kinds.nbytes + tr.addrs.nbytes) + 4 * block
+
+
+def test_spilled_chunks_are_the_trace_chunks_and_a_short_read_raises(layout):
+    tr = gen_workload("deepstack", 3000, layout, 2)
+    with trace_module.spill(gen_workload("deepstack", 3000, layout, 2,
+                                         chunked=True)) as spilled:
+        for n in (1, 700, 1 << 13):
+            got, want = list(spilled.chunks(n)), list(tr.chunks(n))
+            assert len(got) == len(want)
+            for (k, a), (wk, wa) in zip(got, want):
+                assert np.array_equal(k, wk) and np.array_equal(a, wa)
+        # an addresses file cut short never yields columns of two lengths
+        spilled.files[1].truncate(8 * (tr.n_events - 1))
+        with pytest.raises(TraceFormatError, match="spilled addresses"):
+            list(spilled.chunks(700))
