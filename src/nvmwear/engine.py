@@ -50,7 +50,8 @@ from .metrics import (MetricsReport, achieved_endurance,
                       normalized_endurance, table_csv, write_overhead)
 from .sampler import WriteSampler
 from .stack import StackState, relocate_step, translate_after
-from .trace import MemoryLayout, Segment, SpilledTrace, Trace
+from .trace import (KIND_SP, KIND_WRITE, MemoryLayout, Segment, SpilledTrace,
+                    Trace)
 
 # events replayed at a time, their ticks found and their writes charged;
 # translating a chunk makes several temporaries of its length, so a
@@ -189,7 +190,7 @@ def replay(trace: Union[Trace, SpilledTrace], config: SimConfig
     remaps = []
     lo = written = n_ticks = 0  # events, writes and ticks before the chunk
     for kinds, addrs in trace.chunks(_CHARGE_BATCH):
-        is_write = kinds == 0
+        is_write = kinds == KIND_WRITE
         writes = addrs[is_write]
         done = 0  # the chunk's writes charged
         if sampling:
@@ -200,7 +201,7 @@ def replay(trace: Union[Trace, SpilledTrace], config: SimConfig
             if fine:  # tick k samples after k relocations
                 sampled = translate_after(sampled, np.arange(
                     n_ticks, n_ticks + len(sampled)), st)
-                upd = np.flatnonzero(kinds)
+                upd = np.flatnonzero(kinds == KIND_SP)
                 at = np.searchsorted(
                     upd, np.flatnonzero(is_write)[first::period])
                 sp_cols.append(np.append(sp, addrs[upd])[at])

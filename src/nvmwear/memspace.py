@@ -9,16 +9,16 @@ segment, the virtual range one stack-size below it is installed as a
 shadow alias: shadow page k maps to the frame of real stack page k, so
 circular stack addressing needs no extra page-table state.
 
-Wear counts are the simulation's ground truth.  Every line write from any
-source (application replay, remap copies, relocation copies) increments
-exactly one per-line counter here.  Copies charge wear alone; the
+Wear counts are the simulation's ground truth: every line write (an
+application write at its `line_index`, `copy_frame`, `charge_lines`)
+increments exactly one per-line counter.  Copies charge wear alone; the
 content of lines is modelled by `nvmwear.spec`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -102,36 +102,6 @@ class MemorySpace:
             + ((off >> self.line_shift) & (self.lines_per_page - 1))
         return int(lines) if lines.ndim == 0 else lines
 
-    def line_runs(self, vaddr: int, n: int) -> List[Tuple[int, int]]:
-        """(first dense line, count) runs of n consecutive lines from vaddr.
-
-        The lines are `line_index` of vaddr + i * line_size for i < n, one
-        run per virtual page they touch.  An address outside the span or
-        on an unmapped page raises as `line_index` does.
-        """
-        lpp = self.lines_per_page
-        first = (vaddr - self.base) >> self.line_shift
-        end = first + n
-        p = first // lpp
-        if 0 < n <= (p + 1) * lpp - first and 0 <= first < self.n_lines:
-            f = int(self.frames[p])  # one page, the common case
-            if f >= 0:
-                return [(f * lpp + first - p * lpp, n)]
-        runs = []
-        line = first
-        if 0 <= first and end <= self.n_lines:
-            while line < end:
-                p = line // lpp
-                f = int(self.frames[p])
-                if f < 0:
-                    break
-                k = min(end, (p + 1) * lpp) - line
-                runs.append((f * lpp + line - p * lpp, k))
-                line += k
-        if line < end:  # outside the span or on an unmapped page: raises
-            self.line_index(vaddr + self.line_size * np.arange(n))
-        return runs
-
     # ------------------------------------------------------------------
     # remapping
 
@@ -165,6 +135,23 @@ class MemorySpace:
         lpp = self.lines_per_page
         self.wear[dst_frame * lpp:(dst_frame + 1) * lpp] += 1
         return lpp
+
+    def charge_lines(self, vaddr: int, n: int) -> int:
+        """Charge one write to each of n consecutive lines from vaddr.
+
+        One slice per virtual page the lines touch, through the page
+        table unchecked: every line must be mapped.  Returns n.
+        """
+        lpp = self.lines_per_page
+        line = (vaddr - self.base) >> self.line_shift
+        end = line + n
+        while line < end:
+            p, off = divmod(line, lpp)
+            k = min(end - line, lpp - off)
+            a = int(self.frames[p]) * lpp + off
+            self.wear[a:a + k] += 1
+            line += k
+        return n
 
     def page_addr_of_frame(self, frame: int) -> int:
         p = int(self.page_of_frame[frame])

@@ -22,7 +22,7 @@ from .errors import SimulationError, StackOverflowError
 from .memspace import MemorySpace
 from .sampler import WriteSampler
 from .stack import StackState, wraparound_reset
-from .trace import Trace
+from .trace import KIND_SP, KIND_WRITE, Trace
 
 
 def translate_stack(addr: int, st: StackState) -> int:
@@ -109,7 +109,8 @@ def reference_replay(trace: Trace, config):
     leveler = CoarseWearLeveler(space, config.remap_threshold_t) \
         if coarse else None
     if fine:  # with no sp events the valid stack has a fixed size
-        cur_sp = stack.end if np.any(trace.kinds == 1) else stack.end - min(
+        has_sp = np.any(trace.kinds == KIND_SP)
+        cur_sp = stack.end if has_sp else stack.end - min(
             config.fixed_valid_stack, stack.size - config.stack_step)
         st = StackState(region_base=stack.start, region_size=stack.size,
                         sp=cur_sp, step=config.stack_step)
@@ -117,7 +118,7 @@ def reference_replay(trace: Trace, config):
     stack_copy = w_count = 0
     for kind, addr, value in zip(trace.kinds.tolist(), trace.addrs.tolist(),
                                  trace.values.tolist()):
-        if kind == 1:
+        if kind == KIND_SP:
             cur_sp = addr
             continue
         w_count += 1
@@ -160,6 +161,6 @@ def reference_replay(trace: Trace, config):
 def aggregate_linecounts(trace: Trace) -> dict[int, int]:
     """Exact write counts by absolute line index (address // line_size):
     the wear that any leveling-off replay must reproduce."""
-    lines = trace.addrs[trace.kinds == 0] // trace.layout.line_size
+    lines = trace.addrs[trace.kinds == KIND_WRITE] // trace.layout.line_size
     uniq, counts = np.unique(lines, return_counts=True)
     return dict(zip(uniq.tolist(), counts.tolist()))

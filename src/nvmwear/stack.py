@@ -78,32 +78,22 @@ def translate_after(addrs: np.ndarray, steps, st: StackState) -> np.ndarray:
 def relocate_step(st: StackState, space: MemorySpace) -> int:
     """Move the valid stack down by one step; returns lines copied.
 
-    Charges one copy to each line that holds a destination byte: the
-    range [sp - shift - step, top - shift - step), rounded outward to
-    lines, which lies in the stack and its shadow.  A slice is charged
-    per page the range touches.  Then the shift advances and a due
-    wraparound reset applies (as `wraparound_reset` does).  A rounded
-    range longer than S (lines wider than the step) meets a line twice
-    and charges it twice.
+    Charges one copy, by `MemorySpace.charge_lines`, to each line holding
+    a destination byte: [sp - shift - step, top - shift - step) rounded
+    outward to lines, inside the stack and its shadow once the overflow
+    check passes.  Then the shift advances and `wraparound_reset` applies.
+    A range rounded past S (lines wider than the step) charges a line twice.
     """
-    size, step, shift = st.region_size, st.step, st.shift
-    top = st.region_base + size
-    if top - st.sp > size - step:
+    step, top = st.step, st.top
+    if top - st.sp > st.region_size - step:
         raise StackOverflowError(
             "valid stack of %d bytes leaves no room for a %d-byte step"
             % (top - st.sp, step))
-    # the destination's first line, and its line count
     ls = space.line_size
-    lo, hi = st.sp - shift - step, top - shift - step
+    lo, hi = st.sp - st.shift - step, top - st.shift - step
     lo -= lo % ls
-    n = -(-(hi - lo) // ls) if st.sp < top else 0
-    wear = space.wear
-    for a, k in space.line_runs(lo, n):
-        wear[a:a + k] += 1
+    n = space.charge_lines(lo, -(-(hi - lo) // ls) if st.sp < top else 0)
     st.relocations += 1
-    shift += step
-    if shift == size:
-        shift = 0
-        st.wraps += 1
-    st.shift = shift
+    st.shift += step
+    wraparound_reset(st)
     return n

@@ -53,6 +53,8 @@ def gen_workload(kind: str, total_writes: int, layout: MemoryLayout,
     """
     if total_writes < 0:
         raise GeneratorError("total_writes must be non-negative")
+    if not isinstance(seed, int) or seed < 0:  # Random(-3) is Random(3)
+        raise GeneratorError("seed %r is not a non-negative int" % (seed,))
     if kind not in WORKLOADS:
         raise GeneratorError("unknown workload kind %r" % kind)
     return deliver(WORKLOADS[kind](total_writes, layout, seed), chunked)

@@ -79,6 +79,18 @@ def test_gen_error_leaves_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", sorted(WORKLOADS))
+@pytest.mark.parametrize("command", ("gen", "run"))
+def test_negative_seed_is_an_error_not_a_traceback(tmp_path, capsys, command,
+                                                   kind):
+    out = tmp_path / "out"
+    assert run_cli(command, "--kind", kind, "--writes", 100, "--seed", -1,
+                   "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed -1 ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_reports_missing_trace_file(tmp_path, capsys):
     missing = tmp_path / "nope.trace"
     assert run_cli("run", "--trace", missing, "--out", tmp_path / "out") == 1

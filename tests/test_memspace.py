@@ -72,11 +72,7 @@ def test_line_index_reports_the_span_before_unmapped_pages():
         gap.line_index(np.array([base + 4096, base + 4096 + 64, end]))
 
 
-def expand(runs):
-    return [a + i for a, k in runs for i in range(k)]
-
-
-def test_line_runs_expand_to_line_index(space, layout):
+def test_charge_lines_adds_one_write_at_each_line_index(space, layout):
     stack, data = layout.segment("stack"), layout.segment("data")
     space.swap_frames(frame_of(space, stack.start + 4096),
                       frame_of(space, data.start))
@@ -85,29 +81,10 @@ def test_line_runs_expand_to_line_index(space, layout):
                      (stack.start - 2 * 64 - 8, 70),   # shadow into real
                      (shadow + 4096 - 64, 66),         # a swapped shadow page
                      (data.start + 40, 1), (data.start, 0)):
-        runs = space.line_runs(vaddr, n)
-        assert expand(runs) == space.line_index(
-            vaddr + 64 * np.arange(n)).tolist()
-        pages = {(vaddr + 64 * i - space.base) // 4096 for i in range(n)}
-        assert len(runs) == len(pages)
-
-
-def test_line_runs_raise_as_line_index_does(space):
-    base = 1 << 32
-    gap = MemorySpace(MemoryLayout((Segment("data", base, base + 4096),
-                                    Segment("bss", base + 8192,
-                                            base + 12288))))
-    end = space.base + space.n_pages * 4096
-    for sp, vaddr, n in ((space, space.base - 64, 1),  # below the span
-                         (space, end, 1),              # one past its end
-                         (space, end - 128, 4),        # runs off its end
-                         (gap, base + 4096, 1),        # an unmapped page
-                         (gap, base + 4096 - 64, 3)):  # runs onto it
-        with pytest.raises(UnmappedPageError) as want:
-            sp.line_index(vaddr + 64 * np.arange(n))
-        with pytest.raises(UnmappedPageError) as got:
-            sp.line_runs(vaddr, n)
-        assert str(got.value) == str(want.value)
+        want = space.wear.copy()
+        np.add.at(want, space.line_index(vaddr + 64 * np.arange(n)), 1)
+        assert space.charge_lines(vaddr, n) == n
+        assert np.array_equal(space.wear, want)
 
 
 def test_shadow_alias_full_page(space, layout):

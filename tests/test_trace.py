@@ -564,6 +564,15 @@ def test_unknown_kind(layout):
         gen_workload("stream", -1, layout, 0)
 
 
+@pytest.mark.parametrize("kind", sorted(WORKLOADS))
+def test_every_kind_rejects_a_seed_that_is_not_a_non_negative_int(kind,
+                                                                   layout):
+    # random.Random(-3) would draw as Random(3), and numpy raises ValueError
+    for seed in (-1, -3, 1.0, "3"):
+        with pytest.raises(GeneratorError, match="seed"):
+            gen_workload(kind, 10, layout, seed)
+
+
 def test_deepstack_needs_four_stack_pages():
     small = make_layout(stack_pages=2)
     with pytest.raises(GeneratorError):
