@@ -33,6 +33,7 @@ def parse_config_file(path) -> Dict:
     """Flat `key = value` file with SimConfig field names and types."""
     types = get_type_hints(engine.SimConfig)
     out: Dict = {}
+    seen: Dict[str, int] = {}  # each key's line
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -51,6 +52,9 @@ def parse_config_file(path) -> Dict:
         if key not in types:
             raise ConfigError("%s line %d: unknown key %r"
                               % (path, line_no, key))
+        if seen.setdefault(key, line_no) != line_no:
+            raise ConfigError("%s line %d: key %r already set on line %d"
+                              % (path, line_no, key, seen[key]))
         if types[key] is bool:
             if value.lower() in ("true", "1", "yes", "on"):
                 out[key] = True
@@ -100,11 +104,9 @@ def _resolve_trace(args) -> Tuple[Iterator[Trace], Dict]:
     return chunks, desc
 
 
-def _build_config(args, n: Optional[int], t: Optional[int]
-                  ) -> engine.SimConfig:
-    values = engine.SimConfig().to_dict()
-    if args.config is not None:
-        values.update(parse_config_file(args.config))
+def _build_config(args, file_values: Dict, n: Optional[int],
+                  t: Optional[int]) -> engine.SimConfig:
+    values = {**engine.SimConfig().to_dict(), **file_values}
     overrides = {
         "sample_interval_n": n,
         "remap_threshold_t": t,
@@ -136,13 +138,11 @@ def _report_csv_bytes(doc: Dict) -> bytes:
     return metrics.csv_bytes("section,key,value", rows)
 
 
-def _write_run(config: engine.SimConfig, baseline: engine.RunResult,
-               leveled: engine.RunResult, out_dir: Path, fmt: str,
-               trace_desc: Dict) -> Dict:
+def _write_run(baseline: engine.RunResult, leveled: engine.RunResult,
+               out_dir: Path, fmt: str, trace_desc: Dict):
     """Write one grid point's report, wear maps and logs; reads no trace."""
     paired = engine.compare_runs(baseline, leveled)
-    doc = engine.report_dict(leveled.space.layout, config, baseline, leveled,
-                             paired, trace_desc=trace_desc)
+    doc = engine.report_dict(baseline, leveled, paired, trace_desc=trace_desc)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         write_atomic(out_dir / "report.csv", _report_csv_bytes(doc))
@@ -160,7 +160,6 @@ def _write_run(config: engine.SimConfig, baseline: engine.RunResult,
     m = doc["metrics"]
     print("AE=%.4f WO=%.4f EI=%.4f NE=%.4f LI=%.4f"
           % (m["AE"], m["WO"], m["EI"], m["NE"], m["LI"]))
-    return doc
 
 
 def cmd_gen(args) -> int:
@@ -188,34 +187,29 @@ def _int_list(text: str) -> List[int]:
 
 
 def cmd_run(args) -> int:
+    # the whole grid is checked before the trace is read: an omitted flag
+    # leaves the config file's value in force, and a repeated point runs once
+    file_values = {} if args.config is None \
+        else parse_config_file(args.config)
+    configs = dict.fromkeys(
+        _build_config(args, file_values, n, t)
+        for n, t in itertools.product(args.n or [None], args.t or [None]))
     chunks, trace_desc = _resolve_trace(args)
     out_dir = Path(args.out)
-    baseline = done = None
-
-    def write(config: engine.SimConfig, leveled: engine.RunResult):
-        run_dir = out_dir
-        if args.sweep:
-            n, t = config.sample_interval_n, config.remap_threshold_t
-            print("config n=%d t=%d:" % (n, t), end=" ")
-            run_dir = out_dir / ("n%d_t%d" % (n, t))
-        _write_run(config, baseline, leveled, run_dir, args.format,
-                   trace_desc)
-
     # the trace goes to a temporary file as it is read or generated, and
-    # each replay reads it back a chunk at a time; a grid point is written
-    # before the next one's replay, and the last after the file is closed.
-    # An omitted flag leaves the config file's value in force
+    # each replay reads it back a chunk at a time; each grid point is
+    # written after its replay, and the file is removed when run ends
     with spill(chunks) as trace:
-        for n_val, t_val in itertools.product(args.n or [None],
-                                              args.t or [None]):
-            if done is not None:
-                write(*done)
-            config = _build_config(args, n_val, t_val)
-            if baseline is None:
-                # the levelers-off replay reads neither n nor t
-                baseline = engine.replay(trace, config.leveling_off())
-            done = config, engine.replay(trace, config)
-    write(*done)
+        # the levelers-off replay reads neither n nor t
+        baseline = engine.replay(trace, next(iter(configs)).leveling_off())
+        for config in configs:
+            leveled = engine.replay(trace, config)
+            run_dir = out_dir
+            if args.sweep:
+                n, t = config.sample_interval_n, config.remap_threshold_t
+                print("config n=%d t=%d:" % (n, t), end=" ")
+                run_dir = out_dir / ("n%d_t%d" % (n, t))
+            _write_run(baseline, leveled, run_dir, args.format, trace_desc)
     return 0
 
 

@@ -23,8 +23,8 @@ class CoarseWearLeveler:
     """Per-frame pending tallies and estimated ages, indexed by frame.
 
     Only pool frames ever gain age.  The least-aged frame is looked up
-    once per remap by a linear scan over the pool, which holds a few
-    thousand frames at most; the pool is sorted and `np.argmin` returns
+    once per remap by a linear scan over the pool, so a remap costs
+    O(pool) (ROADMAP item 4); the pool is sorted and `np.argmin` returns
     the first minimum, so age ties go to the lowest frame.
     """
 

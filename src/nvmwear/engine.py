@@ -237,6 +237,9 @@ def replay(trace: Union[Trace, SpilledTrace], config: SimConfig
         charge(writes[done:], written + done)
         written += len(writes)
         lo += len(kinds)
+    if sampling:  # the writes after the last tick, as observe_write counts
+        sampler.write_counter = written - n_ticks * period
+        sampler.armed = sampler.write_counter == config.sample_interval_n
 
     sample_log = np.empty((n_ticks, 2), np.int64)
     ticks = np.arange(1, n_ticks + 1)
@@ -298,11 +301,12 @@ def compare_runs(baseline: RunResult, leveled: RunResult) -> MetricsReport:
 # ----------------------------------------------------------------------
 # report document and log serialization
 
-def report_dict(layout: MemoryLayout, config: SimConfig, baseline: RunResult,
-                leveled: RunResult, paired: MetricsReport,
-                trace_desc: Optional[Dict] = None) -> Dict:
-    """Build the run report document written as report.json for runs of
-    a trace on `layout`; reads no event of the trace."""
+def report_dict(baseline: RunResult, leveled: RunResult,
+                paired: MetricsReport, trace_desc: Optional[Dict] = None
+                ) -> Dict:
+    """Build the run report document written as report.json, with the
+    leveled run's layout and config; reads no event of the trace."""
+    layout = leveled.space.layout
     per_segment = {}
     for seg in layout.segments:
         counts = leveled.wear[leveled.space.region_slices(seg.name)[0]]
@@ -321,7 +325,7 @@ def report_dict(layout: MemoryLayout, config: SimConfig, baseline: RunResult,
                 "page_size": layout.page_size,
                 "line_size": layout.line_size,
             },
-            "sim": config.to_dict(),
+            "sim": leveled.config.to_dict(),
         },
         "totals": {
             "baseline": baseline.totals["total_writes"],

@@ -288,6 +288,73 @@ def test_sweep_keeps_config_file_values(tmp_path, capsys):
     assert sim["sample_interval_n"] == 37 and sim["remap_threshold_t"] == 4
 
 
+def counting(monkeypatch, module, name):
+    """Replace `module.name` with a wrapper; returns the list of its calls."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["trace", "kind"])
+def test_run_checks_the_whole_grid_before_it_reads_the_trace(
+        tmp_path, capsys, monkeypatch, source):
+    path = tmp_path / "t.trace"
+    run_cli("gen", "--kind", "stream", "--writes", 1000, "--out", path)
+    calls = [counting(monkeypatch, module, name) for module, name in (
+        (engine, "replay"), (cli_module, "gen_workload"),
+        (cli_module, "load_trace"))]
+    argv = ["--trace", path] if source == "trace" \
+        else ["--kind", "stream", "--writes", 1000]
+    out = tmp_path / "x"
+    assert run_cli("run", *argv, "--sweep", "--n", "10,0",
+                   "--out", out) == 1
+    assert capsys.readouterr().err == \
+        "error: sample_interval_n must be >= 1\n"
+    assert not out.exists()
+    assert calls == [[], [], []]
+
+
+def test_sweep_parses_the_config_file_once(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("enable_fine = false\n")
+    parsed = counting(monkeypatch, cli_module, "parse_config_file")
+    out = tmp_path / "sweep"
+    assert run_cli("run", "--kind", "stream", "--writes", 2000,
+                   "--config", cfg, "--sweep", "--n", "10,20",
+                   "--t", "4,8", "--out", out) == 0
+    assert len(parsed) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "n10_t4", "n10_t8", "n20_t4", "n20_t8"]
+
+
+def test_sweep_runs_a_repeated_point_once(tmp_path, capsys, monkeypatch):
+    replayed = counting(monkeypatch, engine, "replay")
+    out = tmp_path / "sweep"
+    assert run_cli("run", "--kind", "stream", "--writes", 2000, "--sweep",
+                   "--n", "10,10", "--t", "64", "--out", out) == 0
+    # one baseline and one leveled replay
+    assert [cfg.enable_coarse for _, cfg in replayed] == [False, True]
+    assert capsys.readouterr().out.count("config n=10 t=64:") == 1
+    assert [p.name for p in out.iterdir()] == ["n10_t64"]
+
+
+def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("sample_interval_n = 10\n# c\nsample_interval_n = 100\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--kind", "stream", "--writes", 100,
+                   "--config", cfg, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: %s line 3: key 'sample_interval_n' already set on line 1\n"
+        % cfg)
+    assert not out.exists()
+
+
 def test_run_validates_the_trace_once(tmp_path, monkeypatch):
     trace_path = tmp_path / "t.trace"
     run_cli("gen", "--kind", "hotspot", "--writes", 2000, "--out",
@@ -341,7 +408,7 @@ def test_a_trace_and_its_stripped_copy_run_alike(tmp_path):
 def test_run_replays_no_payloads_and_frees_the_trace_first(
         tmp_path, monkeypatch, source):
     # both replays read one spilled trace, which holds no event column,
-    # and the spill is closed when the last grid point writes its artifacts
+    # and the spill is closed once main returns
     path = tmp_path / "t.trace"
     run_cli("gen", "--kind", "deepstack", "--writes", 3000, "--out", path)
     replayed, written = [], []
@@ -355,7 +422,6 @@ def test_run_replays_no_payloads_and_frees_the_trace_first(
 
     def checking_write(out, data):
         written.append(out)
-        assert all(fh.closed for trace in replayed for fh in trace.files)
         real_write(out, data)
 
     real_replay, real_write = engine.replay, cli_module.write_atomic
@@ -365,6 +431,7 @@ def test_run_replays_no_payloads_and_frees_the_trace_first(
         else ["--kind", "deepstack", "--writes", 3000]
     assert run_cli("run", *argv, "--n", 10, "--out", tmp_path / "o") == 0
     assert len(replayed) == 2 and replayed[0] is replayed[1]
+    assert all(fh.closed for fh in replayed[0].files)
     assert len(written) == 7
 
 

@@ -65,10 +65,23 @@ def assert_matches_reference(trace, config):
     assert got.totals == totals
     if sampler is not None:
         assert np.array_equal(got.sampler.estimates, sampler.estimates)
+        assert (got.sampler.write_counter, got.sampler.armed,
+                got.sampler.samples_taken) == (sampler.write_counter,
+                                               sampler.armed,
+                                               sampler.samples_taken)
     return got
 
 
 KINDS = ("hotspot", "stream", "queue", "deepstack")
+
+
+@pytest.mark.parametrize("writes, counter, armed",
+                         [(105, 6, False), (109, 10, True)])
+def test_sampler_phase_counts_the_writes_after_the_last_tick(
+        layout, writes, counter, armed):
+    trace = gen_workload("stream", writes, layout, seed=0)
+    got = assert_matches_reference(trace, SimConfig(sample_interval_n=10))
+    assert (got.sampler.write_counter, got.sampler.armed) == (counter, armed)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -483,8 +496,7 @@ def test_report_document_shape(layout):
     # fine-only so text frames stay untouched and report AE as absent
     cfg = SimConfig(sample_interval_n=100, enable_coarse=False)
     baseline, leveled, rep = paired_run(trace, cfg)
-    doc = report_dict(trace.layout, cfg, baseline, leveled, rep,
-                      trace_desc={"kind": "hotspot"})
+    doc = report_dict(baseline, leveled, rep, trace_desc={"kind": "hotspot"})
     assert set(doc) == {"config", "totals", "metrics", "per_segment"}
     assert doc["config"]["trace"] == {"kind": "hotspot"}
     assert doc["config"]["sim"]["sample_interval_n"] == 100
@@ -576,7 +588,7 @@ def test_region_metrics_equal_the_gathered_ones(pages):
     ae_base = achieved_endurance(baseline.wear[region])
     assert rep.ae == achieved_endurance(leveled.wear[region])
     assert rep.ei == endurance_improvement(rep.ae, ae_base)
-    doc = report_dict(trace.layout, cfg, baseline, leveled, rep)
+    doc = report_dict(baseline, leveled, rep)
     for seg in layout.segments:
         counts = leveled.wear[leveled.space.region_slices(seg.name)[0]]
         peak = int(counts.max())
