@@ -87,6 +87,8 @@ class SimConfig:
             raise ConfigError("stack_step must be a positive multiple of 64")
         if self.fixed_valid_stack < 0:
             raise ConfigError("fixed_valid_stack must be >= 0")
+        if self.pool_pages is not None and self.pool_pages < 1:
+            raise ConfigError("pool_pages must be >= 1")
 
     def to_dict(self) -> Dict:
         return asdict(self)

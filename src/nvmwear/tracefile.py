@@ -32,9 +32,7 @@ from .metrics import format_rows
 from .trace import (KIND_SP, KIND_WRITE, MemoryLayout, Segment, Trace,
                     deliver, join_chunks, same_layout)
 
-_PARSE_CHUNK = 1 << 16  # bytes tokenized at once; bounds the temporaries
-_READ_BLOCK = 1 << 18  # bytes `load_trace` reads at once
-_LOAD_CHUNK = 1 << 14  # events, at least, of each chunk trace `_parse` builds
+_READ_BLOCK = 1 << 16  # bytes read, then up to a line feed, as one block
 
 # each byte's hex digit value, or 16 for a byte that is not a hex digit
 _NIBBLE = bytes(int(chr(c), 16) if chr(c) in "0123456789abcdefABCDEF" else 16
@@ -109,66 +107,59 @@ def _tokenize_chunk(chunk: bytes, payloads: bool = True
     return kinds, addrs, values
 
 
-def _pieces(blocks: Iterable[bytes]) -> Iterator[Tuple[bytes, int]]:
-    """`(data, cut)` pairs whose `data[:cut]` are the text of `blocks` cut
-    after a line feed; a block's partial last line is carried into the
-    next pair, and the last pair ends where the text does."""
-    carry = b""
-    for block in blocks:
-        data = carry + block
-        cut = data.rfind(b"\n") + 1
-        yield data, cut
-        carry = data[cut:]
-    yield carry, len(carry)
+def _blocks(fh) -> Iterator[bytes]:
+    """The file's bytes in blocks of whole lines: each `_READ_BLOCK` bytes
+    read and then one `readline`, so every block but the last ends in a
+    line feed, and a long line is read at once."""
+    for block in iter(lambda: fh.read(_READ_BLOCK), b""):
+        yield block + fh.readline()
+
+
+def _quote(tok: str) -> str:
+    """The repr of `tok`, cut to its first 64 characters and `...`."""
+    return repr(tok[:64]) + ("..." if len(tok) > 64 else "")
 
 
 def _parse(blocks: Iterable[bytes], payloads: bool = True
            ) -> Iterator[Trace]:
-    """Parse trace text given as consecutive blocks of bytes into checked
-    chunk traces, each of at least `_LOAD_CHUNK` events but the last, and
-    at least one; errors carry the 1-based line number.
+    """Parse trace text, given as consecutive blocks of whole lines (see
+    `_blocks`), into checked chunk traces: one per block from the first
+    event line on, one more for an unterminated last line after
+    tokenized lines, and at least one; errors carry the 1-based line
+    number.
 
-    Canonical event lines (see `_tokenize_chunk`), CRLF folded to LF, are
-    tokenized with numpy a chunk at a time.  Every other chunk, and the
-    header up to its first event line, is read line by line over UTF-8.
-    That loop checks the record grammar and words every grammar error.
-    An event's line is kept in a table of runs of consecutive event
-    lines, for the `Trace` constructor's event rules.  A chunk trace is
-    checked when it is built, before a later line is read, so an error
-    names the first bad line, a line that is not UTF-8 included.
+    A block of canonical event lines (see `_tokenize_chunk`), CRLF
+    folded to LF, is tokenized with numpy.  Every other block, the header
+    up to its first `W ` or `S ` line, and an unterminated last line are
+    read line by line over UTF-8.  That loop checks the record grammar
+    and words every grammar error; it keeps a block's event lines in a
+    table of runs of consecutive lines, for the `Trace` constructor's
+    event rules.  A chunk trace is checked when it is built, before a
+    later line is read, so an error names the first bad line, a line
+    that is not UTF-8 included.
 
     Without `payloads` every value is checked as above but none is
     stored: no value column is made, and the Trace's payloads are all 0.
     """
     segments: List[Segment] = []
     layout: Optional[MemoryLayout] = None
-    yielded = False
-
-    def new_chunk():
-        """Empty columns of a chunk, which grow in place and which its
-        Trace takes without a copy; and its table of runs: event run_ev[j]
-        is on line run_ln[j], and each next event on the next line, up to
-        the next run."""
-        return (array("B"), array("q"), array("Q") if payloads else None,
-                array("q"), array("q"))
-
-    kinds, addrs, values, run_ev, run_ln = new_chunk()
-    next_line = 0  # the line after the chunk's last event's
+    line_no = 0  # the last line read
 
     def parse_hex(tok: str, line_no: int, what: str, bits: int = 64) -> int:
         if not tok.lower().startswith("0x"):
-            raise TraceFormatError("%s %r is not 0x-prefixed hex" % (what, tok),
-                                   line_no)
+            raise TraceFormatError("%s %s is not 0x-prefixed hex"
+                                   % (what, _quote(tok)), line_no)
         try:
             # int() would also take "_" separators and non-ASCII digits
             if "_" in tok or not tok.isascii():
                 raise ValueError
             val = int(tok, 16)
         except ValueError:
-            raise TraceFormatError("bad hex %s %r" % (what, tok), line_no)
-        if val >= 1 << bits:
-            raise TraceFormatError("%s %r exceeds %d bits" % (what, tok, bits),
+            raise TraceFormatError("bad hex %s %s" % (what, _quote(tok)),
                                    line_no)
+        if val >= 1 << bits:
+            raise TraceFormatError("%s %s exceeds %d bits"
+                                   % (what, _quote(tok), bits), line_no)
         return val
 
     def finish_header(line_no: int) -> MemoryLayout:
@@ -177,12 +168,12 @@ def _parse(blocks: Iterable[bytes], payloads: bool = True
         except LayoutError as exc:
             raise TraceFormatError(str(exc), line_no)
 
-    def build() -> Trace:
-        """A Trace of the chunk's events, naming a bad event by its line."""
+    def build(kinds, addrs, values, run_ev, run_ln) -> Trace:
+        """A Trace of the columns, naming a bad event by its line: event
+        run_ev[j] is on line run_ln[j], and each next event on the next
+        line, up to the next run."""
         try:
-            return Trace(layout, np.frombuffer(kinds, np.uint8),
-                         np.frombuffer(addrs, np.int64),
-                         np.frombuffer(values, np.uint64) if payloads else None)
+            return Trace(layout, kinds, addrs, values)
         except TraceFormatError as exc:
             i = exc.event_index
             if i is None:
@@ -191,108 +182,102 @@ def _parse(blocks: Iterable[bytes], payloads: bool = True
             raise TraceFormatError(str(exc),
                                    run_ln[j] + i - run_ev[j]) from None
 
-    line_no = 0
-    try:
-        for data, cut in _pieces(blocks):
-            pos = 0
-            while pos < cut:
-                if len(kinds) >= _LOAD_CHUNK:
-                    full = build()
-                    kinds, addrs, values, run_ev, run_ln = new_chunk()
-                    next_line = 0
-                    yield full
-                    yielded = True
-                if layout is None:  # the header, up to its first event line
-                    stop = data.find(b"\n", pos, cut) + 1 or cut
-                    chunk = None
-                else:
-                    # cut at the chunk's last line feed, or past a long line
-                    lim = min(pos + _PARSE_CHUNK, cut)
-                    stop = (data.rfind(b"\n", pos, lim) + 1
-                            or data.find(b"\n", pos, cut) + 1 or cut)
-                    chunk = data[pos:stop]
-                    if b"\r" in chunk:  # one memchr; most chunks have none
-                        chunk = chunk.replace(b"\r\n", b"\n")
-                    chunk = _tokenize_chunk(chunk, payloads)
-                if chunk is not None:
-                    k = len(chunk[0])
-                    if line_no + 1 != next_line:
-                        run_ev.append(len(kinds))
-                        run_ln.append(line_no + 1)
-                    kinds.frombytes(chunk[0])
-                    addrs.frombytes(chunk[1].view(np.uint8))
-                    if payloads:
-                        values.frombytes(chunk[2].view(np.uint8))
-                    line_no, pos = line_no + k, stop
-                    next_line = line_no + 1
+    def read_lines(data: bytes, cols) -> None:
+        """The line loop: append the events of `data`'s lines to `cols`."""
+        nonlocal layout, line_no
+        kinds, addrs, values, run_ev, run_ln = cols
+        try:
+            # bytes split at b"\n" alone; a trailing "\r" is stripped
+            for line_no, raw in enumerate(io.BytesIO(data), start=line_no + 1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    raise TraceFormatError("not UTF-8 text", line_no) from None
+                if not line or line.startswith("#"):
                     continue
-                # bytes split at b"\n" alone; a trailing "\r" is stripped
-                lines, pos = io.BytesIO(data[pos:stop]), stop
-                for line_no, raw in enumerate(lines, start=line_no + 1):
-                    try:
-                        line = raw.decode("utf-8").strip()
-                    except UnicodeDecodeError:
-                        raise TraceFormatError("not UTF-8 text",
-                                               line_no) from None
-                    if not line or line.startswith("#"):
-                        continue
-                    toks = line.split()
-                    tag = toks[0]
-                    if tag == "@segment":
-                        if layout is not None:
-                            raise TraceFormatError(
-                                "@segment after the first event line", line_no)
-                        if len(toks) != 4:
-                            raise TraceFormatError("malformed @segment record",
-                                                   line_no)
-                        start = parse_hex(toks[2], line_no, "segment start")
-                        end = parse_hex(toks[3], line_no, "segment end")
-                        segments.append(Segment(toks[1], start, end))
-                        continue
-                    if layout is None:
-                        layout = finish_header(line_no)
-                    # addresses fit 63 bits because a Trace holds them as int64
-                    if tag == "W" and len(toks) in (2, 3):
-                        kind = KIND_WRITE
-                        addr = parse_hex(toks[1], line_no, "address", 63)
-                        value = parse_hex(toks[2], line_no, "value") \
-                            if len(toks) == 3 else 0
-                    elif tag == "S" and len(toks) == 2:
-                        kind = KIND_SP
-                        addr = parse_hex(toks[1], line_no, "stack pointer", 63)
-                        value = 0
-                    elif tag in ("W", "S"):
-                        raise TraceFormatError("malformed %s record" % tag,
+                toks = line.split()
+                tag = toks[0]
+                if tag == "@segment":
+                    if layout is not None:
+                        raise TraceFormatError(
+                            "@segment after the first event line", line_no)
+                    if len(toks) != 4:
+                        raise TraceFormatError("malformed @segment record",
                                                line_no)
-                    else:
-                        raise TraceFormatError("unrecognized record %r" % tag,
-                                               line_no)
-                    if line_no != next_line:
-                        run_ev.append(len(kinds))
-                        run_ln.append(line_no)
-                    kinds.append(kind)
-                    addrs.append(addr)
-                    if payloads:
-                        values.append(value)
-                    next_line = line_no + 1
-    except TraceFormatError:
-        if layout is not None:
-            build()  # an invalid event on an earlier line is reported first
-        raise
+                    start = parse_hex(toks[2], line_no, "segment start")
+                    end = parse_hex(toks[3], line_no, "segment end")
+                    segments.append(Segment(toks[1], start, end))
+                    continue
+                if layout is None:
+                    layout = finish_header(line_no)
+                # addresses fit 63 bits because a Trace holds them as int64
+                if tag == "W" and len(toks) in (2, 3):
+                    kind = KIND_WRITE
+                    addr = parse_hex(toks[1], line_no, "address", 63)
+                    value = parse_hex(toks[2], line_no, "value") \
+                        if len(toks) == 3 else 0
+                elif tag == "S" and len(toks) == 2:
+                    kind = KIND_SP
+                    addr = parse_hex(toks[1], line_no, "stack pointer", 63)
+                    value = 0
+                elif tag in ("W", "S"):
+                    raise TraceFormatError("malformed %s record" % tag,
+                                           line_no)
+                else:
+                    raise TraceFormatError("unrecognized record %s"
+                                           % _quote(tag), line_no)
+                if not kinds or run_ln[-1] + len(kinds) - run_ev[-1] \
+                        != line_no:  # a new run of event lines
+                    run_ev.append(len(kinds))
+                    run_ln.append(line_no)
+                kinds.append(kind)
+                addrs.append(addr)
+                if payloads:
+                    values.append(value)
+        except TraceFormatError:
+            if layout is not None:  # an invalid event on an earlier line
+                build(*cols)  # is reported first
+            raise
 
-    if layout is None:
+    for block in blocks:
+        # the line loop's columns for this block, and their run table
+        cols = (array("B"), array("q"), array("Q") if payloads else None,
+                [], [])
+        pos = 0
+        while layout is None and pos < len(block):  # the header
+            if block.startswith((b"W ", b"S "), pos):
+                layout = finish_header(line_no + 1)
+            else:
+                stop = block.find(b"\n", pos) + 1 or len(block)
+                read_lines(block[pos:stop], cols)
+                pos = stop
+        block = block[pos:]  # a copy only where the header ends
+        # the tokenizer takes the block up to its last line feed, if the
+        # line loop has found no event in it
+        cut = block.rfind(b"\n") + 1
+        chunk = block[:cut]
+        if b"\r" in chunk:  # one memchr; most blocks have none
+            chunk = chunk.replace(b"\r\n", b"\n")
+        tokens = None if cols[0] else _tokenize_chunk(chunk, payloads)
+        if tokens is not None:
+            yield build(*tokens, [0], [line_no + 1])
+            line_no, block = line_no + len(tokens[0]), block[cut:]
+        if block or cols[0]:
+            read_lines(block, cols)
+            yield build(*cols)
+
+    if layout is None:  # no event line
         layout = finish_header(line_no + 1)
-    if kinds or not yielded:
-        yield build()
+        yield Trace(layout, [], [])
 
 
 def parse_trace(data: Union[bytes, str], payloads: bool = True) -> Trace:
-    """Parse trace text, read as one block (see `_parse`); a `str` is read
-    as its UTF-8 encoding."""
+    """Parse trace text (see `_parse`); a `str` is read as its UTF-8
+    encoding."""
     if isinstance(data, str):
         # a lone surrogate is kept, and then fails to decode at its line
         data = data.encode("utf-8", "surrogatepass")
-    return join_chunks(_parse([data], payloads))
+    return join_chunks(_parse(_blocks(io.BytesIO(data)), payloads))
 
 
 # events formatted at once: at 1 << 12 a chunk's byte matrix and keep
@@ -346,8 +331,7 @@ def load_trace(path, payloads: bool = True, chunked: bool = False
 def _load_chunks(path, payloads: bool) -> Iterator[Trace]:
     with open(path, "rb") as fh:
         try:
-            yield from _parse(iter(lambda: fh.read(_READ_BLOCK), b""),
-                              payloads)
+            yield from _parse(_blocks(fh), payloads)
         except TraceFormatError as exc:
             exc.args = ("%s: %s" % (path, exc),)
             raise

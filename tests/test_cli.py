@@ -405,7 +405,7 @@ def test_a_trace_and_its_stripped_copy_run_alike(tmp_path):
 
 
 @pytest.mark.parametrize("source", ["trace", "kind"])
-def test_run_replays_no_payloads_and_frees_the_trace_first(
+def test_run_replays_one_payload_free_spill_closed_when_run_ends(
         tmp_path, monkeypatch, source):
     # both replays read one spilled trace, which holds no event column,
     # and the spill is closed once main returns

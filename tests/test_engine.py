@@ -480,7 +480,8 @@ def test_config_validation():
                 {"sample_interval_n": 2.5},
                 {"sample_interval_n": np.int64(50)},
                 {"seed": True}, {"enable_coarse": 1}, {"pool_pages": 4.0},
-                {"fixed_valid_stack": None}):
+                {"fixed_valid_stack": None}, {"pool_pages": 0},
+                {"pool_pages": -1}):
         with pytest.raises(ConfigError):
             SimConfig(**bad)
         with pytest.raises(ConfigError):

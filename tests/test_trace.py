@@ -1,5 +1,6 @@
 """Trace model, file format, generators, and the aggregation oracle."""
 
+import io
 import random
 import tracemalloc
 from unittest import mock
@@ -28,14 +29,14 @@ HEADER = "@segment stack 0x100010000 0x100020000\n"
 
 
 def _parse_chunked(data, payloads=True):
-    """`parse_trace(data, payloads)`, parsed into chunk traces of about a
-    sixteenth of its lines each, at least one event, and joined."""
+    """`parse_trace(data, payloads)`, parsed in blocks of about a
+    sixteenth of its bytes each, at least one, and joined."""
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    with mock.patch.object(tracefile_module, "_LOAD_CHUNK",
-                           max(1, data.count(b"\n") // 16)):
-        return trace_module.join_chunks(
-            tracefile_module._parse([data], payloads))
+    with mock.patch.object(tracefile_module, "_READ_BLOCK",
+                           max(1, len(data) // 16)):
+        return trace_module.join_chunks(tracefile_module._parse(
+            tracefile_module._blocks(io.BytesIO(data)), payloads))
 
 
 def _outcome(parse, data, payloads):
@@ -196,6 +197,29 @@ def test_parse_unknown_record():
             parse_both(HEADER + record + "\n")
 
 
+def test_an_error_quotes_at_most_64_characters_of_a_token():
+    # an unrecognized record and each of the three hex errors
+    for body in ("W" * (1 << 20), "W 0x" + "g" * (1 << 20),
+                 "W 0x100011000 0x" + "1" * (1 << 20),
+                 "W 0x100011000 " + "1" * (1 << 20)):
+        with pytest.raises(TraceFormatError) as exc:
+            parse_both(HEADER + "# c\n" + body + "\n")
+        msg = str(exc.value)
+        assert msg.startswith("line 3: ") and "'..." in msg
+        assert len(msg) < 200, msg
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_blocks_end_at_line_feeds(monkeypatch, size):
+    monkeypatch.setattr(tracefile_module, "_READ_BLOCK", size)
+    for data in (b"", b"a\n", HEADER.encode() + b"# " + b"x" * 200 + b"\n"
+                 b"W 0x100011000\r\nS 0x100011000\r\n\nW 0x100011040"):
+        blocks = list(tracefile_module._blocks(io.BytesIO(data)))
+        assert b"".join(blocks) == data
+        assert all(b.endswith(b"\n") for b in blocks[:-1])
+        assert all(blocks)
+
+
 def test_emit_empty_trace_is_header_only(layout):
     tr = Trace.from_events(layout, [])
     text = emit_trace(tr).decode()
@@ -222,7 +246,7 @@ def test_round_trip_generated(kind, layout):
 
 @pytest.mark.parametrize("size", [1, 7, 64, 4096])
 def test_chunk_size_does_not_change_the_trace(monkeypatch, layout, size):
-    monkeypatch.setattr(tracefile_module, "_PARSE_CHUNK", size)
+    monkeypatch.setattr(tracefile_module, "_READ_BLOCK", size)
     for kind in WORKLOADS:
         tr = gen_workload(kind, 300, layout, 5)
         assert parse_trace(emit_trace(tr)) == tr
@@ -268,7 +292,7 @@ def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
                 tokenized.clear()
                 tr = parse_trace(text, payloads=payloads)
                 assert len(tokenized) > 1 and None not in tokenized
-                assert sum(tokenized) == tr.n_events - 1
+                assert sum(tokenized) == tr.n_events
 
 
 def _mutate(rng: random.Random, data: bytes, layout) -> bytes:
@@ -326,7 +350,7 @@ def test_parser_fuzz_agrees_with_the_line_loop(monkeypatch, layout):
 
     traces, errors = 0, set()
     for _ in range(300):
-        monkeypatch.setattr(tracefile_module, "_PARSE_CHUNK",
+        monkeypatch.setattr(tracefile_module, "_READ_BLOCK",
                             rng.choice((1, 7, 64)))
         data = _mutate(rng, rng.choice(texts), layout)
         fast = parse(data, tokenize)
@@ -932,10 +956,9 @@ def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
         assert tracefile_module.load_trace(path) == tr
         assert tracefile_module.load_trace(path, payloads=False) \
             == Trace(tr.layout, tr.kinds, tr.addrs)
-        # in chunk traces of 7 events or more, each checked on its own
-        with mock.patch.object(tracefile_module, "_LOAD_CHUNK", 7):
-            chunks = list(tracefile_module.load_trace(path, chunked=True))
-        assert all(c.n_events >= 7 for c in chunks[:-1]) and len(chunks) > 1
+        # in chunk traces, one a block, each checked on its own
+        chunks = list(tracefile_module.load_trace(path, chunked=True))
+        assert len(chunks) > 1
         assert trace_module.join_chunks(chunks) == tr
     lines = good[-1].split(b"\n")
     bad = [b"\n".join(lines[:i] + [edit] + lines[i + 1:])
@@ -950,10 +973,9 @@ def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
             assert _error(lambda: tracefile_module.load_trace(
                 path, payloads=payloads)) == ("%s: %s" % (path, msg), None,
                                               line)
-        with mock.patch.object(tracefile_module, "_LOAD_CHUNK", 7):
-            assert _error(lambda: list(tracefile_module.load_trace(
-                path, payloads=False, chunked=True))) \
-                == ("%s: %s" % (path, msg), None, line)
+        assert _error(lambda: list(tracefile_module.load_trace(
+            path, payloads=False, chunked=True))) \
+            == ("%s: %s" % (path, msg), None, line)
 
 
 def test_load_peak_stays_near_the_final_columns(tmp_path, layout):
