@@ -176,8 +176,9 @@ class MemorySpace:
     def load_wear_csv(self, path):
         """Replace the wear map with one `wear_csv_bytes` wrote to path.
 
-        A malformed row, a line outside this space or a wrong #total
-        trailer raises SimulationError naming the file.
+        A malformed row, a line outside this space or not above the row
+        before it, or a wrong #total trailer raises SimulationError
+        naming the file.
         """
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8", "replace")
@@ -186,14 +187,15 @@ class MemorySpace:
         if rows[-1] == "":  # the newline that ends the last row
             rows.pop()
         wear = np.zeros(self.n_lines, dtype=np.int64)
+        prev = -1  # rows come in line order, as `wear_csv_bytes` writes them
         for line_no, row in enumerate(rows[1:-1], start=2):
             m = _WEAR_ROW.fullmatch(row)
             i = int(m[1]) - self.base_line if m else -1
-            if not (0 <= i < self.n_lines
+            if not (prev < i < self.n_lines
                     and int(m[2], 16) == int(m[1]) * self.line_size):
                 raise SimulationError("%s line %d: not a wear row of this "
                                       "layout: %r" % (path, line_no, row))
-            wear[i] = int(m[3])
+            wear[i], prev = int(m[3]), i
         if rows[:1] != [_WEAR_HEADER] \
                 or rows[1:][-1:] != ["#total,%d" % wear.sum()]:
             raise SimulationError("%s: wear map header or #total trailer "

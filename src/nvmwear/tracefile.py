@@ -21,7 +21,6 @@ from __future__ import annotations
 import io
 import os
 from array import array
-from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -124,19 +123,18 @@ def _parse(blocks: Iterable[bytes], payloads: bool = True
            ) -> Iterator[Trace]:
     """Parse trace text, given as consecutive blocks of whole lines (see
     `_blocks`), into checked chunk traces: one per block from the first
-    event line on, one more for an unterminated last line after
-    tokenized lines, and at least one; errors carry the 1-based line
+    event line on, and at least one; errors carry the 1-based line
     number.
 
-    A block of canonical event lines (see `_tokenize_chunk`), CRLF
-    folded to LF, is tokenized with numpy.  Every other block, the header
-    up to its first `W ` or `S ` line, and an unterminated last line are
-    read line by line over UTF-8.  That loop checks the record grammar
-    and words every grammar error; it keeps a block's event lines in a
-    table of runs of consecutive lines, for the `Trace` constructor's
-    event rules.  A chunk trace is checked when it is built, before a
-    later line is read, so an error names the first bad line, a line
-    that is not UTF-8 included.
+    The header, up to its first `W ` or `S ` line, is read line by line.
+    After it, a block's CRLF is folded to LF and one reader takes the
+    whole block: numpy tokenizes a block of canonical event lines (see
+    `_tokenize_chunk`), and a loop over UTF-8 lines reads any other
+    block, an unterminated last one included.  That loop checks the
+    record grammar, words every grammar error and notes each event's
+    line, for the `Trace` constructor's event rules.  A chunk trace is
+    checked when it is built, before a later line is read, so an error
+    names the first bad line, a line that is not UTF-8 included.
 
     Without `payloads` every value is checked as above but none is
     stored: no value column is made, and the Trace's payloads are all 0.
@@ -168,24 +166,19 @@ def _parse(blocks: Iterable[bytes], payloads: bool = True
         except LayoutError as exc:
             raise TraceFormatError(str(exc), line_no)
 
-    def build(kinds, addrs, values, run_ev, run_ln) -> Trace:
-        """A Trace of the columns, naming a bad event by its line: event
-        run_ev[j] is on line run_ln[j], and each next event on the next
-        line, up to the next run."""
+    def build(kinds, addrs, values, lines) -> Trace:
+        """A Trace of the columns, naming bad event i by its line, lines[i]."""
         try:
             return Trace(layout, kinds, addrs, values)
         except TraceFormatError as exc:
-            i = exc.event_index
-            if i is None:
+            if exc.event_index is None:
                 raise
-            j = bisect_right(run_ev, i) - 1
-            raise TraceFormatError(str(exc),
-                                   run_ln[j] + i - run_ev[j]) from None
+            raise TraceFormatError(str(exc), lines[exc.event_index]) from None
 
     def read_lines(data: bytes, cols) -> None:
         """The line loop: append the events of `data`'s lines to `cols`."""
         nonlocal layout, line_no
-        kinds, addrs, values, run_ev, run_ln = cols
+        kinds, addrs, values, lines = cols
         try:
             # bytes split at b"\n" alone; a trailing "\r" is stripped
             for line_no, raw in enumerate(io.BytesIO(data), start=line_no + 1):
@@ -226,23 +219,20 @@ def _parse(blocks: Iterable[bytes], payloads: bool = True
                 else:
                     raise TraceFormatError("unrecognized record %s"
                                            % _quote(tag), line_no)
-                if not kinds or run_ln[-1] + len(kinds) - run_ev[-1] \
-                        != line_no:  # a new run of event lines
-                    run_ev.append(len(kinds))
-                    run_ln.append(line_no)
                 kinds.append(kind)
                 addrs.append(addr)
                 if payloads:
                     values.append(value)
+                lines.append(line_no)
         except TraceFormatError:
             if layout is not None:  # an invalid event on an earlier line
                 build(*cols)  # is reported first
             raise
 
     for block in blocks:
-        # the line loop's columns for this block, and their run table
+        # the line loop's columns for this block, and each event's line
         cols = (array("B"), array("q"), array("Q") if payloads else None,
-                [], [])
+                array("Q"))
         pos = 0
         while layout is None and pos < len(block):  # the header
             if block.startswith((b"W ", b"S "), pos):
@@ -252,17 +242,16 @@ def _parse(blocks: Iterable[bytes], payloads: bool = True
                 read_lines(block[pos:stop], cols)
                 pos = stop
         block = block[pos:]  # a copy only where the header ends
-        # the tokenizer takes the block up to its last line feed, if the
-        # line loop has found no event in it
-        cut = block.rfind(b"\n") + 1
-        chunk = block[:cut]
-        if b"\r" in chunk:  # one memchr; most blocks have none
-            chunk = chunk.replace(b"\r\n", b"\n")
-        tokens = None if cols[0] else _tokenize_chunk(chunk, payloads)
+        if b"\r" in block:  # one memchr; most blocks have none
+            block = block.replace(b"\r\n", b"\n")
+        # the tokenizer takes the block if the line loop has found no
+        # event in it
+        tokens = None if cols[0] else _tokenize_chunk(block, payloads)
         if tokens is not None:
-            yield build(*tokens, [0], [line_no + 1])
-            line_no, block = line_no + len(tokens[0]), block[cut:]
-        if block or cols[0]:
+            n = len(tokens[0])
+            yield build(*tokens, range(line_no + 1, line_no + 1 + n))
+            line_no += n
+        elif block or cols[0]:
             read_lines(block, cols)
             yield build(*cols)
 

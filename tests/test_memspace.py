@@ -354,6 +354,12 @@ def test_wear_csv_reader_rejects_other_layouts_and_bad_rows(layout, tmp_path):
         path.write_text(text)
         with pytest.raises(SimulationError, match="line 2: not a wear row"):
             space.load_wear_csv(path)
+    # a repeated row: the wear map would keep one copy and match a
+    # #total that is not the sum of the rows
+    row = "%d,0x%x,1\n" % (base, base * 64)
+    path.write_text(header + row + row + "#total,1\n")
+    with pytest.raises(SimulationError, match="line 3: not a wear row"):
+        space.load_wear_csv(path)
     for text in ("", header, header + "#total,2\n",
                  header + "%d,0x%x,1\n" % (base, base * 64),
                  "line,count\n#total,0\n"):

@@ -275,7 +275,8 @@ def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
     output, and of its CRLF form, is tokenized in chunks, with payloads
     or without, and no chunk is
     left to the line loop (a count that pins the fast path where a timing
-    test would flake)."""
+    test would flake).  Without its final line feed, only the last block
+    is left to the line loop."""
     tokenized = []
     tokenize = tracefile_module._tokenize_chunk
 
@@ -293,6 +294,13 @@ def test_emitted_event_lines_skip_the_line_loop(monkeypatch, layout):
                 tr = parse_trace(text, payloads=payloads)
                 assert len(tokenized) > 1 and None not in tokenized
                 assert sum(tokenized) == tr.n_events
+                tokenized.clear()
+                chunks = list(tracefile_module._parse(
+                    tracefile_module._blocks(io.BytesIO(text[:-1])), payloads))
+                assert len(chunks) == len(tokenized) > 1
+                assert None not in tokenized[:-1] and tokenized[-1] is None
+                assert sum(tokenized[:-1]) + chunks[-1].n_events \
+                    == tr.n_events
 
 
 def _mutate(rng: random.Random, data: bytes, layout) -> bytes:
@@ -934,6 +942,7 @@ def _load_cases(layout):
     between = [ln for i, ln in enumerate(lines) for ln in (
         (ln, b"# c\xc3\xa9", b"", b"  ") if i % 5 == 3 else (ln,))]
     return texts + [
+        b"\r\n".join(between),  # comments and blank lines in CRLF lines
         data.replace(b"\n", b"\r\n"),  # CRLF lines
         data[:-1],  # no final line feed
         data[:-1].replace(b"\n", b"\r\n"),
@@ -965,6 +974,8 @@ def test_load_matches_parse_at_any_block_size(monkeypatch, tmp_path, layout,
            for i, edit in ((100, b"W zz"), (150, b"W 0x100000004"),
                            (151, b"\xff"), (len(lines) - 2, b"S 0x1"))]
     bad += [good[-2][:-1] + b"\xc3", good[-5] + b"W 0x4"]
+    crlf = good[-6].split(b"\r\n")  # an invalid event among CRLF comments
+    bad.append(b"\r\n".join(crlf[:150] + [b"W 0x100000004"] + crlf[151:]))
     for data in bad:
         path.write_bytes(data)
         msg, _, line = _error(lambda: parse_both(data))
