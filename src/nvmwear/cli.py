@@ -231,7 +231,8 @@ def cmd_report(args) -> int:
             path = out_dir / ("%s_log2.csv" % name)
         else:
             payload = metrics.export_histogram(
-                space.base_line + np.arange(region.start, region.stop), counts)
+                space.line_numbers(np.arange(region.start, region.stop)),
+                counts)
             path = out_dir / ("%s.csv" % name)
         write_atomic(path, payload)
         print("wrote %s" % path)

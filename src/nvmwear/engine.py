@@ -13,11 +13,14 @@ Replay walks the trace once, `_CHARGE_BATCH` events at a time, through
 files (`nvmwear.trace.spill`) replay alike.  For each chunk it finds the
 chunk's ticks, each tick's sampled write and the sp in force there (the
 last update before that write), carrying the write count and the sp
-from chunk to chunk.  The per-tick loop then does the control work
-alone: it looks up the sampled write's frame in the live page table and
-drives the sampler and both levelers.  A write in period k sees the
-stack shift of k relocations, which `translate_after` computes in closed
-form.  The chunk's application writes are charged up to each remap,
+from chunk to chunk.  A write in period k sees the stack shift of k
+relocations, which `translate_after` computes in closed form, and
+`MemorySpace.page_index` takes the chunk's translated writes to their
+mapped pages in one search.  The per-tick loop then does the control
+work alone: it looks up the sampled write's frame in the live page
+table and drives the sampler and both levelers.  Frames are numbered
+over the mapped pages only, so a gap between segments costs nothing.
+The chunk's application writes are charged up to each remap,
 before it changes the page table, and the rest at the chunk's end.
 Charging late is exact because wear is only ever added to and nothing
 in the loop reads it.  A chunk costs what its length does, not what the
@@ -120,7 +123,8 @@ class RunResult:
     space: MemorySpace
     config: SimConfig
     totals: Dict[str, int]
-    # int64 rows with the columns of the log CSVs, frames dense:
+    # int64 rows with the columns of the log CSVs, frames as numbered
+    # over the mapped pages (the CSVs print `space.pages` of them):
     # (event_index, frame); (event_index, hot_page, cold_page, hot_frame,
     # cold_frame); and (event_index, shift, valid_bytes, copied_lines,
     # wrapped)
@@ -143,11 +147,9 @@ def replay(trace: Union[Trace, SpilledTrace], config: SimConfig
     The trace is read once, `_CHARGE_BATCH` events at a time, through
     `trace.chunks`: a `Trace`'s columns or a spilled trace's files give
     the same result.  Each write is charged with the other writes of its
-    event range.  A sampled write's frame is looked up in `space.frames`
-    unchecked: a `Trace` is valid by construction and the stack shift
-    stays in [0, S), so the page is mapped.  Its range's `line_index`
-    checks it.  A stack overflow names the stack-pointer update in force
-    at its tick.
+    event range, at the frame that `space.frames` gives its mapped page
+    then.  A stack overflow names the stack-pointer update in force at
+    its tick.
     """
     layout = trace.layout
     if config.pool_pages is not None and layout.total_pages > config.pool_pages:
@@ -173,16 +175,12 @@ def replay(trace: Union[Trace, SpilledTrace], config: SimConfig
                         region_size=stack_seg.size, sp=sp,
                         step=config.stack_step)
 
-    def charge(addrs: np.ndarray, first: int):
-        """Charge writes under the current page table; `first` is the
-        number of writes before them, and a write's period is its number
-        over `period`."""
-        if not len(addrs):
-            return
-        if fine:
-            addrs = translate_after(
-                addrs, np.arange(first, first + len(addrs)) // period, st)
-        np.add.at(space.wear, space.line_index(addrs), 1)
+    lpp = space.lines_per_page
+
+    def charge(pages: np.ndarray, lines: np.ndarray):
+        """Charge writes, given their mapped pages and their lines within
+        the page, under the current page table."""
+        np.add.at(space.wear, space.frames[pages] * lpp + lines, 1)
 
     # what only the tick loop knows, each tick's sampled frame and the lines
     # its relocation copied, and the sp in force at each tick, kept a chunk
@@ -194,30 +192,32 @@ def replay(trace: Union[Trace, SpilledTrace], config: SimConfig
     for kinds, addrs in trace.chunks(_CHARGE_BATCH):
         is_write = kinds == KIND_WRITE
         writes = addrs[is_write]
+        if fine:  # a write in period k sees the shift of k relocations
+            writes = translate_after(writes, np.arange(
+                written, written + len(writes)) // period, st)
+        pages = space.page_index(writes)
+        lines = (writes >> space.line_shift) & (lpp - 1)
         done = 0  # the chunk's writes charged
         if sampling:
             # the chunk's ticks: each sampled write, and with fine leveling
             # the sp in force there, the last update before that write
             first = (-written - 1) % period
-            sampled = writes[first::period]
-            if fine:  # tick k samples after k relocations
-                sampled = translate_after(sampled, np.arange(
-                    n_ticks, n_ticks + len(sampled)), st)
+            sampled = pages[first::period].tolist()
+            if fine:
                 upd = np.flatnonzero(kinds == KIND_SP)
                 at = np.searchsorted(
                     upd, np.flatnonzero(is_write)[first::period])
                 sp_cols.append(np.append(sp, addrs[upd])[at])
                 tick_sp = sp_cols[-1].tolist()
-            pages = ((sampled - space.base) >> space.page_shift).tolist()
             frames, copied = [], []
             try:
-                for i, page in enumerate(pages):
+                for i, page in enumerate(sampled):
                     frame = int(space.frames[page])
                     sampler.record_tick(frame)
                     frames.append(frame)
                     if coarse and leveler.on_sample(frame) is not None:
                         upto = first + i * period + 1
-                        charge(writes[done:upto], written + done)
+                        charge(pages[done:upto], lines[done:upto])
                         done = upto
                         result = leveler.perform_remap(frame)
                         if result is not None:
@@ -233,10 +233,10 @@ def replay(trace: Union[Trace, SpilledTrace], config: SimConfig
                 ) from None
             frame_cols.append(np.array(frames, np.int64))
             copied_cols.append(np.array(copied, np.int64))
-            n_ticks += len(pages)
+            n_ticks += len(sampled)
             if fine and len(upd):
                 sp, sp_event = addrs[upd[-1]], lo + int(upd[-1])
-        charge(writes[done:], written + done)
+        charge(pages[done:], lines[done:])
         written += len(writes)
         lo += len(kinds)
     if sampling:  # the writes after the last tick, as observe_write counts
@@ -290,9 +290,8 @@ def paired_run(trace: Trace, config: SimConfig
 
 def compare_runs(baseline: RunResult, leveled: RunResult) -> MetricsReport:
     """Metrics of a leveled replay against the baseline of the same trace."""
-    region = leveled.space.region_slices()
-    ae_base = achieved_endurance(*(baseline.wear[s] for s in region))
-    ae_lev = achieved_endurance(*(leveled.wear[s] for s in region))
+    ae_base = achieved_endurance(baseline.wear)
+    ae_lev = achieved_endurance(leveled.wear)
     wo = write_overhead(baseline.totals["total_writes"],
                         leveled.totals["total_writes"])
     ei = endurance_improvement(ae_lev, ae_base)
@@ -361,15 +360,15 @@ def report_layout(path) -> MemoryLayout:
 def sample_log_csv(result: RunResult) -> bytes:
     log = result.sample_log
     return table_csv("event_index,frame",
-                     (log[:, 0], result.space.base_frame + log[:, 1]))
+                     (log[:, 0], result.space.pages[log[:, 1]]))
 
 
 def remap_log_csv(result: RunResult) -> bytes:
     idx, hp, cp, hf, cf = result.remap_log.T
-    fbase = result.space.base_frame
+    pages = result.space.pages
     return table_csv(
         "event_index,hot_page_hex,cold_page_hex,hot_frame,cold_frame",
-        (idx, hp, cp, fbase + hf, fbase + cf))
+        (idx, hp, cp, pages[hf], pages[cf]))
 
 
 def relocation_log_csv(result: RunResult) -> bytes:
@@ -383,5 +382,5 @@ def estimates_csv(result: RunResult) -> bytes:
     est = result.sampler.estimates
     frames = np.flatnonzero(est)
     return table_csv("frame,estimate",
-                     (result.space.base_frame + frames, est[frames]),
+                     (result.space.pages[frames], est[frames]),
                      "#samples,%d" % result.sampler.samples_taken)

@@ -1,13 +1,16 @@
 """Physical memory model: page table, wear ground truth, frame pool.
 
-The physical space mirrors the layout's virtual span one-to-one at start
-(identity mapping), plus one dedicated buffer frame past the highest
-segment.  Physical memory is named only by dense indices: frame f holds
-lines f * lines_per_page up to the next frame, and `line_index` is the
-one virtual-to-physical translation.  When the layout has a stack
-segment, the virtual range one stack-size below it is installed as a
-shadow alias: shadow page k maps to the frame of real stack page k, so
-circular stack addressing needs no extra page-table state.
+Physical memory is numbered over the mapped pages only: frame f is the
+f-th page of the segments in address order, and one dedicated buffer
+frame comes last.  `pages[f]` is frame f's absolute page number, and
+every number a file prints goes through it, so gaps between segments
+cost nothing.  Frame f holds lines f * lines_per_page up to the next
+frame.  Mapped page k starts on frame k, and `frames[k]` is the frame
+backing it.  `page_index` translates a virtual address by one
+`searchsorted` over a table of ranges, the segments plus, with a stack,
+the stack's shadow: the stack-sized range below the stack, whose page k
+is stack page k.  So circular stack addressing needs no extra
+page-table state.
 
 Wear counts are the simulation's ground truth: every line write (an
 application write at its `line_index`, `copy_frame`, `charge_lines`)
@@ -37,70 +40,67 @@ class MemorySpace:
         self.page_size = ps = layout.page_size
         self.line_size = ls = layout.line_size
         self.lines_per_page = ps // ls
-        self.page_shift = ps.bit_length() - 1
+        self.page_shift = sh = ps.bit_length() - 1
         self.line_shift = ls.bit_length() - 1
 
-        stack = layout.segment("stack")
-        lo = layout.segments[0].start
-        hi = layout.segments[-1].end
-        if stack is not None:
-            lo = min(lo, stack.start - stack.size)
-        self.base = lo
-        # absolute numbers of dense frame 0 and line 0, as files print them
-        self.base_frame = lo // ps
-        self.base_line = lo // ls
-        self.n_pages = (hi + ps - lo) // ps
+        # the translation ranges (start, end, offset): an address's mapped
+        # page is its page number minus its range's offset
+        ranges, k = [], 0
+        for seg in layout.segments:
+            n = seg.size >> sh
+            ranges.append((seg.start, seg.end, (seg.start >> sh) - k))
+            if seg.name == "stack":
+                ranges.append((seg.start - seg.size, seg.start,
+                               ranges[-1][2] - n))
+                self._stack = seg.start, k, n
+            k += n
+        ranges.sort()
+        self._bounds = np.array([r[:2] for r in ranges], np.int64).ravel()
+        self._offsets = np.array([r[2] for r in ranges], np.int64)
+
+        self.pages = np.concatenate(
+            [np.arange(s.start >> sh, s.end >> sh) for s in layout.segments]
+            + [[layout.segments[-1].end >> sh]])
+        self.n_pages = len(self.pages)
         self.n_lines = self.n_pages * self.lines_per_page
-
-        # frames[p] is the physical frame backing virtual page p, -1 if
-        # unmapped; page_of_frame[f] is the canonical (non-shadow) page.
-        self.pool_frames = np.concatenate([self._pages(s)
-                                           for s in layout.segments])
-        self.frames = np.full(self.n_pages, -1, dtype=np.int64)
-        self.frames[self.pool_frames] = self.pool_frames
-        self.page_of_frame = self.frames.copy()
-        self.buffer_frame = (hi - lo) // ps
-
-        # without a stack the alias range is empty
-        self._stack_page0 = self._stack_pages = 0
-        if stack is not None:
-            pages = self._pages(stack)
-            self._stack_page0, self._stack_pages = int(pages[0]), len(pages)
-            self.frames[pages - len(pages)] = pages
-
+        self.buffer_frame = self.n_pages - 1
+        self.pool_frames = np.arange(self.buffer_frame)
+        # frames[k] backs mapped page k; page_of_frame[f] is the page on
+        # frame f, -1 on the buffer frame
+        self.frames = self.pool_frames.copy()
+        self.page_of_frame = np.append(self.pool_frames, -1)
         self.wear = np.zeros(self.n_lines, dtype=np.int64)
-
-    def _pages(self, seg) -> np.ndarray:
-        """Dense page numbers of a segment: its frames under identity."""
-        return np.arange((seg.start - self.base) >> self.page_shift,
-                         (seg.end - self.base) >> self.page_shift)
 
     # ------------------------------------------------------------------
     # translation
 
-    def line_index(self, vaddr):
-        """Virtual address -> dense physical line index.
+    def page_index(self, vaddr):
+        """Virtual address -> mapped page, which `frames` maps to a frame.
 
-        Takes an int or an int64 array and returns the same shape.  An
-        array is checked as a whole, span first: if any address is
-        outside the mapped span, the error names the first such address,
-        even when an earlier one hits an unmapped page; otherwise it
-        names the first address on an unmapped page.
+        Takes an int or an int64 array and returns the same shape.  A
+        bound index found by the search is odd exactly inside a range.
+        An address on no mapped page raises UnmappedPageError naming the
+        first such address.
         """
-        off = np.asarray(vaddr, dtype=np.int64) - self.base
-        p = off >> self.page_shift
-        outside = (p < 0) | (p >= self.n_pages)
-        if outside.any():
-            raise UnmappedPageError("address 0x%x outside the mapped span"
-                                    % (int(off[outside][0]) + self.base))
-        f = self.frames[p]
-        unmapped = f < 0
+        a = np.asarray(vaddr, dtype=np.int64)
+        r = np.searchsorted(self._bounds, a, side="right")
+        unmapped = (r & 1) == 0
         if unmapped.any():
             raise UnmappedPageError("address 0x%x hits an unmapped page"
-                                    % (int(off[unmapped][0]) + self.base))
-        lines = f * self.lines_per_page \
-            + ((off >> self.line_shift) & (self.lines_per_page - 1))
+                                    % int(a[unmapped][0]))
+        return (a >> self.page_shift) - self._offsets[r >> 1]
+
+    def line_index(self, vaddr):
+        """Virtual address -> physical line index, by `page_index`."""
+        a = np.asarray(vaddr, dtype=np.int64)
+        lines = self.frames[self.page_index(a)] * self.lines_per_page \
+            + ((a >> self.line_shift) & (self.lines_per_page - 1))
         return int(lines) if lines.ndim == 0 else lines
+
+    def line_numbers(self, lines: np.ndarray) -> np.ndarray:
+        """Absolute line numbers, as files print them, of physical lines."""
+        lpp = self.lines_per_page
+        return self.pages[lines // lpp] * lpp + lines % lpp
 
     # ------------------------------------------------------------------
     # remapping
@@ -108,13 +108,10 @@ class MemorySpace:
     def swap_frames(self, frame_a: int, frame_b: int):
         """Exchange the pages backed by two pool frames.
 
-        Shadow aliases of real stack pages follow the swap, so a shadow
-        address keeps resolving to the same physical content as its real
-        counterpart.  The buffer frame and frames outside the pool have
-        no canonical page and are rejected.
+        The buffer frame and numbers outside the pool are rejected.
         """
         for f in (frame_a, frame_b):
-            if not (0 <= f < self.n_pages and self.page_of_frame[f] >= 0):
+            if not 0 <= f < self.buffer_frame:
                 raise SimulationError("frame %d is not a pool frame" % f)
         pa = int(self.page_of_frame[frame_a])
         pb = int(self.page_of_frame[frame_b])
@@ -122,9 +119,6 @@ class MemorySpace:
         self.frames[pb] = frame_a
         self.page_of_frame[frame_b] = pa
         self.page_of_frame[frame_a] = pb
-        for page in (pa, pb):
-            if 0 <= page - self._stack_page0 < self._stack_pages:
-                self.frames[page - self._stack_pages] = self.frames[page]
 
     def copy_frame(self, src_frame: int, dst_frame: int) -> int:
         """Charge a frame copy to the destination's lines, one write each.
@@ -139,16 +133,18 @@ class MemorySpace:
     def charge_lines(self, vaddr: int, n: int) -> int:
         """Charge one write to each of n consecutive lines from vaddr.
 
-        One slice per virtual page the lines touch, through the page
-        table unchecked: every line must be mapped.  Returns n.
+        The lines are the stack's, walked over its pages modulo the
+        stack size, so a shadow line is its stack line: one slice per
+        page, through the page table.  Returns n.
         """
+        start, first, n_stack = self._stack
         lpp = self.lines_per_page
-        line = (vaddr - self.base) >> self.line_shift
+        line = (vaddr - start) >> self.line_shift
         end = line + n
         while line < end:
             p, off = divmod(line, lpp)
             k = min(end - line, lpp - off)
-            a = int(self.frames[p]) * lpp + off
+            a = int(self.frames[first + p % n_stack]) * lpp + off
             self.wear[a:a + k] += 1
             line += k
         return n
@@ -157,7 +153,7 @@ class MemorySpace:
         p = int(self.page_of_frame[frame])
         if p < 0:
             raise SimulationError("frame %d has no canonical page" % frame)
-        return self.base + (p << self.page_shift)
+        return int(self.pages[p]) << self.page_shift
 
     # ------------------------------------------------------------------
     # reporting
@@ -168,7 +164,7 @@ class MemorySpace:
     def wear_csv_bytes(self) -> bytes:
         """CSV rows line_index,physical_address_hex,count with a sum trailer."""
         lines = np.flatnonzero(self.wear)
-        idx = self.base_line + lines
+        idx = self.line_numbers(lines)
         return table_csv(_WEAR_HEADER,
                          (idx, idx * self.line_size, self.wear[lines]),
                          "#total,%d" % self.total_wear())
@@ -176,9 +172,9 @@ class MemorySpace:
     def load_wear_csv(self, path):
         """Replace the wear map with one `wear_csv_bytes` wrote to path.
 
-        A malformed row, a line outside this space or not above the row
-        before it, or a wrong #total trailer raises SimulationError
-        naming the file.
+        A malformed row, a line on no frame of this space or not above
+        the row before it, or a wrong #total trailer raises
+        SimulationError naming the file.
         """
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8", "replace")
@@ -186,16 +182,25 @@ class MemorySpace:
         rows = text.replace("\r\n", "\n").split("\n")
         if rows[-1] == "":  # the newline that ends the last row
             rows.pop()
-        wear = np.zeros(self.n_lines, dtype=np.int64)
-        prev = -1  # rows come in line order, as `wear_csv_bytes` writes them
-        for line_no, row in enumerate(rows[1:-1], start=2):
+        body = rows[1:-1]
+        # each row's absolute line and count; line -1 for a malformed row
+        line, count = np.full((2, len(body)), -1, np.int64)
+        for j, row in enumerate(body):
             m = _WEAR_ROW.fullmatch(row)
-            i = int(m[1]) - self.base_line if m else -1
-            if not (prev < i < self.n_lines
-                    and int(m[2], 16) == int(m[1]) * self.line_size):
-                raise SimulationError("%s line %d: not a wear row of this "
-                                      "layout: %r" % (path, line_no, row))
-            wear[i], prev = int(m[3]), i
+            if m and int(m[2], 16) == int(m[1]) * self.line_size:
+                line[j], count[j] = int(m[1]), int(m[3])
+        lpp = self.lines_per_page
+        f = np.minimum(np.searchsorted(self.pages, line // lpp),
+                       self.buffer_frame)
+        i = np.where(self.pages[f] == line // lpp, f * lpp + line % lpp, -1)
+        # rows come in line order, as `wear_csv_bytes` writes them
+        bad = i <= np.append(-1, i[:-1])
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise SimulationError("%s line %d: not a wear row of this "
+                                  "layout: %r" % (path, j + 2, body[j]))
+        wear = np.zeros(self.n_lines, dtype=np.int64)
+        wear[i] = count
         if rows[:1] != [_WEAR_HEADER] \
                 or rows[1:][-1:] != ["#total,%d" % wear.sum()]:
             raise SimulationError("%s: wear map header or #total trailer "
@@ -203,23 +208,17 @@ class MemorySpace:
         self.wear[:] = wear
 
     def region_slices(self, segment: Optional[str] = None) -> List[slice]:
-        """A reporting region as dense line slices, one per segment.
+        """A reporting region as physical line slices.
 
-        Default region: every segment plus the buffer frame.  With a
-        segment name, just that segment's physical lines under the
-        identity placement (regions are fixed physical extents).
+        Default region: the whole wear map, every segment plus the
+        buffer frame.  With a segment name, just that segment's lines
+        under the identity placement (regions are fixed physical
+        extents).
         """
         if segment is None:
-            segs = self.layout.segments
-        else:
-            seg = self.layout.segment(segment)
-            if seg is None:
-                raise SimulationError("no segment named %r" % segment)
-            segs = (seg,)
-        sh = self.line_shift
-        out = [slice((s.start - self.base) >> sh, (s.end - self.base) >> sh)
-               for s in segs]
-        if segment is None:
-            lo = self.buffer_frame * self.lines_per_page
-            out.append(slice(lo, lo + self.lines_per_page))
-        return out
+            return [slice(0, self.n_lines)]
+        seg = self.layout.segment(segment)
+        if seg is None:
+            raise SimulationError("no segment named %r" % segment)
+        lo = int(self.page_index(seg.start)) * self.lines_per_page
+        return [slice(lo, lo + (seg.size >> self.line_shift))]

@@ -40,7 +40,7 @@ class ContentSpace(MemorySpace):
         self.words = np.zeros(self.n_lines, dtype=np.uint64)
 
     def record_write(self, line: int, value: int = 0):
-        """Charge one write to a dense line, storing its base word."""
+        """Charge one write to a physical line, storing its base word."""
         self.wear[line] += 1
         self.words[line] = value
 

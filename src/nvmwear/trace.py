@@ -241,13 +241,13 @@ class Trace:
         """
         stack = self.layout.segment("stack")
         ls = self.layout.line_size
+        # a bound index found by the search is odd exactly inside a segment
+        bounds = np.ravel([(s.start, s.end) for s in self.layout.segments])
         for lo in range(0, self.n_events, _VALIDATE_CHUNK):
             part = slice(lo, lo + _VALIDATE_CHUNK)
             k, a = self.kinds[part], self.addrs[part]
             is_w, is_sp = k == KIND_WRITE, k == KIND_SP
-            inside = np.zeros(len(a), dtype=bool)
-            for seg in self.layout.segments:
-                inside |= (a >= seg.start) & (a < seg.end)
+            inside = (np.searchsorted(bounds, a, side="right") & 1) == 1
             in_stack = np.zeros(len(a), dtype=bool) if stack is None \
                 else (a >= stack.start) & (a <= stack.end)
             rules = (  # a failing event is named by the first rule it breaks

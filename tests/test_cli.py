@@ -548,6 +548,9 @@ def _finished_run(tmp_path):
     ("12,0x300,zz", "not a wear row"),        # non-integer count
     ("12,0x300,1", "not a wear row"),         # line below the layout
     ("%d,0x%x,1" % (1 << 40, 64 << 40), "not a wear row"),  # above it
+    # the last line of the stack's shadow, between the segments: no run
+    # charges it, as no frame holds it
+    ("67110015,0x100011fc0,5", "not a wear row"),
 ])
 def test_report_rejects_bad_wear_rows(tmp_path, capsys, row, why):
     run_dir = _finished_run(tmp_path)

@@ -337,8 +337,14 @@ def test_levelers_off_wear_equals_trace_aggregation(layout):
     result = replay(trace, cfg)
     agg = aggregate_linecounts(trace)  # keyed by absolute line index
     expected = np.zeros_like(result.wear)
+    # each physical line's absolute number, from the layout alone: the
+    # segments' lines in address order, then the buffer frame
+    ls, end = layout.line_size, layout.segments[-1].end
+    index = {line: i for i, line in enumerate(
+        [n for s in layout.segments for n in range(s.start // ls, s.end // ls)]
+        + list(range(end // ls, (end + layout.page_size) // ls)))}
     for line, c in agg.items():
-        expected[line - result.space.base // result.space.line_size] = c
+        expected[index[line]] = c
     assert np.array_equal(result.wear, expected)
     assert result.totals["total_writes"] == trace.n_writes
     assert np.array_equal(result.sample_log, np.zeros((0, 2)))
@@ -568,6 +574,59 @@ def replay_cases(draw):
 @given(replay_cases())
 def test_engine_matches_reference_on_random_inputs(case):
     assert_matches_reference(*case)
+
+
+@st.composite
+def gap_cases(draw):
+    """A small layout with a stack, a trace of one generator on it, a
+    config, and a page-aligned gap of up to 2^46 bytes."""
+    layout = make_layout(draw(st.integers(0, 2)), draw(st.integers(1, 4)),
+                         draw(st.integers(1, 3)), draw(st.sampled_from([4, 8])))
+    kind = draw(st.sampled_from(sorted(workloads_module.WORKLOADS)))
+    trace = gen_workload(kind, draw(st.integers(200, 3000)), layout,
+                         seed=draw(st.integers(0, 9)))
+    config = SimConfig(sample_interval_n=draw(st.integers(1, 20)),
+                       remap_threshold_t=draw(st.integers(1, 4)),
+                       stack_step=draw(st.sampled_from([64, 128, 4096])))
+    gap = draw(st.integers(0, 1 << 34)) << 12
+    return trace, config, gap
+
+
+def moved_stack(trace, gap):
+    """The trace on its layout with `gap` bytes inserted below the stack
+    and its shadow room: every stack address and pointer moves up."""
+    layout = trace.layout
+    stack = layout.segment("stack")
+
+    def move(a):
+        return a + (a >= stack.start) * gap
+
+    lay = MemoryLayout(tuple(replace(s, start=move(s.start), end=move(s.end))
+                             for s in layout.segments))
+    values = np.where(trace.values >= stack.start, trace.values + gap,
+                      trace.values)
+    return Trace(lay, trace.kinds, move(trace.addrs), values)
+
+
+# no shrink phase, as above
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(gap_cases())
+def test_a_gap_below_the_stack_changes_no_result(case):
+    """Frames number the mapped pages only, so a gap of any size leaves
+    the wear map, totals, logs and metrics as they were; the remap log's
+    page addresses are the only numbers that move."""
+    trace, config, gap = case
+    runs = [paired_run(t, config) for t in (trace, moved_stack(trace, gap))]
+    (base0, lev0, rep0), (base1, lev1, rep1) = runs
+    assert rep1 == rep0
+    for a, b in ((base0, base1), (lev0, lev1)):
+        assert len(b.wear) == len(a.wear) and np.array_equal(b.wear, a.wear)
+        assert b.totals == a.totals
+        for log in ("sample_log", "reloc_log"):
+            assert np.array_equal(getattr(b, log), getattr(a, log))
+        assert np.array_equal(b.remap_log[:, [0, 3, 4]],
+                              a.remap_log[:, [0, 3, 4]])
 
 
 @pytest.mark.parametrize("pages", [(2, 8, 4, 4), (64, 256, 64, 8),

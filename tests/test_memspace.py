@@ -15,8 +15,10 @@ def space(layout):
 
 
 def dense_line(space, addr):
-    """Dense line index of an address under the identity placement."""
-    return (addr - space.base) // space.line_size
+    """Line index of an address under the identity placement, which
+    numbers the segments' lines in address order."""
+    return sum(min(max(addr, s.start), s.end) - s.start
+               for s in space.layout.segments) // space.line_size
 
 
 def frame_of(space, addr):
@@ -61,30 +63,39 @@ def test_unmapped_page_rejected(space, layout):
         gap.line_index(base + 4096 + 64)
 
 
-def test_line_index_reports_the_span_before_unmapped_pages():
+def test_line_index_names_the_first_unmapped_address():
     base = 1 << 32
     gap = MemorySpace(MemoryLayout((Segment("data", base, base + 4096),
                                     Segment("bss", base + 8192,
                                             base + 12288))))
-    end = gap.base + gap.n_pages * 4096
-    with pytest.raises(UnmappedPageError,
-                       match="^address 0x%x outside the mapped span$" % end):
-        gap.line_index(np.array([base + 4096, base + 4096 + 64, end]))
+    # the gap, past the last segment and below the first
+    for addrs, bad in (([base, base + 4096 + 64, base + 12288, base - 64], 1),
+                       ([base + 12288 + 4096, base + 4096], 0)):
+        with pytest.raises(UnmappedPageError,
+                           match="^address 0x%x hits an unmapped page$"
+                           % addrs[bad]):
+            gap.line_index(np.array(addrs))
 
 
-def test_charge_lines_adds_one_write_at_each_line_index(space, layout):
-    stack, data = layout.segment("stack"), layout.segment("data")
-    space.swap_frames(frame_of(space, stack.start + 4096),
-                      frame_of(space, data.start))
-    shadow = stack.start - stack.size
-    for vaddr, n in ((data.start + 4096 - 3 * 64, 7),  # a page boundary
-                     (stack.start - 2 * 64 - 8, 70),   # shadow into real
-                     (shadow + 4096 - 64, 66),         # a swapped shadow page
-                     (data.start + 40, 1), (data.start, 0)):
-        want = space.wear.copy()
-        np.add.at(want, space.line_index(vaddr + 64 * np.arange(n)), 1)
-        assert space.charge_lines(vaddr, n) == n
-        assert np.array_equal(space.wear, want)
+def test_charge_lines_adds_one_write_at_each_line_index(layout):
+    base = 1 << 32  # and a stack below the data segment, not last
+    below = MemoryLayout((Segment("stack", base + 16384, base + 32768),
+                          Segment("data", base + 32768, base + 65536)))
+    for lay in (layout, below):
+        space = MemorySpace(lay)
+        stack, data = lay.segment("stack"), lay.segment("data")
+        space.swap_frames(frame_of(space, stack.start + 4096),
+                          frame_of(space, data.start))
+        shadow = stack.start - stack.size
+        for vaddr, n in ((stack.start + 4096 - 3 * 64, 7),  # a page boundary
+                         (stack.start - 2 * 64 - 8, 70),  # shadow into real
+                         (shadow + 4096 - 64, 66),  # a swapped shadow page
+                         (shadow + 64, stack.size // 64 + 3),  # past S: twice
+                         (stack.start + 40, 1), (stack.start, 0)):
+            want = space.wear.copy()
+            np.add.at(want, space.line_index(vaddr + 64 * np.arange(n)), 1)
+            assert space.charge_lines(vaddr, n) == n
+            assert np.array_equal(space.wear, want)
 
 
 def test_shadow_alias_full_page(space, layout):
@@ -146,15 +157,12 @@ def test_swap_stack_page_updates_alias(space, layout):
     assert frame_of(space, stack.start) == cold_frame
 
 
-def test_swap_rejects_shadow_and_buffer(space, layout):
-    stack = layout.segment("stack")
+def test_swap_rejects_the_buffer_and_numbers_past_the_pool(space, layout):
     data = layout.segment("data")
     before = space.frames.copy()
     f = frame_of(space, data.start)
-    # the frame at the shadow range's physical position backs no page
-    shadow_frame = dense_line(space, stack.start - stack.size) // 64
     # the buffer frame has no canonical page, so it can never be swapped
-    for bad in (shadow_frame, space.buffer_frame, -1, space.n_pages):
+    for bad in (space.buffer_frame, -1, space.n_pages):
         with pytest.raises(SimulationError, match="not a pool frame"):
             space.swap_frames(bad, f)
         with pytest.raises(SimulationError, match="not a pool frame"):
@@ -216,28 +224,20 @@ def test_swap_permutation_property():
         layout = make_layout(*pages)
         space = MemorySpace(layout)
         pool = space.pool_frames
-        canonical = np.concatenate([
-            np.arange((s.start - space.base) // 4096,
-                      (s.end - space.base) // 4096)
-            for s in layout.segments])
         for _ in range(200):
             a, b = rng.choice(pool, 2)
             space.swap_frames(int(a), int(b))
-        # frames restricted to canonical pages is a bijection onto the pool
-        assert sorted(space.frames[canonical].tolist()) == pool.tolist()
-        assert np.array_equal(space.page_of_frame[space.frames[canonical]],
-                              canonical)
-        # every other frame backs no canonical page
-        others = np.setdiff1d(np.arange(space.n_pages), pool)
-        assert (space.page_of_frame[others] == -1).all()
+        # the page table is a bijection onto the pool, page_of_frame its
+        # inverse, and the buffer frame backs no page
+        assert sorted(space.frames.tolist()) == pool.tolist()
+        assert np.array_equal(space.page_of_frame[space.frames], pool)
+        assert space.page_of_frame[space.buffer_frame] == -1
         # every shadow page maps to its stack page's frame
         stack = layout.segment("stack")
         if stack is not None:
-            n = stack.size // 4096
-            shadow0 = (stack.start - stack.size - space.base) // 4096
-            stack0 = (stack.start - space.base) // 4096
-            assert np.array_equal(space.frames[shadow0:shadow0 + n],
-                                  space.frames[stack0:stack0 + n])
+            real = np.arange(stack.start, stack.end, 4096)
+            assert np.array_equal(space.line_index(real - stack.size),
+                                  space.line_index(real))
 
 
 def test_alias_equivalence_random_offsets(layout):
@@ -271,9 +271,9 @@ def test_wear_csv_format(layout):
 def test_region_lines_default_covers_segments_and_buffer(space, layout):
     region = space.region_slices()
     total = sum(s.size for s in layout.segments) // 64 + 64
-    assert sum(s.stop - s.start for s in region) == total
-    buf0 = space.buffer_frame * 64
-    assert region[-1] == slice(buf0, buf0 + 64)
+    # the whole wear map, the buffer frame's lines last
+    assert region == [slice(0, total)] and len(space.wear) == total
+    assert space.buffer_frame * 64 + 64 == total
 
 
 def test_region_lines_named_segment(space, layout):
@@ -287,9 +287,13 @@ def test_region_lines_named_segment(space, layout):
 def test_layout_without_stack_has_no_shadow():
     lay = make_layout(stack_pages=0)
     sp = MemorySpace(lay)
-    # every mapped page is a canonical one: no alias entries
-    assert sp.frames.tolist() == sp.page_of_frame.tolist()
-    assert sp.base == lay.segments[0].start
+    # every mapped page is a segment page, and the page below the
+    # lowest segment is unmapped
+    assert sp.frames.tolist() == sp.page_of_frame[:-1].tolist()
+    assert sp.n_pages == lay.total_pages + 1
+    assert sp.pages[0] == lay.segments[0].start // 4096
+    with pytest.raises(UnmappedPageError):
+        sp.line_index(lay.segments[0].start - 4096)
 
 
 @pytest.mark.parametrize("pages", [(2, 8, 4, 4), (4, 40, 8, 12), (2, 8, 4, 0),
@@ -297,25 +301,28 @@ def test_layout_without_stack_has_no_shadow():
 def test_page_table_and_regions_match_per_page_construction(pages):
     layout = make_layout(*pages)
     space = MemorySpace(layout)
-    frames = np.full(space.n_pages, -1)
-    regions = {}
+    absolute, regions = [], {}  # each frame's absolute page
     for seg in layout.segments:
-        p0 = (seg.start - space.base) // 4096
-        p1 = (seg.end - space.base) // 4096
-        frames[p0:p1] = np.arange(p0, p1)
-        regions[seg.name] = slice(p0 * 64, p1 * 64)
-    pool = np.flatnonzero(frames >= 0)
-    assert np.array_equal(space.page_of_frame, frames)
-    stack = layout.segment("stack")
-    if stack is not None:
-        k0, n = (stack.start - space.base) // 4096, stack.size // 4096
-        frames[k0 - n:k0] = frames[k0:k0 + n]
-    assert np.array_equal(space.frames, frames)
+        k = len(absolute)
+        absolute += range(seg.start // 4096, seg.end // 4096)
+        regions[seg.name] = slice(k * 64, len(absolute) * 64)
+    pool = np.arange(len(absolute))
+    absolute.append(layout.segments[-1].end // 4096)  # the buffer frame
+    assert space.pages.tolist() == absolute
+    assert np.array_equal(space.frames, pool)
+    assert np.array_equal(space.page_of_frame, np.append(pool, -1))
     assert np.array_equal(space.pool_frames, pool)
-    buf = space.buffer_frame * 64
-    assert space.region_slices() == [*regions.values(), slice(buf, buf + 64)]
+    assert space.region_slices() == [slice(0, len(absolute) * 64)]
     for name, lines in regions.items():
         assert space.region_slices(name) == [lines]
+    # each page's last line, and each shadow page's, on its own frame
+    addrs = np.array(absolute[:-1]) * 4096 + 4032
+    assert np.array_equal(space.line_index(addrs), pool * 64 + 63)
+    stack = layout.segment("stack")
+    if stack is not None:
+        real = np.arange(stack.start, stack.end, 64)
+        assert np.array_equal(space.line_index(real - stack.size),
+                              space.line_index(real))
 
 
 def test_wear_csv_round_trip(layout, tmp_path):
@@ -341,11 +348,13 @@ def test_wear_csv_reader_rejects_other_layouts_and_bad_rows(layout, tmp_path):
     path = tmp_path / "wear.csv"
     space = MemorySpace(layout)
     bigger = MemorySpace(make_layout(data_pages=64))
-    bigger.wear[-1] = 3  # the buffer frame, past this layout's span
-    base = space.base_line
+    bigger.wear[-1] = 3  # the buffer frame, past this layout's pages
+    base = layout.segments[0].start // 64
+    gap = layout.segment("stack").start // 64 - 1  # the shadow's last line
     header = "line_index,physical_address_hex,count\n"
     for text in (bigger.wear_csv_bytes().decode(),
                  header + "%d,0x%x,1\n#total,1\n" % (base - 1, (base - 1) * 64),
+                 header + "%d,0x%x,1\n#total,1\n" % (gap, gap * 64),
                  header + "%d,0x%x,1\n#total,1\n" % (base, base * 64 + 64),
                  header + "%d,0x%x,zz\n#total,1\n" % (base, base * 64),
                  header + "%d,0x%x,-1\n#total,-1\n" % (base, base * 64),

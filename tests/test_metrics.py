@@ -119,33 +119,36 @@ def test_ae_of_parts_equals_ae_of_their_concatenation():
 def spec_writers(result) -> list:
     """The per-row loops that every numeric CSV writer must equal byte for
     byte: the wear map's rows, the three logs, the estimates' rows, and
-    the data segment's histogram."""
-    fbase, space = result.space.base_frame, result.space
+    the data segment's histogram.  Frame f prints as its absolute page,
+    `pages[f]`, and line i as that page's line i % 64."""
+    space = result.space
+    page = space.pages.tolist()
     rows = []
-    for i in np.flatnonzero(space.wear):
-        idx = space.base_line + int(i)
+    for i in np.flatnonzero(space.wear).tolist():
+        idx = page[i // 64] * 64 + i % 64
         rows.append("%d,0x%x,%d" % (idx, idx * space.line_size,
                                     int(space.wear[i])))
     rows.append("#total,%d" % space.total_wear())
     out = [csv_bytes("line_index,physical_address_hex,count", rows)]
     out.append(csv_bytes("event_index,frame", (
-        "%d,%d" % (idx, fbase + f) for idx, f in result.sample_log.tolist())))
+        "%d,%d" % (idx, page[f]) for idx, f in result.sample_log.tolist())))
     out.append(csv_bytes(
         "event_index,hot_page_hex,cold_page_hex,hot_frame,cold_frame",
-        ("%d,0x%x,0x%x,%d,%d" % (idx, hp, cp, fbase + hf, fbase + cf)
+        ("%d,0x%x,0x%x,%d,%d" % (idx, hp, cp, page[hf], page[cf])
          for idx, hp, cp, hf, cf in result.remap_log.tolist())))
     out.append(csv_bytes(
         "event_index,shift_delta,valid_bytes,copied_lines,wrapped",
         ("%d,%d,%d,%d,%d" % tuple(row) for row in result.reloc_log.tolist())))
     if result.sampler is not None:
         est = result.sampler.estimates
-        rows = ["%d,%d" % (fbase + f, est[f]) for f in np.flatnonzero(est)]
+        rows = ["%d,%d" % (page[f], est[f]) for f in np.flatnonzero(est)]
         rows.append("#samples,%d" % result.sampler.samples_taken)
         out.append(csv_bytes("frame,estimate", rows))
     region = space.region_slices("data")[0]
-    lines = space.base_line + np.arange(region.start, region.stop)
+    lines = [page[i // 64] * 64 + i % 64
+             for i in range(region.start, region.stop)]
     counts = space.wear[region]
-    rows = ["%d,%d" % row for row in zip(lines.tolist(), counts.tolist())]
+    rows = ["%d,%d" % row for row in zip(lines, counts.tolist())]
     rows.append("#total,%d" % counts.sum())
     out.append(csv_bytes("line_index,count", rows))
     return out
@@ -159,7 +162,7 @@ def writers(result) -> list:
     space = result.space
     region = space.region_slices("data")[0]
     out.append(export_histogram(
-        space.base_line + np.arange(region.start, region.stop),
+        space.line_numbers(np.arange(region.start, region.stop)),
         space.wear[region]))
     return out
 
@@ -200,8 +203,10 @@ def test_writers_match_the_spec(monkeypatch, layout, chunk):
     assert any(len(r.reloc_log) == 0 for r in runs)
     edge = runs[0]
     col = np.array(EDGES, np.int64)
-    # a frame field adds the base frame, so it takes edges that leave room
-    frames = np.minimum(col, 2 ** 63 - 1 - edge.space.base_frame)
+    # a frame field prints the frame's absolute page, so frames 0 to 8
+    # take the edges that leave room for the page's line addresses
+    edge.space.pages[:len(col)] = np.minimum(col, (2 ** 63 - 1) >> 12)
+    frames = np.arange(len(col))
     edge.sample_log = np.column_stack((col, frames))
     edge.remap_log = np.column_stack((col, col[::-1], col, frames, frames))
     edge.reloc_log = np.column_stack([np.roll(col, k) for k in range(5)])
